@@ -59,10 +59,16 @@ def _cmd_run(args):
     except DslSyntaxError as exc:
         print(f"{path}:{exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a defect: report it, never as a traceback
+        print(f"{path}: internal error while parsing: {exc!r}", file=sys.stderr)
+        return 3
     try:
         transcript = evaluate(script)
     except DslEvalError as exc:
         print(f"{path}:{exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:  # a defect: report it, never as a traceback
+        print(f"{path}: internal error while evaluating: {exc!r}", file=sys.stderr)
         return 4
     sys.stdout.write(transcript)
     return 0

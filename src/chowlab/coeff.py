@@ -9,7 +9,7 @@ detection via cyclotomic polynomial matching, which backs the torsion tests.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, isqrt, lcm
 
 from . import _uni
 
@@ -90,11 +90,32 @@ def _rational_roots(coeffs):
     return sorted(roots)
 
 
+def _splits_into_quadratics(coeffs):
+    """True iff the monic quartic is a product of two rational quadratics."""
+    den = lcm(*(c.denominator for c in coeffs))
+    # den^4 * m(z/den) is monic and integral, so by Gauss's lemma a split
+    # (z^2+pz+q)(z^2+rz+s) of it has integer p, q, r, s
+    d, c, b, a = (int(coeffs[k] * den ** (4 - k)) for k in range(4))
+    for q in range(-isqrt(abs(d)), isqrt(abs(d)) + 1):
+        if not q or d % q:
+            continue
+        s = d // q
+        if q == s:  # p + r = a, p*r = b - 2q, and q*a = c
+            disc = a * a - 4 * (b - 2 * q)
+            if c == q * a and disc >= 0 and isqrt(disc) ** 2 == disc:
+                return True
+        elif (c - q * a) % (s - q) == 0:
+            p = (c - q * a) // (s - q)
+            if q + s + p * (a - p) == b:
+                return True
+    return False
+
+
 class ExtField:
     """Q[a]/(m(a)) for a monic irreducible m, 2 <= deg m <= 4.
 
-    Irreducibility is verified (no rational root) for degree 2 and 3 and is
-    the caller's responsibility for degree 4.
+    Irreducibility is verified: m has no rational root, and a quartic is
+    not a product of two rational quadratics.
     """
 
     def __init__(self, gen_name, minpoly):
@@ -103,8 +124,10 @@ class ExtField:
             raise ValueError("extension degree must be between 2 and 4")
         if coeffs[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
-        if len(coeffs) <= 4 and _rational_roots(coeffs):
+        if _rational_roots(coeffs):
             raise ValueError("minimal polynomial has a rational root")
+        if len(coeffs) == 5 and _splits_into_quadratics(coeffs):
+            raise ValueError("minimal polynomial splits into two quadratics")
         self.gen_name = gen_name
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
@@ -146,9 +169,6 @@ class ExtField:
                 raise TypeError("element of a different extension field")
             return x
         return self.element([_frac(x)])
-
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.minpoly)
 
     def render(self, x):
         return str(self.coerce(x))
@@ -243,7 +263,8 @@ class ExtElement:
             q, r = _uni.divmod_(r0, r1)
             r0, r1 = r1, r
             t0, t1 = t1, _uni.sub(t0, _uni.mul(q, t1))
-        # r0 is a nonzero constant gcd (minpoly irreducible)
+        if len(r0) > 1:
+            raise ValueError("minimal polynomial is reducible: no inverse")
         c = r0[0]
         inv = [t / c for t in t0]
         return self.field.element(inv)

@@ -47,6 +47,8 @@ class DslEvalError(DslError):
 
 _TWO_CHAR_OPS = ("==", "!=", "<=", ">=")
 _ONE_CHAR_OPS = set("(){}[],;=+-*/^<>")
+# below Python's default limit (4300) on int-from-string conversion
+_MAX_LITERAL_DIGITS = 4000
 
 
 class Token:
@@ -424,6 +426,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
+            if len(tok.text) > _MAX_LITERAL_DIGITS:
+                raise DslSyntaxError("integer literal too long", tok.line, tok.col)
             return Num(int(tok.text), pos=(tok.line, tok.col))
         if tok.kind == "str":
             self.advance()
@@ -584,6 +588,8 @@ class _QuitSignal(Exception):
 
 
 _LOOP_LIMIT = 100000
+# largest integer or rational power the interpreter builds, in bits
+_POWER_BITS_LIMIT = 1 << 20
 
 _SHORTHAND = re.compile(r"(\d*)((?:[A-Za-z]\d*)+)")
 
@@ -664,6 +670,12 @@ def _power(base, exponent, pos):
             if e < 0:
                 raise DslEvalError("negative exponent on a polynomial", *pos)
             return base ** e
+        if isinstance(base, (int, Fraction)):
+            q = Fraction(base)
+            bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+            # the power has at least (bits - 1) * |e| bits
+            if bits > 1 and (bits - 1) * abs(e) > _POWER_BITS_LIMIT:
+                raise DslEvalError("power too large", *pos)
         if isinstance(base, int):
             return Fraction(base) ** e if e < 0 else base ** e
         if isinstance(base, (Fraction, ExtElement)):
@@ -906,6 +918,13 @@ def _call(expr, env):
 
 
 def _format_value(value, pos):
+    try:
+        return _value_lines(value, pos)
+    except ValueError:  # Python's int-to-string digit limit
+        raise DslEvalError("value too large to print", *pos)
+
+
+def _value_lines(value, pos):
     if isinstance(value, str):
         return [value]
     if isinstance(value, int):

@@ -6,391 +6,366 @@ content stripping.  Public results are reduced Groebner bases (monic,
 interreduced, sorted descending by leading monomial), which makes every
 basis canonical for a given ideal and order.  On top of that: normal forms,
 ideal membership, elimination, pairwise intersection, and Krull dimension.
+
+Inside the engine a monomial is two Python ints made of W-bit fields
+(`_Packing`):
+
+- The order key is a signed-digit number whose integer order is the ring
+  order.  A grevlex block of variables x_lo..x_hi-1 gives the digits (deg,
+  -x_hi-1, ..., -x_lo), most significant first; "dp" is one block,
+  ("block", k) puts the block of the first k variables above the rest, and
+  "lp" has the digits (x_1, ..., x_n).
+- The word holds each exponent in its digit's field and the total degree in
+  the field above.  Every field keeps its top (guard) bit clear, so a divides
+  b iff ((b | GUARD) - a) & GUARD == GUARD: a field with a_j > b_j borrows
+  its guard bit away.
+
+Both are linear in the exponents, so shifting a term by x^s adds the key and
+word of x^s.  They are exact while every total degree is at most
+2^(W-1) - 1: no field overflows, key digits stay inside (-2^(W-1), 2^(W-1)),
+and guard bits hold.  The engine checks that bound on each pair lcm and on
+each shift, against the largest degree of the shifted polynomial.  A run
+that would pass it restarts with twice the width and repeats the same
+steps, since nothing else depends on W: a wide exponent costs time, never a
+wrong answer.
 """
 
 import threading
+from bisect import insort
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
+from math import gcd, lcm
+from operator import add, neg
 
-from .coeff import ExtElement, ExtField, field_arith
+from .coeff import ExtField, field_arith
 from .poly import Polynomial, RingContext
 
 
-def _divides(a, b):
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+class _Overflow(Exception):
+    """A degree outgrew the packed fields; the run restarts wider."""
+
+
+class _Packing:
+    """Order keys and divisibility words of exponent vectors, W-bit fields."""
+
+    def __init__(self, order, nvars, width):
+        self.limit = (1 << (width - 1)) - 1
+        self.mask = (1 << width) - 1
+        if order == "lp":
+            fields = [nvars - 1 - i for i in range(nvars)]
+            self.sign, self.tops, nfields = 1, [], nvars
+        else:
+            k = order[1] if isinstance(order, tuple) else 0
+            fields = [0] * nvars
+            self.sign, self.tops, nfields = -1, [], 0
+            blocks = ((k, nvars), (0, k)) if k else ((0, nvars),)
+            for lo, hi in blocks:  # least significant first
+                for i in range(lo, hi):
+                    fields[i] = nfields + i - lo
+                nfields += hi - lo
+                self.tops.append((lo, hi, nfields * width))
+                nfields += 1
+        self.shifts = [f * width for f in fields]
+        self.deg_shift = nfields * width
+        self.guard = sum(1 << (f * width + width - 1) for f in range(nfields + 1))
+
+    def pack(self, exps):
+        """(key, word) of an exponent vector."""
+        deg = sum(exps)
+        if deg > self.limit:
+            raise _Overflow
+        body = 0
+        for e, s in zip(exps, self.shifts):
+            body += e << s
+        key = self.sign * body
+        for lo, hi, s in self.tops:
+            key += sum(exps[lo:hi]) << s
+        return key, body + (deg << self.deg_shift)
+
+    def unpack(self, word):
+        mask = self.mask
+        return tuple(word >> s & mask for s in self.shifts)
 
 
 class _ZKernel:
     """Integer coefficient arithmetic for rational-field inputs."""
 
-    def __init__(self, field):
-        self.field = field
+    one = 1
 
-    def poly_in(self, p, key):
-        den = 1
-        for _, c in p.terms:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return self.strip([(key(e), e, int(c * den)) for e, c in p.terms])
+    @staticmethod
+    def poly_in(p, pack):
+        """(terms, den): the packed terms of den * p, all integral."""
+        den = lcm(*(c.denominator for _, c in p.terms))
+        return [
+            (*pack(e), c.numerator * (den // c.denominator)) for e, c in p.terms
+        ], den
 
-    def strip(self, terms):
-        if not terms:
-            return terms
-        g = 0
-        for _, _, c in terms:
-            g = gcd(g, c)
-            if g == 1:
-                break
-        if terms[0][2] < 0:
-            g = -g
-        if g != 1:
-            terms = [(k, e, c // g) for k, e, c in terms]
-        return terms
+    @staticmethod
+    def content(terms):
+        """Gcd of the coefficients, signed like the leading coefficient."""
+        g = gcd(*[c for _, _, c in terms])
+        return -g if terms[0][2] < 0 else g
 
-    def cross(self, a, b):
+    @staticmethod
+    def cross(a, b):
         d = gcd(a, b)
         return b // d, a // d
 
     @staticmethod
-    def mulc(c, s):
-        return c * s
-
-    @staticmethod
-    def subc(a, b):
-        return a - b
-
-    @staticmethod
-    def negc(c):
-        return -c
-
-    @staticmethod
-    def is_zero(c):
-        return c == 0
-
-    @staticmethod
-    def is_one(c):
-        return c == 1
-
-    def poly_out(self, terms, ctx):
-        lc = terms[0][2]
-        return Polynomial(ctx, tuple((e, Fraction(c, lc)) for _, e, c in terms))
+    def scalar(c):
+        return c
 
 
 class _ExtKernel:
-    """Integer-tuple arithmetic in Z[a] for an integral monic minimal poly."""
+    """Coefficients in Z[b] for the algebraic integer b = D*a, D the least
+    common denominator of the minimal polynomial: integer coordinate tuples
+    with the ring operations as operators."""
 
     def __init__(self, field):
         self.field = field
         d = field.degree
-        self.d = d
-        self.one_c = (1,) + (0,) * (d - 1)
-        # integral rewrite rows for a^d .. a^(2d-2)
-        self.rows = [
-            tuple(int(x) for x in field._pow[k]) for k in range(d, 2 * d - 1)
+        D = lcm(*(c.denominator for c in field.minpoly))
+        self.powers = [D**k for k in range(d)]  # b^k = D^k * a^k
+        # integral rewrite rows for b^d .. b^(2d-2)
+        rows = [
+            [int(x * D ** (k - j)) for j, x in enumerate(field._pow[k])]
+            for k in range(d, 2 * d - 1)
         ]
 
-    def poly_in(self, p, key):
-        den = 1
-        for _, c in p.terms:
-            for comp in c.coeffs:
-                den = den * comp.denominator // gcd(den, comp.denominator)
-        return self.strip(
-            [(key(e), e, tuple(int(x * den) for x in c.coeffs)) for e, c in p.terms]
-        )
+        class Elt(tuple):
+            __slots__ = ()
 
-    def _content(self, c):
-        g = 0
-        for x in c:
-            g = gcd(g, x)
-        return g
+            def __add__(self, other):
+                return Elt(map(add, self, other))
 
-    def strip(self, terms):
-        if not terms:
-            return terms
-        g = 0
-        for _, _, c in terms:
-            for x in c:
-                g = gcd(g, x)
-            if g == 1:
-                break
-        lead = next(x for x in terms[0][2] if x)
-        if lead < 0:
-            g = -g
-        if g != 1:
-            terms = [(k, e, tuple(x // g for x in c)) for k, e, c in terms]
-        return terms
+            def __neg__(self):
+                return Elt(map(neg, self))
 
-    def cross(self, a, b):
-        c = gcd(self._content(a), self._content(b))
+            def __floordiv__(self, g):
+                return Elt(x // g for x in self)
+
+            def __bool__(self):
+                return any(self)
+
+            def __mul__(self, other):
+                conv = [0] * (2 * d - 1)
+                for i, x in enumerate(self):
+                    if x:
+                        for j, y in enumerate(other, i):
+                            conv[j] += x * y
+                out = conv[:d]
+                for k in range(d, 2 * d - 1):
+                    ck = conv[k]
+                    if ck:
+                        row = rows[k - d]
+                        for i in range(d):
+                            out[i] += ck * row[i]
+                return Elt(out)
+
+        self.elt = Elt
+        self.one = Elt((1,) + (0,) * (d - 1))
+
+    def poly_in(self, p, pack):
+        coords = [[x / s for x, s in zip(c.coeffs, self.powers)] for _, c in p.terms]
+        den = lcm(*(x.denominator for cs in coords for x in cs))
+        elt = self.elt
+        return [
+            (*pack(e), elt(x.numerator * (den // x.denominator) for x in cs))
+            for (e, _), cs in zip(p.terms, coords)
+        ], den
+
+    @staticmethod
+    def content(terms):
+        g = gcd(*[x for _, _, c in terms for x in c])
+        return -g if next(x for x in terms[0][2] if x) < 0 else g
+
+    @staticmethod
+    def cross(a, b):
+        c = gcd(*a, *b)
         if c == 1:
             return b, a
-        return tuple(x // c for x in b), tuple(x // c for x in a)
+        return b // c, a // c
 
-    def mulc(self, a, b):
-        d = self.d
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            ck = conv[k]
-            if ck:
-                row = self.rows[k - d]
-                for i in range(d):
-                    out[i] += ck * row[i]
-        return tuple(out)
-
-    @staticmethod
-    def subc(a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    @staticmethod
-    def negc(c):
-        return tuple(-x for x in c)
-
-    @staticmethod
-    def is_zero(c):
-        return not any(c)
-
-    def is_one(self, c):
-        return c == self.one_c
-
-    def poly_out(self, terms, ctx):
-        field = self.field
-        lc = field.element([Fraction(x) for x in terms[0][2]])
-        inv = lc.inverse()
-        out = []
-        for _, e, c in terms:
-            el = field.element([Fraction(x) for x in c])
-            out.append((e, el * inv))
-        return Polynomial(ctx, tuple(out))
+    def scalar(self, c):
+        return self.field.element([x * s for x, s in zip(c, self.powers)])
 
 
-class _FieldKernel:
-    """Direct field arithmetic; used when no integral form is available."""
-
-    def __init__(self, field):
-        self.field = field
-
-    def poly_in(self, p, key):
-        return self.strip([(key(e), e, c) for e, c in p.terms])
-
-    def strip(self, terms):
-        if not terms:
-            return terms
-        if self.is_one(terms[0][2]):
-            return terms
-        inv = field_arith("inv", terms[0][2])
-        return [(k, e, c * inv) for k, e, c in terms]
-
-    def cross(self, a, b):
-        return self.field.one, a * field_arith("inv", b)
-
-    @staticmethod
-    def mulc(c, s):
-        return c * s
-
-    @staticmethod
-    def subc(a, b):
-        return a - b
-
-    @staticmethod
-    def negc(c):
-        return -c
-
-    @staticmethod
-    def is_zero(c):
-        return not c
-
-    def is_one(self, c):
-        return c == self.field.one
-
-    def poly_out(self, terms, ctx):
-        inv = field_arith("inv", terms[0][2])
-        return Polynomial(ctx, tuple((e, c * inv) for _, e, c in terms))
+def _packed(ctx, polys, job):
+    """job(engine) with fields wide enough for every degree the run reaches."""
+    width = max(8, (2 * max(p.total_degree() for p in polys)).bit_length() + 1)
+    while True:
+        try:
+            return job(_Engine(ctx, width))
+        except _Overflow:
+            width *= 2
 
 
 class _Engine:
-    """One Buchberger run over a fixed ring context."""
+    """One Buchberger run (or normal form) over a fixed ring context.
 
-    def __init__(self, ctx):
+    A term is (key, word, coefficient); a polynomial is a list of terms,
+    descending by key.  A basis entry is (lead word, lead coefficient,
+    terms, largest total degree of its terms).
+    """
+
+    def __init__(self, ctx, width):
         self.ctx = ctx
-        self.key = ctx.key
+        self.pk = _Packing(ctx.order, ctx.nvars, width)
         field = ctx.field
-        if isinstance(field, ExtField):
-            self.kern = _ExtKernel(field) if field.is_integral() else _FieldKernel(field)
-        else:
-            self.kern = _ZKernel(field)
+        self.kern = _ExtKernel(field) if isinstance(field, ExtField) else _ZKernel()
 
-    def _scaled(self, terms, c, shift):
-        kern = self.kern
-        one = kern.is_one(c)
-        if shift is None:
-            if one:
-                return terms
-            mul = kern.mulc
-            return [(k, e, mul(cc, c)) for k, e, cc in terms]
-        key = self.key
-        mul = kern.mulc
-        out = []
-        for _, e, cc in terms:
-            e2 = tuple(x + y for x, y in zip(e, shift))
-            out.append((key(e2), e2, cc if one else mul(cc, c)))
-        return out
+    def strip(self, terms):
+        """(terms / g, g) for the content g, signed to make the lead positive."""
+        if not terms:
+            return terms, 1
+        g = self.kern.content(terms)
+        if g != 1:
+            terms = [(k, w, c // g) for k, w, c in terms]
+        return terms, g
 
-    def linear_comb(self, fa, ca, sa, fb, cb, sb):
-        """ca * x^sa * fa - cb * x^sb * fb as a merged descending term list."""
-        A = self._scaled(fa, ca, sa)
-        B = self._scaled(fb, cb, sb)
-        kern = self.kern
-        sub, neg, isz = kern.subc, kern.negc, kern.is_zero
-        out = []
-        i = j = 0
-        n, m = len(A), len(B)
-        while i < n and j < m:
-            ka, kb = A[i][0], B[j][0]
-            if ka > kb:
-                out.append(A[i])
+    def _poly_in(self, p):
+        """(terms, scale) with p = scale * terms, terms primitive."""
+        terms, den = self.kern.poly_in(p, self.pk.pack)
+        terms, g = self.strip(terms)
+        return terms, Fraction(g, den)
+
+    def _poly_out(self, terms, scale=None):
+        """The polynomial scale * terms; monic when no scale is given."""
+        scalar, unpack = self.kern.scalar, self.pk.unpack
+        if scale is None:
+            scale = self.ctx.field.one / scalar(terms[0][2])
+        out = tuple((unpack(w), scalar(c) * scale) for _, w, c in terms)
+        return Polynomial(self.ctx, out)
+
+    def _entry(self, terms):
+        top = max(w for _, w, _ in terms) >> self.pk.deg_shift
+        return (terms[0][1], terms[0][2], terms, top)
+
+    def _shift(self, ent, key, word):
+        """Key and word of the x^s that carries ent's lead to (key, word)."""
+        sw = word - ent[0]
+        if (sw >> self.pk.deg_shift) + ent[3] > self.pk.limit:
+            raise _Overflow
+        return key - ent[2][0][0], sw
+
+    def comb(self, A, i, ca, B, cb, sk, sw):
+        """ca * A - cb * x^s * B as a descending term list.
+
+        x^s has key sk and word sw; the terms of A before index i are known
+        to lie above every term of x^s * B.
+        """
+        mul_a = ca != self.kern.one
+        out = [(k, w, c * ca) for k, w, c in A[:i]] if mul_a else A[:i]
+        push = out.append
+        ncb = -cb
+        n = len(A)
+        for kb, wb, c in B:
+            kb += sk
+            while i < n and A[i][0] > kb:
+                t = A[i]
+                push((t[0], t[1], t[2] * ca) if mul_a else t)
                 i += 1
-            elif kb > ka:
-                t = B[j]
-                out.append((t[0], t[1], neg(t[2])))
-                j += 1
+            if i < n and A[i][0] == kb:
+                t = A[i]
+                i += 1
+                c = (t[2] * ca if mul_a else t[2]) + c * ncb
+                if c:
+                    push((kb, t[1], c))
             else:
-                c = sub(A[i][2], B[j][2])
-                if not isz(c):
-                    out.append((ka, A[i][1], c))
-                i += 1
-                j += 1
-        out.extend(A[i:])
-        for t in B[j:]:
-            out.append((t[0], t[1], neg(t[2])))
+                push((kb, wb + sw, c * ncb))
+        out.extend([(k, w, c * ca) for k, w, c in A[i:]] if mul_a else A[i:])
         return out
 
-    @staticmethod
-    def _pick(G, lm):
-        # smallest reducer (fewest terms) limits fill-in and coefficient growth
-        red = None
-        for ent in G:
-            if _divides(ent[0], lm) and (red is None or len(ent[2]) < len(red[2])):
-                red = ent
-        return red
+    def _first(self, R, word):
+        """The first entry of R whose leading monomial divides the word."""
+        guard = self.pk.guard
+        top = word | guard
+        for ent in R:
+            if (top - ent[0]) & guard == guard:
+                return ent
+        return None
 
-    def top_reduce(self, f, G):
-        kern = self.kern
-        steps = 0
-        while f:
-            lm, lc = f[0][1], f[0][2]
-            red = self._pick(G, lm)
-            if red is None:
-                return kern.strip(f)
-            shift = tuple(a - b for a, b in zip(lm, red[0]))
-            cf, cg = kern.cross(lc, red[1])
-            f = self.linear_comb(f, cf, None, red[2], cg, shift if any(shift) else None)
-            steps += 1
-            if steps & 3 == 0:
-                f = kern.strip(f)
-        return f
+    def _step(self, f, i, red):
+        """Cancel term i of f against the entry red: (new f, its factor on f)."""
+        k, w, c = f[i]
+        cf, cg = self.kern.cross(c, red[1])
+        return self.comb(f, i, cf, red[2], cg, *self._shift(red, k, w)), cf
 
-    def full_reduce(self, f, G):
-        kern = self.kern
-        out = []
-        rest = f
-        steps = 0
-        while rest:
-            lm, lc = rest[0][1], rest[0][2]
-            red = self._pick(G, lm)
+    def full_reduce(self, f, G, pick, scale=None):
+        """(r, scale'): r is f fully reduced by G, the reducer of each term
+        chosen by pick.  With a scale, scale * f and scale' * r differ by an
+        element of (G); without one, scale' is None."""
+        i = steps = 0
+        while i < len(f):
+            red = pick(G, f[i][1])
             if red is None:
-                out.append(rest[0])
-                rest = rest[1:]
+                i += 1
                 continue
-            shift = tuple(a - b for a, b in zip(lm, red[0]))
-            cf, cg = kern.cross(lc, red[1])
-            rest = self.linear_comb(rest, cf, None, red[2], cg, shift if any(shift) else None)
-            if not kern.is_one(cf):
-                mul = kern.mulc
-                out = [(k, e, mul(c, cf)) for k, e, c in out]
+            f, cf = self._step(f, i, red)
+            if scale is not None:
+                scale = scale / self.kern.scalar(cf)
             steps += 1
             if steps & 7 == 0:
-                n0 = len(out)
-                both = kern.strip(out + rest)
-                out, rest = both[:n0], both[n0:]
-        return kern.strip(out)
+                f, g = self.strip(f)
+                if scale is not None:
+                    scale = scale * g
+        f, g = self.strip(f)
+        return f, None if scale is None else scale * g
 
-    def spoly(self, ei, ej):
-        lmi, lci, ti = ei
-        lmj, lcj, tj = ej
-        big = tuple(max(a, b) for a, b in zip(lmi, lmj))
-        si = tuple(a - b for a, b in zip(big, lmi))
-        sj = tuple(a - b for a, b in zip(big, lmj))
-        cf, cg = self.kern.cross(lci, lcj)
-        s = self.linear_comb(
-            ti, cf, si if any(si) else None, tj, cg, sj if any(sj) else None
-        )
-        return self.kern.strip(s)
+    def spoly(self, ei, ej, key, word):
+        """S-polynomial of two entries whose lead lcm has this key and word."""
+        ski, swi = self._shift(ei, key, word)
+        skj, swj = self._shift(ej, key, word)
+        A = [(k + ski, w + swi, c) for k, w, c in ei[2]] if swi else ei[2]
+        cf, cg = self.kern.cross(ei[1], ej[1])
+        return self.strip(self.comb(A, 0, cf, ej[2], cg, skj, swj))[0]
 
     def _add(self, terms):
         """Gebauer-Moeller update: install a new basis element and its pairs."""
-        G, live = self.G, self.live
+        G, live, pk = self.G, self.live, self.pk
+        guard = pk.guard
         idx = len(G)
-        lmh = terms[0][1]
+        wh = terms[0][1]
+        lmh = pk.unpack(wh)
         cand = []
         for g_idx in range(idx):
-            lmg = G[g_idx][0]
-            big = tuple(max(a, b) for a, b in zip(lmg, lmh))
-            coprime = all(min(a, b) == 0 for a, b in zip(lmg, lmh))
-            cand.append((g_idx, big, coprime))
+            wg = G[g_idx][0]
+            key, big = pk.pack(tuple(map(max, pk.unpack(wg), lmh)))
+            cand.append((g_idx, big, key, big == wg + wh))
         kept = []
-        for t in range(len(cand)):
-            g_idx, big, coprime = cand[t]
-            if not coprime:
-                dominated = False
-                for t2 in range(t + 1, len(cand)):
-                    if _divides(cand[t2][1], big):
-                        dominated = True
-                        break
-                if not dominated:
-                    for _, big2, _ in kept:
-                        if _divides(big2, big):
-                            dominated = True
-                            break
-                if dominated:
-                    continue
+        for t, (_, big, _, coprime) in enumerate(cand):
+            top = big | guard
+            if not coprime and any(
+                (top - c[1]) & guard == guard for c in cand[t + 1 :] + kept
+            ):
+                continue
             kept.append(cand[t])
         for (i, j), big in list(live.items()):
-            if _divides(lmh, big):
-                li = tuple(max(a, b) for a, b in zip(G[i][0], lmh))
-                lj = tuple(max(a, b) for a, b in zip(G[j][0], lmh))
-                if li != big and lj != big:
+            if ((big | guard) - wh) & guard == guard:
+                if cand[i][1] != big and cand[j][1] != big:
                     del live[(i, j)]
-        G.append((lmh, terms[0][2], terms))
-        for g_idx, big, coprime in kept:
+        ent = self._entry(terms)
+        G.append(ent)
+        insort(self.R, ent, key=lambda e: len(e[2]))
+        for g_idx, big, key, coprime in kept:
             if coprime:
                 continue
             live[(g_idx, idx)] = big
             self._seq += 1
             # degree-first selection, order key as tie-break
-            heappush(
-                self.heap, (sum(big), self.key(big), self._seq, g_idx, idx)
-            )
+            heappush(self.heap, (big >> pk.deg_shift, key, self._seq, g_idx, idx))
 
     def run(self, polys, degree_cap=None):
-        kern = self.kern
         self.G = []
+        # by size, stably: the first divisor is the smallest reducer, to limit fill-in
+        self.R = []
         self.live = {}
         self.heap = []
         self._seq = 0
         for p in polys:
-            t = self.top_reduce(kern.poly_in(p, self.key), self.G)
-            if t:
-                # tail-reduce before installing: keeps coefficients primitive
-                self._add(self.full_reduce(t, self.G))
+            h = self.full_reduce(self._poly_in(p)[0], self.R, self._first)[0]
+            if h:
+                self._add(h)
         while self.heap:
             item = heappop(self.heap)
             if degree_cap is not None and item[0] > degree_cap:
@@ -398,32 +373,49 @@ class _Engine:
                 # nothing below the cap remains
                 break
             ij = (item[3], item[4])
-            if ij not in self.live:
+            big = self.live.pop(ij, None)
+            if big is None:
                 continue
-            del self.live[ij]
-            s = self.spoly(self.G[ij[0]], self.G[ij[1]])
-            if not s:
-                continue
-            h = self.top_reduce(s, self.G)
+            s = self.spoly(self.G[ij[0]], self.G[ij[1]], item[1], big)
+            h = self.full_reduce(s, self.R, self._first)[0]
             if h:
-                self._add(self.full_reduce(h, self.G))
+                self._add(h)
         return self._finalize()
 
     def _finalize(self):
         G = self.G
-        order = sorted(range(len(G)), key=lambda k: self.key(G[k][0]))
+        guard = self.pk.guard
+        order = sorted(range(len(G)), key=lambda k: G[k][2][0][0])
         minimal = []
         for idx in order:
-            lm = G[idx][0]
-            if not any(_divides(G[k][0], lm) for k in minimal):
+            top = G[idx][0] | guard
+            if not any((top - G[k][0]) & guard == guard for k in minimal):
                 minimal.append(idx)
         kept = [G[k] for k in minimal]
         for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1 :]
-            red = self.full_reduce(kept[i][2], others)
-            kept[i] = (red[0][1], red[0][2], red)
-        kept.sort(key=lambda ent: self.key(ent[0]), reverse=True)
-        return [self.kern.poly_out(ent[2], self.ctx) for ent in kept]
+            others = sorted(kept[:i] + kept[i + 1 :], key=lambda e: len(e[2]))
+            kept[i] = self._entry(self.full_reduce(kept[i][2], others, self._first)[0])
+        kept.sort(key=lambda ent: ent[2][0][0], reverse=True)
+        return [self._poly_out(ent[2]) for ent in kept]
+
+    def normal_form(self, f, basis):
+        guard = self.pk.guard
+        words = [self.pk.pack(g.leading_monomial())[1] for g in basis]
+        ents = {}
+
+        def first(_, word):
+            # the first divisor in basis order, packed on its first use
+            top = word | guard
+            for i, w in enumerate(words):
+                if (top - w) & guard == guard:
+                    if i not in ents:
+                        ents[i] = self._entry(self._poly_in(basis[i])[0])
+                    return ents[i]
+            return None
+
+        terms, scale = self._poly_in(f)
+        terms, scale = self.full_reduce(terms, None, first, scale)
+        return self._poly_out(terms, scale)
 
 
 def buchberger(gens, degree_cap=None):
@@ -440,62 +432,22 @@ def buchberger(gens, degree_cap=None):
     for g in gens:
         if g.ctx != ctx:
             raise ValueError("mixed ring contexts")
-    return _Engine(ctx).run(gens, degree_cap)
+    return _packed(ctx, gens, lambda eng: eng.run(gens, degree_cap))
 
 
 def normal_form(f, basis):
-    """Fully reduce f modulo the basis; f - result lies in (basis)."""
-    ctx = f.ctx
-    ents = []
-    for g in basis:
-        if g.is_zero():
-            continue
-        if g.ctx != ctx:
-            raise ValueError("mixed ring contexts")
-        ents.append((g.leading_monomial(), g.leading_coeff(), g.terms))
-    key = ctx.key
-    rest = list(f.terms)
-    out = []
-    while rest:
-        e, c = rest[0]
-        red = None
-        for lm, lc, terms in ents:
-            if _divides(lm, e):
-                red = (lm, lc, terms)
-                break
-        if red is None:
-            out.append((e, c))
-            rest.pop(0)
-            continue
-        lm, lc, terms = red
-        factor = c * field_arith("inv", lc)
-        bterms = []
-        for te, tc in terms:
-            e2 = tuple(a + (x - y) for a, x, y in zip(te, e, lm))
-            bterms.append((key(e2), e2, tc * factor))
-        arest = [(key(te), te, tc) for te, tc in rest]
-        merged = []
-        i = j = 0
-        while i < len(arest) and j < len(bterms):
-            ka, kb = arest[i][0], bterms[j][0]
-            if ka > kb:
-                merged.append(arest[i])
-                i += 1
-            elif kb > ka:
-                t = bterms[j]
-                merged.append((t[0], t[1], -t[2]))
-                j += 1
-            else:
-                cc = arest[i][2] - bterms[j][2]
-                if cc:
-                    merged.append((ka, arest[i][1], cc))
-                i += 1
-                j += 1
-        merged.extend(arest[i:])
-        for t in bterms[j:]:
-            merged.append((t[0], t[1], -t[2]))
-        rest = [(te, tc) for _, te, tc in merged]
-    return Polynomial(ctx, tuple(out))
+    """Fully reduce f modulo the basis; f - result lies in (basis).
+
+    Each term is reduced by the first basis element, in the given order,
+    whose leading monomial divides it, so the remainder is exact and the
+    same for any basis, Groebner or not.
+    """
+    gs = [g for g in basis if not g.is_zero()]
+    if any(g.ctx != f.ctx for g in gs):
+        raise ValueError("mixed ring contexts")
+    if f.is_zero():
+        return f
+    return _packed(f.ctx, [f] + gs, lambda eng: eng.normal_form(f, gs))
 
 
 def s_polynomial(f, g):

@@ -15,6 +15,7 @@ from importlib import resources
 from math import comb
 
 from chowlab import _uni
+from chowlab.cli import golden_bytes
 from chowlab.cli.experiments import run_experiment
 from chowlab.curves import (
     PointOnLine,
@@ -90,7 +91,9 @@ def test_criterion_04_s5_ideal():
         report = _report_must_pass("s5-ideal")
     assert _check(report, "no-generators-below-9")["computed"] == [0] * 9
     assert report["results"]["dim"] == 2
-    _passed(4, "intersection has no minimal generators below degree 9; dim 2")
+    golden = resources.files("chowlab").joinpath("data/goldens/s5-ideal.json")
+    assert golden_bytes(report) == golden.read_bytes()
+    _passed(4, "intersection has no minimal generators below degree 9; dim 2; golden bytes")
 
 
 def test_criterion_05_s5_hilbert():

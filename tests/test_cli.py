@@ -53,6 +53,30 @@ def test_run_eval_error(tmp_path, capsys):
     assert "2:" in err and "division" in err
 
 
+def test_run_huge_integer_is_a_located_eval_error(tmp_path, capsys):
+    bad = tmp_path / "big.sess"
+    bad.write_text("int n = 2^1000000;\nn;\n")
+    assert main(["run", str(bad)]) == 4
+    err = capsys.readouterr().err
+    assert "big.sess:2:1: value too large to print" in err
+
+
+def test_run_reports_unexpected_errors_without_traceback(tmp_path, capsys, monkeypatch):
+    ok = tmp_path / "ok.sess"
+    ok.write_text("int n = 1;\n")
+
+    def defect(_):
+        raise RuntimeError("engine defect")
+
+    monkeypatch.setattr(cli, "evaluate", defect)
+    assert main(["run", str(ok)]) == 4
+    monkeypatch.setattr(cli, "parse", defect)
+    assert main(["run", str(ok)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("internal error") == 2 and "engine defect" in err
+    assert "Traceback" not in err
+
+
 def test_exp_unknown_id(capsys):
     assert main(["exp", "nope"]) == 2
     assert "unknown experiment" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from chowlab import coeff
 from chowlab.coeff import (
     QQ,
     ExtField,
@@ -99,6 +100,31 @@ def test_reducible_minpoly_rejected():
         ExtField("a", [1, 1])  # degree 1
     with pytest.raises(ValueError):
         ExtField("a", [1, 0, 0, 0, 0, 1])  # degree 5
+
+
+def test_reducible_quartics_rejected():
+    for minpoly in (
+        [-4, 0, 0, 0, 1],  # (a^2-2)(a^2+2)
+        [4, 0, 0, 0, 1],  # (a^2+2a+2)(a^2-2a+2)
+        [1, 0, 1, 0, 1],  # (a^2+a+1)(a^2-a+1)
+        [1, 0, -3, 0, 1],  # (a^2+a-1)(a^2-a-1)
+        [F(1, 4), 0, 0, 0, 1],  # (a^2+a+1/2)(a^2-a+1/2)
+        [-1, 0, 0, 0, 1],  # rational root 1
+    ):
+        with pytest.raises(ValueError):
+            ExtField("a", minpoly)
+    for minpoly in ([2, 0, 0, 0, 1], [1, 0, -1, 0, 1], [3, 0, -1, 0, 1], [1, 1, 1, 1, 1]):
+        ExtField("a", minpoly)
+
+
+def test_inverse_of_a_zero_divisor_raises(monkeypatch):
+    # skip the construction check to reach arithmetic modulo a reducible quartic
+    monkeypatch.setattr(coeff, "_splits_into_quadratics", lambda coeffs: False)
+    K = ExtField("a", [-4, 0, 0, 0, 1])
+    a = K.gen
+    with pytest.raises(ValueError):
+        (a**2 + 2).inverse()
+    assert (a + 1).inverse() * (a + 1) == K.one
 
 
 def test_sqrt2_field():

@@ -171,6 +171,22 @@ def test_int_value_must_be_integral():
     assert run_source("ring r=0,(x,y),dp; int u=4/2; print(u);") == "2\n"
 
 
+def test_huge_integers_are_located_errors():
+    with pytest.raises(DslEvalError) as err:
+        run_source("int n = 2^1000000;\nn;")
+    assert (err.value.line, err.value.col, err.value.message) == (2, 1, "value too large to print")
+    with pytest.raises(DslEvalError) as err:
+        run_source("int n = 2^1000000;\nprint(n);")
+    assert err.value.line == 2
+    with pytest.raises(DslEvalError) as err:
+        run_source("int n = 3^(10^9);")
+    assert err.value.message == "power too large"
+    with pytest.raises(DslSyntaxError) as err:
+        parse("int n = " + "9" * 5000 + ";")
+    assert (err.value.line, err.value.col) == (1, 9)
+    assert run_source("int n = 2^20000; print(n - n); print(2^(-3));") == "0\n1/8\n"
+
+
 def test_expression_statements_print_each_value():
     out = run_source(RING + "poly f=x2+y; deg(f), homog(f); 3+4; print(1/2);")
     assert out == "2\n0\n7\n1/2\n"
