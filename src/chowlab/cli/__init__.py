@@ -91,8 +91,10 @@ def _cmd_exp(args):
         try:
             report = _run_with_timeout(args.timeout, exp_id)
         except TimeoutError:
+            # a failure like any other: the remaining ids still run
             print(f"chowlab: experiment {exp_id} exceeded {args.timeout}s", file=sys.stderr)
-            return 1
+            exit_code = 1
+            continue
         reports.append(report)
         if not all(c["pass"] for c in report["checks"]):
             exit_code = 1
@@ -103,8 +105,10 @@ def _cmd_exp(args):
                 exit_code = 1
 
     if args.json:
-        payload = reports if args.id == "all" else reports[0]
-        print(json.dumps(payload, indent=2))
+        if args.id == "all":
+            print(json.dumps(reports, indent=2))
+        elif reports:
+            print(json.dumps(reports[0], indent=2))
     else:
         for report in reports:
             _print_human(report)
@@ -112,6 +116,11 @@ def _cmd_exp(args):
 
 
 def _run_with_timeout(seconds, exp_id):
+    """run_experiment(exp_id), raising TimeoutError after `seconds` (0: no limit).
+
+    The limit is a SIGALRM timer, and Python runs signal handlers only in
+    the main thread, so `--timeout` holds only when the CLI runs there.
+    """
     if seconds <= 0:
         return run_experiment(exp_id)
 

@@ -354,38 +354,6 @@ def field_of(x):
     raise TypeError(f"not a field element: {x!r}")
 
 
-def field_arith(op, a, b=None):
-    """Dispatcher over {add,sub,mul,div,neg,inv,eq} with context checks."""
-    fa = field_of(a)
-    if b is not None:
-        fb = field_of(b)
-        if isinstance(fa, ExtField) and isinstance(fb, ExtField) and fa != fb:
-            raise TypeError("mixed field contexts")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-            return _frac(a) / _frac(b)
-        return a / b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if isinstance(a, (int, Fraction)):
-            return Fraction(1) / _frac(a)
-        return a.inverse()
-    if op == "eq":
-        return a == b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def render_element(x):
     if isinstance(x, ExtElement):
         return str(x)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import _uni
 from .coeff import (
     ExtField,
-    field_arith,
+    field_of,
     is_root_of_unity,
     minpoly_of_element,
     render_element,
@@ -31,6 +31,8 @@ class PointOnLine:
                 raise ValueError("the point at infinity carries no affine value")
         elif value is None:
             raise ValueError("affine point needs a value")
+        else:
+            field_of(value)  # a float is refused, so every value stays exact
         self.value = value
         self.at_infinity = at_infinity
 
@@ -60,6 +62,7 @@ class PointOnLine:
 def _coerce_coeffs(cs):
     out = []
     for c in cs:
+        field_of(c)  # a float is refused, so every division stays exact
         out.append(Fraction(c) if isinstance(c, int) else c)
     return _uni.trim(out)
 
@@ -119,7 +122,7 @@ class RationalFunction1:
                 assert not r
         lc = den[-1]
         if lc != 1:
-            inv = field_arith("inv", lc)
+            inv = 1 / lc
             num = [c * inv for c in num]
             den = [c * inv for c in den]
         self.num = tuple(num)
@@ -207,10 +210,10 @@ def order_at(f, p):
 def _leading_value(f, p):
     """Leading coefficient of the local expansion of f at p (a unit)."""
     if p.at_infinity:
-        return field_arith("div", f.num[-1], f.den[-1])
+        return f.num[-1] / f.den[-1]
     nk, nval = _strip_root(f.num, p.value)
     dk, dval = _strip_root(f.den, p.value)
-    return field_arith("div", nval, dval)
+    return nval / dval
 
 
 def _fpow(x, n):
@@ -426,7 +429,7 @@ def root_derivative(u, roots=None):
     a, b, c = cr.roots
     out = []
     for r, s, t in ((a, b, c), (b, a, c), (c, a, b)):
-        out.append((r, -field_arith("inv", (r - s) * (r - t))))
+        out.append((r, Fraction(-1) / ((r - s) * (r - t))))
     return out
 
 

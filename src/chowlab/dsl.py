@@ -633,9 +633,13 @@ def _resolve(ident, env, pos):
             coeff, body = match.groups()
             parts = re.findall(r"([A-Za-z])(\d*)", body)
             if all(letter in env.ctx.variables for letter, _ in parts):
+                # the digits obey the bounds of integer literals and of ^
+                runs = [coeff] + [digits for _, digits in parts]
+                if max(map(len, runs)) > _MAX_LITERAL_DIGITS:
+                    raise DslEvalError("integer literal too long", *pos)
                 poly = env.ctx.one if not coeff else env.ctx.const(Fraction(int(coeff)))
                 for letter, digits in parts:
-                    poly = poly * env.ctx.var(letter) ** (int(digits) if digits else 1)
+                    poly = poly * _power(env.ctx.var(letter), int(digits or 1), pos)
                 return poly
     raise DslEvalError(f"unknown identifier {ident!r}", *pos)
 

@@ -28,6 +28,12 @@ each shift, against the largest degree of the shifted polynomial.  A run
 that would pass it restarts with twice the width and repeats the same
 steps, since nothing else depends on W: a wide exponent costs time, never a
 wrong answer.
+
+`RowSpace` runs exact ranks on the same terms: its pivots are primitive
+rows keyed by the word of their leading monomial, and a new row is only
+top-reduced, by `comb` against the pivot with its leading word, the
+content stripped every 8 steps as in `full_reduce`.  Every graded rank of
+`rings` is computed this way, over Q and over Q[a] alike.
 """
 
 import threading
@@ -37,7 +43,7 @@ from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import add, neg
 
-from .coeff import ExtField, field_arith
+from .coeff import ExtField
 from .poly import Polynomial, RingContext
 
 
@@ -260,7 +266,8 @@ class _Engine:
         ncb = -cb
         n = len(A)
         for kb, wb, c in B:
-            kb += sk
+            if sk:  # on a zero shift B's own ints are reused: k + 0 is a new int
+                kb += sk
             while i < n and A[i][0] > kb:
                 t = A[i]
                 push((t[0], t[1], t[2] * ca) if mul_a else t)
@@ -272,7 +279,7 @@ class _Engine:
                 if c:
                     push((kb, t[1], c))
             else:
-                push((kb, wb + sw, c * ncb))
+                push((kb, wb + sw if sk else wb, c * ncb))
         out.extend([(k, w, c * ca) for k, w, c in A[i:]] if mul_a else A[i:])
         return out
 
@@ -418,6 +425,63 @@ class _Engine:
         return self._poly_out(terms, scale)
 
 
+class RowSpace:
+    """The span of a growing set of polynomials of total degree at most d.
+
+    Each pivot is a primitive row keyed by the word of its leading monomial.
+    A new row is top-reduced only: its leading term is cancelled,
+    fraction-free, against the pivot with the same word until no pivot has
+    it, and a nonzero remainder becomes a new pivot.  Pivot leads are
+    distinct, so the rank is the number of pivots.  A pivot is kept as three
+    tuples (keys, words, coefficients), a third of the memory of a term
+    list, since all of them live until the space is dropped.
+    """
+
+    def __init__(self, ctx, d):
+        self.eng = _Engine(ctx, max(8, d.bit_length() + 1))
+        self.pivots = {}
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def add(self, p):
+        """Insert a polynomial; True if the rank grew."""
+        return self._insert(self.eng._poly_in(p)[0])
+
+    def add_multiples(self, multiples):
+        """Insert m*g for each (g, ms) and each exponent vector m in ms.
+
+        Rows go in by descending leading monomial, so most of them install a
+        fresh pivot without elimination; each is shifted as it goes in.
+        """
+        eng = self.eng
+        rows = []
+        for g, ms in multiples:
+            terms = eng._poly_in(g)[0]
+            for m in ms:
+                sk, sw = eng.pk.pack(m)
+                rows.append((terms[0][0] + sk, sk, sw, terms))
+        rows.sort(key=lambda r: r[0], reverse=True)
+        for _, sk, sw, terms in rows:
+            self._insert([(k + sk, w + sw, c) for k, w, c in terms])
+
+    def _insert(self, f):
+        eng, pivots = self.eng, self.pivots
+        steps = 0
+        while f:
+            piv = pivots.get(f[0][1])
+            if piv is None:
+                pivots[f[0][1]] = tuple(zip(*eng.strip(f)[0]))
+                return True
+            cf, cg = eng.kern.cross(f[0][2], piv[2][0])
+            f = eng.comb(f, 0, cf, zip(*piv), cg, 0, 0)
+            steps += 1
+            if steps & 7 == 0:
+                f = eng.strip(f)[0]
+        return False
+
+
 def buchberger(gens, degree_cap=None):
     """Reduced Groebner basis of the given generators (shared context).
 
@@ -457,9 +521,7 @@ def s_polynomial(f, g):
     big = tuple(max(a, b) for a, b in zip(lmf, lmg))
     mf = ctx.monomial(tuple(a - b for a, b in zip(big, lmf)))
     mg = ctx.monomial(tuple(a - b for a, b in zip(big, lmg)))
-    return mf * f * field_arith("inv", f.leading_coeff()) - mg * g * field_arith(
-        "inv", g.leading_coeff()
-    )
+    return mf * f * (1 / f.leading_coeff()) - mg * g * (1 / g.leading_coeff())
 
 
 class Ideal:

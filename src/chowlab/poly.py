@@ -243,19 +243,6 @@ class Polynomial:
         return f"<poly {render_poly(self)}>"
 
 
-def poly_arith(op, f, g):
-    """Dispatcher over {add, sub, mul, scalar_mul}."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "scalar_mul":
-        return f * g if isinstance(f, Polynomial) else g * f
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def diff(f, var):
     """Formal partial derivative with respect to the named variable."""
     i = f.ctx.var_index(var)

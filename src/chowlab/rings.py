@@ -3,14 +3,14 @@
 Jacobian-type ideals of a homogeneous form, Hilbert-function tables via
 standard monomials, minimal-generator degree counts via exact ranks, basis
 checks for graded quotient spaces, and a dense rank oracle that never touches
-Groebner bases (used to cross-validate the ones that do).  Also exact
-Gaussian elimination for the residue linear systems.
+Groebner bases (used to cross-validate the ones that do).  Every rank is
+that of a `groebner.RowSpace`; this module supplies the degrees, the
+shifts and the rank formulas.  Also exact Gaussian elimination for the
+residue linear systems.
 """
 
-from math import gcd
-
-from .coeff import QQ, ExtElement, field_arith, field_of
-from .groebner import Ideal, buchberger, normal_form
+from .coeff import QQ, ExtElement, field_of
+from .groebner import Ideal, RowSpace, buchberger, normal_form
 from .poly import diff, graded_piece_basis, is_homogeneous
 
 
@@ -95,141 +95,24 @@ def graded_dim(ideal, d):
     return GradedReport(d, len(std), std)
 
 
-class _RowSpace:
-    """Incremental sparse row reduction with largest-monomial pivoting.
-
-    Over the rationals, rows are cleared to content-free integers and
-    reduced fraction-free (periodic content strips bound coefficient
-    growth); other fields reduce by direct division.
-    """
-
-    def __init__(self, ctx):
-        self.key = ctx.key
-        self.pivots = {}
-        self._keys = {}
-        self._ints = ctx.field is QQ
-
-    def _key_of(self, e):
-        k = self._keys.get(e)
-        if k is None:
-            k = self._keys[e] = self.key(e)
-        return k
-
-    @staticmethod
-    def _strip(row):
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-            if g == 1:
-                return row
-        return {e: v // g for e, v in row.items()}
-
-    @staticmethod
-    def _to_ints(row):
-        den = 1
-        for v in row.values():
-            den = den // gcd(den, v.denominator) * v.denominator
-        out = {e: v.numerator * (den // v.denominator) for e, v in row.items()}
-        return _RowSpace._strip(out) if out else out
-
-    def _reduce_int(self, row):
-        steps = 0
-        while row:
-            p = max(row, key=self._key_of)
-            prow = self.pivots.get(p)
-            if prow is None:
-                return row, p
-            c = row.pop(p)
-            d = prow[p]
-            g = gcd(c, d)
-            a = d // g
-            b = c // g
-            if a != 1:
-                for e in row:
-                    row[e] *= a
-            for e, pv in prow.items():
-                if e == p:
-                    continue
-                nv = row.get(e, 0) - b * pv
-                if nv:
-                    row[e] = nv
-                else:
-                    row.pop(e, None)
-            steps += 1
-            if steps % 8 == 0 and row:
-                row = self._strip(row)
-        return row, None
-
-    def _reduce(self, row):
-        while row:
-            p = max(row, key=self._key_of)
-            prow = self.pivots.get(p)
-            if prow is None:
-                return row, p
-            c = row[p]
-            for e, v in prow.items():
-                nv = row.get(e, 0) - c * v
-                if nv == 0:
-                    row.pop(e, None)
-                else:
-                    row[e] = nv
-        return row, None
-
-    def add(self, row):
-        """Insert a row (dict monomial->coeff); True if the rank grew."""
-        if self._ints:
-            reduced, p = self._reduce_int(self._to_ints(row))
-            if p is None:
-                return False
-            reduced = self._strip(reduced)
-            if reduced[p] < 0:
-                reduced = {e: -v for e, v in reduced.items()}
-            self.pivots[p] = reduced
-            return True
-        reduced, p = self._reduce(dict(row))
-        if p is None:
-            return False
-        inv = field_arith("inv", reduced[p])
-        self.pivots[p] = {e: v * inv for e, v in reduced.items()}
-        return True
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-
-def _generator_rows(ideal, d, skip_unit_monomial=False):
-    """Rows m*g over the degree-d monomial basis, largest product lm first.
-
-    The ordering makes most insertions install a fresh pivot without any
-    elimination work; the rank is order-independent either way.
-    """
+def _ideal_space(ideal, d):
+    """The row space of I_d, spanned by the products m*g of degree d."""
     ctx = ideal.context
-    out = []
+    multiples = []
     for g in ideal.generators:
         dg = is_homogeneous(g)
         if dg is None:
             raise ValueError("ideal has a non-homogeneous generator")
-        if dg < 0 or dg > d:
-            continue
-        lead = g.leading_monomial()
-        for m in graded_piece_basis(ctx, d - dg):
-            if skip_unit_monomial and not any(m):
-                continue
-            row = {tuple(a + b for a, b in zip(e, m)): c for e, c in g.terms}
-            out.append((ctx.key(tuple(a + b for a, b in zip(lead, m))), row, g, m))
-    out.sort(key=lambda t: t[0], reverse=True)
-    return [(row, g, m) for _, row, g, m in out]
+        if 0 <= dg <= d:
+            multiples.append((g, graded_piece_basis(ctx, d - dg)))
+    space = RowSpace(ctx, d)
+    space.add_multiples(multiples)
+    return space
 
 
 def linalg_oracle(ideal, d):
     """dim (B/I)_d by brute-force rank of generator multiples; no GB involved."""
-    ctx = ideal.context
-    space = _RowSpace(ctx)
-    for row, _, _ in _generator_rows(ideal, d):
-        space.add(row)
-    total = len(graded_piece_basis(ctx, d))
-    return total - space.rank
+    return len(graded_piece_basis(ideal.context, d)) - _ideal_space(ideal, d).rank
 
 
 def mingens_degrees(ideal, up_to):
@@ -257,21 +140,11 @@ def mingens_degrees(ideal, up_to):
             out.append((d, 0, []))
         else:
             lower_gb = buchberger(lower, degree_cap=d)
-            space = _RowSpace(ctx)
-            reps = []
-            for g in gens_d:
-                nf = normal_form(g, lower_gb)
-                if not nf.is_zero() and space.add(dict(nf.terms)):
-                    reps.append(g)
+            space = RowSpace(ctx, d)
+            reps = [g for g in gens_d if space.add(normal_form(g, lower_gb))]
             out.append((d, len(reps), reps))
         lower.extend(gens_d)
     return out
-
-
-def _poly_row(p, d):
-    if is_homogeneous(p) != d:
-        raise ValueError(f"candidate is not homogeneous of degree {d}")
-    return {e: c for e, c in p.terms}
 
 
 def quotient_basis_check(ideal, d, candidates, within=None):
@@ -282,50 +155,35 @@ def quotient_basis_check(ideal, d, candidates, within=None):
     """
     _require_homogeneous(ideal)
     ctx = ideal.context
-    cand_rows = [_poly_row(p, d) for p in candidates]
-    if within is None:
-        ambient_rows = [{m: ctx.field.one} for m in graded_piece_basis(ctx, d)]
+    candidates = list(candidates)
+    ambient = None if within is None else list(within)
+    for p in candidates + (ambient or []):
+        if is_homogeneous(p) != d:
+            raise ValueError(f"candidate is not homogeneous of degree {d}")
+    if ambient is None:
+        ambient = [ctx.monomial(m) for m in graded_piece_basis(ctx, d)]
     else:
-        ambient_rows = [_poly_row(p, d) for p in within]
-        cspace = _RowSpace(ctx)
-        for row in ambient_rows:
-            cspace.add(row)
-        for row in cand_rows:
-            if cspace.add(row):
-                raise ValueError("candidate lies outside the ambient subspace")
+        cspace = RowSpace(ctx, d)
+        for p in ambient:
+            cspace.add(p)
+        if any(cspace.add(p) for p in candidates):
+            raise ValueError("candidate lies outside the ambient subspace")
 
-    base = _RowSpace(ctx)
-    for row, _, _ in _generator_rows(ideal, d):
-        base.add(row)
-    rank_i = base.rank
     # independence: every candidate must grow the rank over I_d
-    for r in cand_rows:
-        if not base.add(r):
-            return False
-    rank_ic = base.rank
-    # spanning: I_d + candidates must reach I_d + W
-    full = _RowSpace(ctx)
-    for row, _, _ in _generator_rows(ideal, d):
-        full.add(row)
-    for r in ambient_rows:
-        full.add(r)
-    return rank_ic == rank_i + len(cand_rows) == full.rank
+    space = _ideal_space(ideal, d)
+    if not all(space.add(p) for p in candidates):
+        return False
+    # spanning: then I_d + candidates, inside I_d + W, must already hold W
+    return not any(space.add(p) for p in ambient)
 
 
 def graded_intersection_dim(i_ideal, j_ideal, d):
     """dim (I_d cap J_d) = dim I_d + dim J_d - dim (I+J)_d; no GB involved."""
     if i_ideal.context != j_ideal.context:
         raise ValueError("mixed ring contexts")
-    ctx = i_ideal.context
-
-    def rank_of(ideal):
-        s = _RowSpace(ctx)
-        for row, _, _ in _generator_rows(ideal, d):
-            s.add(row)
-        return s.rank
-
-    both = Ideal(ctx, list(i_ideal.generators) + list(j_ideal.generators))
-    return rank_of(i_ideal) + rank_of(j_ideal) - rank_of(both)
+    both = Ideal(i_ideal.context, list(i_ideal.generators) + list(j_ideal.generators))
+    dims = [_ideal_space(ideal, d).rank for ideal in (i_ideal, j_ideal, both)]
+    return dims[0] + dims[1] - dims[2]
 
 
 def hilbert_table(ideal, cap=40):
@@ -375,7 +233,7 @@ def solve_linear(matrix, rhs):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field_arith("inv", rows[r][c])
+        inv = 1 / rows[r][c]
         rows[r] = [v * inv for v in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c] != 0:

@@ -178,6 +178,29 @@ def test_timeout_enforced(monkeypatch, capsys):
     assert "exceeded" in capsys.readouterr().err
 
 
+def test_exp_all_keeps_reports_after_a_timeout(monkeypatch, capsys):
+    ids = ("s5-symbols", "s6-residue", "s7-dims")
+    monkeypatch.setattr(cli, "EXPERIMENT_IDS", ids)
+
+    def slow_in_the_middle(exp_id):
+        if exp_id == "s6-residue":
+            time.sleep(5)
+        return run_experiment(exp_id)
+
+    monkeypatch.setattr(cli, "run_experiment", slow_in_the_middle)
+    golden = str(data_dir("goldens"))
+    assert main(["exp", "all", "--json", "--timeout", "1", "--golden", golden]) == 1
+    captured = capsys.readouterr()
+    assert "experiment s6-residue exceeded 1s" in captured.err
+    assert "mismatch" not in captured.err and "missing" not in captured.err
+    reports = json.loads(captured.out)
+    assert [r["id"] for r in reports] == ["s5-symbols", "s7-dims"]
+    assert all(c["pass"] for r in reports for c in r["checks"])
+    assert main(["exp", "all", "--timeout", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "== s5-symbols: PASS" in out and "== s7-dims: PASS" in out
+
+
 def test_human_output_shows_failures(monkeypatch, capsys):
     def rigged(exp_id):
         return {

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chowlab.coeff import ExtField, is_cyclotomic_product, render_element
+from chowlab.coeff import ExtElement, ExtField, is_cyclotomic_product, render_element
 from chowlab.curves import (
     CubicRoots,
     PointOnLine,
@@ -324,6 +324,26 @@ def test_root_derivative_u_zero():
     assert roots == list(CubicRoots.split_u_zero().roots)
     with pytest.raises(ValueError):
         root_derivative(1)  # no built-in splitting
+
+
+def test_divisions_stay_exact():
+    # each division takes a Fraction or ExtElement operand, never two ints
+    f = rf([1], [0, 2])
+    assert f.num == (F(1, 2),) and f.den == (0, 1)
+    assert all(type(c) is F for c in f.num + f.den)
+    # Weil reciprocity: the three values multiply to 1
+    for p, value in ((PointOnLine(0), F(1, 3)), (INF, F(6)), (pt(1), F(1, 2))):
+        got = tame_symbol(rf([0, 2]), rf([3], [1, -1]), p)
+        assert got == value and type(got) is F
+    for _, dlog in root_derivative(0):
+        assert isinstance(dlog, ExtElement)
+    # floats never enter, so no division can round
+    with pytest.raises(TypeError):
+        rf([1.5], [0, 2])
+    with pytest.raises(TypeError):
+        rf([1], [0, 2.0])
+    with pytest.raises(TypeError):
+        PointOnLine(0.5)
 
 
 def test_minpoly_of_power_frozen():

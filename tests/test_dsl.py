@@ -187,6 +187,18 @@ def test_huge_integers_are_located_errors():
     assert run_source("int n = 2^20000; print(n - n); print(2^(-3));") == "0\n1/8\n"
 
 
+def test_huge_shorthand_digits_are_located_errors():
+    nines = "9" * 5000
+    for ident in ("x" + nines, nines + "x", "x2y" + nines, nines + "x" + nines):
+        with pytest.raises(DslEvalError) as err:
+            run_source("ring r=0,(x,y),dp;\npoly f=" + ident + ";\nf;")
+        assert (err.value.line, err.value.col) == (2, 8)
+        assert err.value.message == "integer literal too long"
+    # up to the literal bound the shorthand still builds its monomial
+    out = run_source("ring r=0,(x,y),dp; poly f=" + "9" * 4000 + "x" + "9" * 4000 + "; deg(f);")
+    assert out == "9" * 4000 + "\n"
+
+
 def test_expression_statements_print_each_value():
     out = run_source(RING + "poly f=x2+y; deg(f), homog(f); 3+4; print(1/2);")
     assert out == "2\n0\n7\n1/2\n"
