@@ -12,7 +12,13 @@ import time
 from fractions import Fraction
 from math import comb
 
-from ..coeff import ExtElement, ExtField, is_cyclotomic_product, render_element
+from ..coeff import (
+    ExtElement,
+    ExtField,
+    is_cyclotomic_product,
+    render_element,
+    solve_linear,
+)
 from ..curves import (
     CubicRoots,
     PointOnLine,
@@ -33,7 +39,6 @@ from ..rings import (
     linalg_oracle,
     mingens_degrees,
     quotient_basis_check,
-    solve_linear,
 )
 
 _INF = PointOnLine.infinity()

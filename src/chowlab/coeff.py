@@ -3,8 +3,10 @@
 Two coefficient fields are supported: the rationals (plain Fraction values)
 and simple extensions Q[a]/(m(a)) for a monic irreducible m of degree 2..4.
 Every element is kept in canonical form (fully reduced mod the minimal
-polynomial), so equality is structural.  Also provides root-of-unity
-detection via cyclotomic polynomial matching, which backs the torsion tests.
+polynomial), so equality is structural.  Also exact Gauss-Jordan solving
+over either field (`solve_linear`), which serves the residue linear systems
+and the minimal polynomials of elements, and root-of-unity detection via
+cyclotomic polynomial matching, which backs the torsion tests.
 """
 
 from fractions import Fraction
@@ -316,26 +318,31 @@ class ExtElement:
 
 
 def render_unipoly(coeffs, name):
-    """Canonical string for sum(coeffs[k] * name^k), highest power first."""
+    """Canonical string for sum(coeffs[k] * name^k), highest power first.
+
+    Coefficients are rationals or extension elements; one whose text has an
+    inner sign, such as a+1, is put in parentheses.
+    """
     parts = []
     for k in range(len(coeffs) - 1, -1, -1):
-        c = _frac(coeffs[k])
+        c = coeffs[k]
         if c == 0:
             continue
-        if k == 0:
-            body = str(abs(c))
+        text = render_element(c)
+        if "+" in text or "-" in text[1:]:
+            sign, body = "+", f"({text})"
+        elif text.startswith("-"):
+            sign, body = "-", text[1:]
         else:
+            sign, body = "+", text
+        if k:
             var = name if k == 1 else f"{name}^{k}"
-            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
+            body = var if body == "1" else f"{body}*{var}"
+        parts.append(sign + body)
     if not parts:
         return "0"
-    first_sign, first_body = parts[0]
-    out = (first_sign if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
+    out = "".join(parts)
+    return out[1:] if out[0] == "+" else out
 
 
 def ext_reduce(raw, field):
@@ -368,26 +375,72 @@ def minpoly_of_element(x):
     powers = [x.field.one]
     for _ in range(d):
         powers.append(powers[-1] * x)
-    # find the least k with x^k dependent on lower powers
-    rows = []  # row-reduced coordinate vectors with pivot bookkeeping
-    combos = []  # expression of each reduced row in terms of original powers
-    for k, p in enumerate(powers):
-        vec = list(p.coeffs)
-        combo = [Fraction(0)] * (d + 1)
-        combo[k] = Fraction(1)
-        for rvec, rcombo in zip(rows, combos):
-            piv = next(i for i, c in enumerate(rvec) if c != 0)
-            if vec[piv] != 0:
-                factor = vec[piv] / rvec[piv]
-                vec = [a - factor * b for a, b in zip(vec, rvec)]
-                combo = [a - factor * b for a, b in zip(combo, rcombo)]
-        if all(c == 0 for c in vec):
-            lead = combo[k]
-            cs = [c / lead for c in combo[: k + 1]]
-            return tuple(cs)
-        rows.append(vec)
-        combos.append(combo)
-    raise AssertionError("element has no minimal polynomial of degree <= ext degree")
+    # columns are the coordinates of 1, x, ..., x^d; the first free column is
+    # the least dependent power, so its nullspace vector has a 1 there and
+    # zeros to its right: the monic relation
+    matrix = [[p.coeffs[i] for p in powers] for i in range(d)]
+    return tuple(_uni.trim(solve_linear(matrix, [0] * d)["nullspace"][0]))
+
+
+def solve_linear(matrix, rhs):
+    """Exact Gauss-Jordan over QQ or the extension field of the entries.
+
+    Returns {"status": "no-solution"} or {"status": "unique", "solution": [...]}
+    or {"status": "parametric", "solution": [...], "nullspace": [[...], ...]}.
+    """
+    nrows = len(matrix)
+    if nrows != len(rhs):
+        raise ValueError("matrix/rhs shape mismatch")
+    ncols = len(matrix[0]) if nrows else 0
+    field = QQ
+    for row in matrix:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        for x in row:
+            if isinstance(x, ExtElement):
+                field = field_of(x)
+    for x in rhs:
+        if isinstance(x, ExtElement):
+            field = field_of(x)
+
+    rows = [
+        [field.coerce(x) for x in row] + [field.coerce(b)]
+        for row, b in zip(matrix, rhs)
+    ]
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if rows[i][ncols] != 0:
+            return {"status": "no-solution"}
+    particular = [field.zero] * ncols
+    for i, c in enumerate(pivot_cols):
+        particular[c] = rows[i][ncols]
+    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    if not free_cols:
+        return {"status": "unique", "solution": particular}
+    nullspace = []
+    for fc in free_cols:
+        vec = [field.zero] * ncols
+        vec[fc] = field.one
+        for i, c in enumerate(pivot_cols):
+            vec[c] = -rows[i][fc]
+        nullspace.append(vec)
+    return {"status": "parametric", "solution": particular, "nullspace": nullspace}
 
 
 def euler_phi(n):

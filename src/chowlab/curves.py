@@ -17,6 +17,7 @@ from .coeff import (
     is_root_of_unity,
     minpoly_of_element,
     render_element,
+    render_unipoly,
 )
 
 
@@ -65,34 +66,6 @@ def _coerce_coeffs(cs):
         field_of(c)  # a float is refused, so every division stays exact
         out.append(Fraction(c) if isinstance(c, int) else c)
     return _uni.trim(out)
-
-
-def _render_uni(cs, name="z"):
-    if not cs:
-        return "0"
-    parts = []
-    for k in range(len(cs) - 1, -1, -1):
-        c = cs[k]
-        if c == 0:
-            continue
-        text = render_element(c)
-        composite = "+" in text or "-" in text[1:]
-        neg = not composite and text.startswith("-")
-        if k == 0:
-            body = f"({text})" if composite else (text[1:] if neg else text)
-        else:
-            var = name if k == 1 else f"{name}^{k}"
-            if composite:
-                body = f"({text})*{var}"
-            elif text in ("1", "-1"):
-                body = var
-            else:
-                body = f"{text[1:] if neg else text}*{var}"
-        parts.append(("-" if neg else "+", body))
-    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
 
 
 class RationalFunction1:
@@ -163,25 +136,13 @@ class RationalFunction1:
         return hash((self.num, self.den, self.e))
 
     def render(self, name="z"):
-        top = _render_uni(list(self.num), name)
+        top = render_unipoly(self.num, name)
         if self.den == (Fraction(1),):
             return top
-        return f"({top})/({_render_uni(list(self.den), name)})"
+        return f"({top})/({render_unipoly(self.den, name)})"
 
     def __repr__(self):
         return f"RationalFunction1({self.render()}, e={self.e})"
-
-
-def _vanish_order(cs, v):
-    """Multiplicity of the root v in the nonzero polynomial cs."""
-    k = 0
-    cur = list(cs)
-    while True:
-        q, r = _uni.div_linear(cur, v)
-        if r != 0:
-            return k
-        cur = q
-        k += 1
 
 
 def _strip_root(cs, v):
@@ -196,30 +157,27 @@ def _strip_root(cs, v):
         k += 1
 
 
+def _local(f, p):
+    """(order of f at p scaled by e, leading coefficient of the local expansion)."""
+    if p.at_infinity:
+        return (len(f.den) - len(f.num)) * f.e, f.num[-1] / f.den[-1]
+    nk, nval = _strip_root(f.num, p.value)
+    dk, dval = _strip_root(f.den, p.value)
+    return (nk - dk) * f.e, nval / dval
+
+
 def order_at(f, p):
     """Vanishing order of f at p, scaled by the ramification index."""
     if f.is_zero():
         raise ValueError("the zero function has no divisor")
-    if p.at_infinity:
-        base = _uni.deg(list(f.den)) - _uni.deg(list(f.num))
-    else:
-        base = _vanish_order(f.num, p.value) - _vanish_order(f.den, p.value)
-    return base * f.e
+    return _local(f, p)[0]
 
 
-def _leading_value(f, p):
-    """Leading coefficient of the local expansion of f at p (a unit)."""
-    if p.at_infinity:
-        return f.num[-1] / f.den[-1]
-    nk, nval = _strip_root(f.num, p.value)
-    dk, dval = _strip_root(f.den, p.value)
-    return nval / dval
-
-
-def _fpow(x, n):
-    if isinstance(x, int):
-        x = Fraction(x)
-    return x**n
+def _symbol(f_local, g_local):
+    """(-1)^(mn) * a^n / b^m from the local data (m, a) of f and (n, b) of g."""
+    (m, a), (n, b) = f_local, g_local
+    val = a**n * b**(-m)
+    return -val if (m * n) % 2 else val
 
 
 def residue(form, p):
@@ -278,12 +236,7 @@ def tame_symbol(f, g, p):
         raise ValueError("tame symbol of the zero function")
     if f.e != g.e:
         raise ValueError("ramification mismatch")
-    m = order_at(f, p)
-    n = order_at(g, p)
-    val = _fpow(_leading_value(f, p), n) * _fpow(_leading_value(g, p), -m)
-    if (m * n) % 2:
-        val = -val
-    return val
+    return _symbol(_local(f, p), _local(g, p))
 
 
 class SymbolTuple:
@@ -348,20 +301,24 @@ def symbol_tuple(f, g, points):
         if p in seen:
             raise ValueError("duplicate point")
         seen.add(p)
+    locals_ = []
     for h in (f, g):
         if h.is_zero():
             raise ValueError("tame symbol of the zero function")
-        for part in (h.num, h.den):
-            total = _uni.deg(list(part))
-            covered = sum(
-                _vanish_order(part, p.value) for p in points if not p.at_infinity
-            )
-            if covered != total:
-                raise ValueError("a zero or pole lies outside the point list")
+        loc = [_local(h, p) for p in points]
+        # num and den are coprime, so each affine order is a zero of num or
+        # a pole from den, never both
+        orders = [k for (k, _), p in zip(loc, points) if not p.at_infinity]
+        zeros = sum(k for k in orders if k > 0)
+        poles = -sum(k for k in orders if k < 0)
+        if (zeros, poles) != (_uni.deg(h.num) * h.e, _uni.deg(h.den) * h.e):
+            raise ValueError("a zero or pole lies outside the point list")
         if len(h.num) != len(h.den) and not any(p.at_infinity for p in points):
             raise ValueError("a zero or pole at infinity is missing")
-    values = [tame_symbol(f, g, p) for p in points]
-    out = SymbolTuple(points, values)
+        locals_.append(loc)
+    if f.e != g.e:
+        raise ValueError("ramification mismatch")
+    out = SymbolTuple(points, [_symbol(a, b) for a, b in zip(*locals_)])
     assert out.product() == 1, "Weil reciprocity failed"
     return out
 
@@ -382,7 +339,7 @@ class CubicRoots:
             if len(roots) != 3:
                 raise ValueError("need exactly three roots")
             for r in roots:
-                if _fpow(r, 3) + self.u * r + 1 != 0:
+                if r**3 + self.u * r + 1 != 0:
                     raise ValueError("not a root of the cubic")
             a, b, c = roots
             if a + b + c != 0 or a * b + b * c + c * a != self.u or a * b * c != -1:

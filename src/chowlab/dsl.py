@@ -608,14 +608,16 @@ def _as_int(value, pos, what):
     raise DslEvalError(f"{what} must be an integer", *pos)
 
 
-def _as_poly(value, env, pos):
+def _as_poly(value, ctx, pos):
     if isinstance(value, Polynomial):
+        if value.ctx != ctx:
+            raise DslEvalError("mixed ring contexts", *pos)
         return value
     if isinstance(value, int):
-        return _require_ctx(env, pos).const(Fraction(value))
+        return ctx.const(Fraction(value))
     if isinstance(value, (Fraction, ExtElement)):
-        return _require_ctx(env, pos).const(value)
-    raise DslEvalError("expected a polynomial value", *pos)
+        return ctx.const(value)
+    raise DslEvalError("expected a polynomial or scalar", *pos)
 
 
 def _as_ideal(value, pos, what):
@@ -642,18 +644,6 @@ def _resolve(ident, env, pos):
                     poly = poly * _power(env.ctx.var(letter), int(digits or 1), pos)
                 return poly
     raise DslEvalError(f"unknown identifier {ident!r}", *pos)
-
-
-def _coerce_poly(value, ctx, pos):
-    if isinstance(value, Polynomial):
-        if value.ctx != ctx:
-            raise DslEvalError("mixed ring contexts", *pos)
-        return value
-    if isinstance(value, int):
-        return ctx.const(Fraction(value))
-    if isinstance(value, (Fraction, ExtElement)):
-        return ctx.const(value)
-    raise DslEvalError("expected a polynomial or scalar", *pos)
 
 
 def _compare(op, left, right, pos):
@@ -703,8 +693,8 @@ def _binop(expr, env):
         raise DslEvalError("strings only support +", *pos)
     if isinstance(left, Polynomial) or isinstance(right, Polynomial):
         ctx = left.ctx if isinstance(left, Polynomial) else right.ctx
-        a = _coerce_poly(left, ctx, pos)
-        b = _coerce_poly(right, ctx, pos)
+        a = _as_poly(left, ctx, pos)
+        b = _as_poly(right, ctx, pos)
         if op == "+":
             return a + b
         if op == "-":
@@ -777,7 +767,7 @@ def _need(args, count, name, pos):
 
 def _bi_jacob(env, args, pos):
     _need(args, 1, "jacob", pos)
-    f = _as_poly(args[0], env, pos)
+    f = _as_poly(args[0], _require_ctx(env, pos), pos)
     try:
         return jacob(f, "full")
     except ValueError as exc:
@@ -823,7 +813,7 @@ def _bi_hilb(env, args, pos):
 
 def _bi_diff(env, args, pos):
     _need(args, 2, "diff", pos)
-    f = _as_poly(args[0], env, pos)
+    f = _as_poly(args[0], _require_ctx(env, pos), pos)
     v = args[1]
     if (
         isinstance(v, Polynomial)
@@ -849,7 +839,7 @@ def _bi_deg(env, args, pos):
 
 def _bi_homog(env, args, pos):
     _need(args, 1, "homog", pos)
-    value = _as_poly(args[0], env, pos)
+    value = _as_poly(args[0], _require_ctx(env, pos), pos)
     return 1 if is_homogeneous(value) is not None else 0
 
 
@@ -1034,7 +1024,8 @@ def _exec_decl(stmt, env):
         value = _eval(stmt.exprs[0], env) if stmt.exprs else 0
         env.names[stmt.name] = _as_int(value, pos, f"value for {stmt.name!r}")
     elif stmt.kind == "poly":
-        env.names[stmt.name] = _as_poly(_eval(stmt.exprs[0], env), env, pos)
+        value = _eval(stmt.exprs[0], env)
+        env.names[stmt.name] = _as_poly(value, _require_ctx(env, pos), pos)
     elif stmt.kind == "ideal":
         ctx = _require_ctx(env, pos)
         gens = []
@@ -1043,7 +1034,7 @@ def _exec_decl(stmt, env):
             if isinstance(value, Ideal):
                 gens.extend(value.generators)
             else:
-                gens.append(_as_poly(value, env, e.pos))
+                gens.append(_as_poly(value, ctx, e.pos))
         env.names[stmt.name] = Ideal(ctx, gens)
     else:  # list
         env.names[stmt.name] = _eval(stmt.exprs[0], env)

@@ -5,11 +5,9 @@ standard monomials, minimal-generator degree counts via exact ranks, basis
 checks for graded quotient spaces, and a dense rank oracle that never touches
 Groebner bases (used to cross-validate the ones that do).  Every rank is
 that of a `groebner.RowSpace`; this module supplies the degrees, the
-shifts and the rank formulas.  Also exact Gaussian elimination for the
-residue linear systems.
+shifts and the rank formulas.
 """
 
-from .coeff import QQ, ExtElement, field_of
 from .groebner import Ideal, RowSpace, buchberger, normal_form
 from .poly import diff, graded_piece_basis, is_homogeneous
 
@@ -46,21 +44,6 @@ def jacob(F, kind="full"):
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return Ideal(ctx, gens)
-
-
-class JacobianRing:
-    """A homogeneous form together with its (full or modified) Jacobian ideal."""
-
-    def __init__(self, F, kind="full"):
-        self.kind = kind
-        self.F = F
-        self.ideal = jacob(F, kind)
-
-    def graded_dim(self, d):
-        return graded_dim(self.ideal, d)
-
-    def __repr__(self):
-        return f"JacobianRing(kind={self.kind}, F={self.F})"
 
 
 class GradedReport:
@@ -200,63 +183,3 @@ def hilbert_table(ideal, cap=40):
             return rows, False
     return rows, True
 
-
-def solve_linear(matrix, rhs):
-    """Exact Gauss-Jordan.
-
-    Returns {"status": "no-solution"} or {"status": "unique", "solution": [...]}
-    or {"status": "parametric", "solution": [...], "nullspace": [[...], ...]}.
-    """
-    nrows = len(matrix)
-    if nrows != len(rhs):
-        raise ValueError("matrix/rhs shape mismatch")
-    ncols = len(matrix[0]) if nrows else 0
-    field = QQ
-    for row in matrix:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        for x in row:
-            if isinstance(x, ExtElement):
-                field = field_of(x)
-    for x in rhs:
-        if isinstance(x, ExtElement):
-            field = field_of(x)
-
-    rows = [
-        [field.coerce(x) for x in row] + [field.coerce(b)]
-        for row, b in zip(matrix, rhs)
-    ]
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if rows[i][ncols] != 0:
-            return {"status": "no-solution"}
-    particular = [field.zero] * ncols
-    for i, c in enumerate(pivot_cols):
-        particular[c] = rows[i][ncols]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    if not free_cols:
-        return {"status": "unique", "solution": particular}
-    nullspace = []
-    for fc in free_cols:
-        vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for i, c in enumerate(pivot_cols):
-            vec[c] = -rows[i][fc]
-        nullspace.append(vec)
-    return {"status": "parametric", "solution": particular, "nullspace": nullspace}

@@ -1,11 +1,16 @@
 """Command line behavior: exit codes, transcripts, reports, goldens."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import chowlab
 import chowlab.cli as cli
 from chowlab.cli import golden_bytes, main
 from chowlab.cli.experiments import EXPERIMENT_IDS, run_experiment
@@ -31,6 +36,20 @@ def test_run_prints_transcript_bytes(capsys):
         golden = data_dir("goldens").joinpath(f"{stem}.transcript").read_text()
         assert main(["run", str(sess)]) == 0
         assert capsys.readouterr().out == golden
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(chowlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowlab", "exp", "s6-residue"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("== s6-residue: PASS")
 
 
 def test_run_missing_file(capsys):

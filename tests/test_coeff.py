@@ -97,6 +97,18 @@ def test_minpoly_of_shifted_gen():
     assert minpoly_of_element(K.gen + 1) == (F(3), F(-3), F(1))
 
 
+def test_minpoly_in_cubic_and_quartic_fields():
+    Q = ExtField("c", [1, 0, 0, 0, 1])  # c^4 + 1
+    c = Q.gen
+    assert minpoly_of_element(c * c) == (F(1), F(0), F(1))
+    # (c + c^3)^2 = c^2 + 2c^4 + c^6 = -2: an element of the quadratic subfield
+    assert (c + c**3) ** 2 == -2
+    assert minpoly_of_element(c + c**3) == (F(2), F(0), F(1))
+    assert minpoly_of_element(Q.element([F(5, 3)])) == (F(-5, 3), F(1))
+    b = ExtField("b", [-2, 0, 0, 1]).gen  # b^3 = 2
+    assert minpoly_of_element(b) == (F(-2), F(0), F(0), F(1))
+
+
 def test_reducible_minpoly_rejected():
     with pytest.raises(ValueError):
         ExtField("a", [-1, 0, 1])  # a^2 - 1 = (a-1)(a+1)

@@ -65,6 +65,17 @@ def test_rational_function_canonicalization():
         rf([1], [1], e=0)
 
 
+def test_render_with_extension_coefficients():
+    a = ExtField("a", [-2, 0, 1]).gen  # a^2 = 2
+    assert rf([0, a + 1]).render() == "(a+1)*z"
+    assert rf([0, -a]).render() == "-a*z"
+    assert rf([0, F(-5, 3)]).render() == "-5/3*z"
+    assert rf([a, 1]).render() == "z+a"
+    assert rf([-a, 0, a - 1]).render() == "(a-1)*z^2-a"
+    assert rf([a + 1, 1], [-a, 1]).render() == "(z+(a+1))/(z-a)"
+    assert rf([1, 0, -a], [a, 1]).render("t") == "(-a*t^2+1)/(t+a)"
+
+
 def test_order_at_scaled_by_ramification():
     f = rf([0, 1], e=5)  # z with e=5
     assert order_at(f, pt(0)) == 5
@@ -220,6 +231,11 @@ def test_symbol_tuple_missing_point_rejected():
         symbol_tuple(z, rf([1]), [pt(0)])  # pole of z at infinity missing
     with pytest.raises(ValueError):
         symbol_tuple(z, rf([1]), [pt(0), pt(0), INF])  # duplicate
+    # on a cover the orders scale by e; the zero of z+1 at -1 must still be listed
+    w, w1 = rf([0, 1], e=5), rf([1, 1], e=5)
+    with pytest.raises(ValueError, match="outside the point list"):
+        symbol_tuple(w, w1, [pt(0), INF])
+    assert symbol_tuple(w, w1, [pt(0), pt(-1), INF]).product() == 1
 
 
 def test_weil_reciprocity_random():

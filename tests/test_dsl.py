@@ -236,6 +236,20 @@ def test_minpoly_gating_errors():
         run_source("poly f=3;")  # no active ring
 
 
+def test_polynomial_operands_share_one_coercion():
+    with pytest.raises(DslEvalError) as err:
+        run_source(RING + "ideal i = x;\ni + x;")
+    assert (err.value.line, err.value.col) == (3, 3)
+    assert err.value.message == "expected a polynomial or scalar"
+    for src in ('poly f="s";', 'ideal i=x,"s";', 'homog("s");'):
+        with pytest.raises(DslEvalError) as err:
+            run_source(RING + src)
+        assert err.value.message == "expected a polynomial or scalar"
+    with pytest.raises(DslEvalError) as err:
+        run_source("poly f=3;")
+    assert err.value.message == "no active ring"
+
+
 def test_ideal_declaration_flattens_ideals():
     out = run_source(RING + "poly f=x5+y5+z5+w5; ideal k=jacob(f),x2y3; print(ncols(k)); print(k[5]);")
     assert out == "5\nx^2*y^3\n"
