@@ -99,10 +99,11 @@ def _cmd_exp(args):
         if not all(c["pass"] for c in report["checks"]):
             exit_code = 1
         if golden_dir:
-            mismatch = _check_golden(Path(golden_dir), report, bless=args.bless)
-            if mismatch:
-                print(f"chowlab: {mismatch}", file=sys.stderr)
-                exit_code = 1
+            failure = _check_golden(Path(golden_dir), report, bless=args.bless)
+            if failure:
+                code, message = failure
+                print(f"chowlab: {message}", file=sys.stderr)
+                exit_code = max(exit_code, code)
 
     if args.json:
         if args.id == "all":
@@ -144,17 +145,66 @@ def golden_bytes(report):
 
 
 def _check_golden(directory, report, bless):
+    """None, or (exit code, message): 1 for a mismatch, 2 for a golden file
+    that cannot be read or written."""
     path = directory / f"{report['id']}.json"
     blob = golden_bytes(report)
-    if bless:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(blob)
+    try:
+        if bless:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(blob)
+            return None
+        golden = path.read_bytes()
+    except FileNotFoundError:
+        return 1, f"missing golden {path}"
+    except OSError as exc:
+        verb = "write" if bless else "read"
+        return 2, f"cannot {verb} golden {path}: {exc.strerror or exc}"
+    if golden == blob:
         return None
-    if not path.exists():
-        return f"missing golden {path}"
-    if path.read_bytes() != blob:
-        return f"golden mismatch for {report['id']}: {path}"
+    try:
+        expected = json.loads(golden)
+    except ValueError as exc:
+        return 1, f"golden {path} is not valid JSON: {exc}"
+    diff = _first_difference(expected, json.loads(blob))
+    if diff is None:
+        return 1, f"golden mismatch for {report['id']}: {path} differs in layout"
+    where, want, got = diff
+    return 1, (
+        f"golden mismatch for {report['id']} at {where}: "
+        f"expected {json.dumps(want)}, computed {json.dumps(got)}"
+    )
+
+
+_ABSENT = "<absent>"
+
+
+def _first_difference(expected, computed, where=""):
+    """(path, expected, computed) at the first difference of two JSON values,
+    a missing key or list entry reading as <absent>; None if they are equal."""
+    if isinstance(expected, dict) and isinstance(computed, dict):
+        keys = list(expected) + [k for k in computed if k not in expected]
+    elif isinstance(expected, list) and isinstance(computed, list):
+        keys = range(max(len(expected), len(computed)))
+    elif expected == computed and type(expected) is type(computed):
+        return None
+    else:
+        return where or "(top)", expected, computed
+    for key in keys:
+        diff = _first_difference(
+            _entry(expected, key),
+            _entry(computed, key),
+            f"{where}.{key}" if where else str(key),
+        )
+        if diff:
+            return diff
     return None
+
+
+def _entry(value, key):
+    if isinstance(value, dict):
+        return value.get(key, _ABSENT)
+    return value[key] if key < len(value) else _ABSENT
 
 
 def _print_human(report):

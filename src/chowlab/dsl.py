@@ -49,6 +49,12 @@ _TWO_CHAR_OPS = ("==", "!=", "<=", ">=")
 _ONE_CHAR_OPS = set("(){}[],;=+-*/^<>")
 # below Python's default limit (4300) on int-from-string conversion
 _MAX_LITERAL_DIGITS = 4000
+# deepest expression nesting the parser accepts: parentheses, unary
+# operators, ^, calls, indexing and each operator of a + - * / chain count
+# one level.  A level costs at most 7 parser frames (a parenthesis), so
+# parse, evaluate and render need under 470 frames of Python's default
+# recursion limit of 1000.
+_MAX_NESTING = 64
 
 
 class Token:
@@ -230,6 +236,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead=0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -243,6 +250,12 @@ class _Parser:
     def fail(self, message, tok=None):
         tok = tok or self.peek()
         raise DslSyntaxError(message, tok.line, tok.col)
+
+    def deeper(self, tok):
+        """Enter one more level of expression nesting, at tok."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise DslSyntaxError("expression nested too deeply", tok.line, tok.col)
 
     def at_op(self, text):
         tok = self.peek()
@@ -383,43 +396,57 @@ class _Parser:
             return BinOp(tok.text, left, right, pos=(tok.line, tok.col))
         return left
 
+    # a chain is a left-deep tree, so its operators stay counted to its end
+
     def additive(self):
+        depth = self.depth
         node = self.multiplicative()
         while self.peek().kind == "op" and self.peek().text in ("+", "-"):
             tok = self.advance()
+            self.deeper(tok)
             node = BinOp(tok.text, node, self.multiplicative(), pos=(tok.line, tok.col))
+        self.depth = depth
         return node
 
     def multiplicative(self):
+        depth = self.depth
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in ("*", "/"):
             tok = self.advance()
+            self.deeper(tok)
             node = BinOp(tok.text, node, self.unary(), pos=(tok.line, tok.col))
+        self.depth = depth
         return node
 
     def unary(self):
-        if self.at_op("-"):
+        if self.at_op("-") or self.at_op("+"):
             tok = self.advance()
-            return Neg(self.unary(), pos=(tok.line, tok.col))
-        if self.at_op("+"):
-            self.advance()
-            return self.unary()
+            self.deeper(tok)
+            node = self.unary()
+            self.depth -= 1
+            return Neg(node, pos=(tok.line, tok.col)) if tok.text == "-" else node
         return self.power()
 
     def power(self):
         base = self.postfix()
         if self.at_op("^"):
             tok = self.advance()
-            return BinOp("^", base, self.unary(), pos=(tok.line, tok.col))
+            self.deeper(tok)
+            node = BinOp("^", base, self.unary(), pos=(tok.line, tok.col))
+            self.depth -= 1
+            return node
         return base
 
     def postfix(self):
+        depth = self.depth
         node = self.primary()
         while self.at_op("["):
             tok = self.advance()
+            self.deeper(tok)
             index = self.expression()
             self.expect_op("]")
             node = Index(node, index, pos=(tok.line, tok.col))
+        self.depth = depth
         return node
 
     def primary(self):
@@ -435,7 +462,7 @@ class _Parser:
         if tok.kind == "word":
             self.advance()
             if self.at_op("("):
-                self.advance()
+                self.deeper(self.advance())
                 args = []
                 if not self.at_op(")"):
                     args.append(self.expression())
@@ -443,12 +470,14 @@ class _Parser:
                         self.advance()
                         args.append(self.expression())
                 self.expect_op(")")
+                self.depth -= 1
                 return Call(tok.text, args, pos=(tok.line, tok.col))
             return Name(tok.text, pos=(tok.line, tok.col))
         if self.at_op("("):
-            self.advance()
+            self.deeper(self.advance())
             node = self.expression()
             self.expect_op(")")
+            self.depth -= 1
             return node
         found = tok.text or "end of input"
         self.fail(f"expected an expression, found {found!r}")

@@ -34,6 +34,19 @@ rows keyed by the word of their leading monomial, and a new row is only
 top-reduced, by `comb` against the pivot with its leading word, the
 content stripped every 8 steps as in `full_reduce`.  Every graded rank of
 `rings` is computed this way, over Q and over Q[a] alike.
+
+`intersect` over Q computes its elimination basis modulo primes first
+(`_ModEngine`: monic reducers, one multiply and one `% p` per term).  The
+first prime of `_PRIMES` runs the pair loop in full and records the pairs
+that reduced to zero; later primes replay it without them (Traverso's
+Groebner trace) and are dropped if their bases have other monomials.  CRT
+and maximal-quotient rational reconstruction (Monagan 2004) lift the
+residues to a candidate C, and `buchberger(C)`, the reduced basis of (C)
+whatever C is, is the certificate: once every generator reduces to zero by
+it and its t-free slice H lies in I and in J, I cap J <= (C) cap Q[x] = (H)
+<= I cap J, and the reduced basis is unique.  An unlucky prime, a failed
+lift or a failed check falls back to the fraction-free run on the
+generators: a bad prime costs time, never a wrong answer.
 """
 
 import threading
@@ -196,12 +209,13 @@ class _ExtKernel:
         return self.field.element([x * s for x, s in zip(c, self.powers)])
 
 
-def _packed(ctx, polys, job):
-    """job(engine) with fields wide enough for every degree the run reaches."""
+def _packed(ctx, polys, job, make=None):
+    """job(make(ctx, width)), make defaulting to _Engine, with fields wide
+    enough for every degree the run reaches."""
     width = max(8, (2 * max(p.total_degree() for p in polys)).bit_length() + 1)
     while True:
         try:
-            return job(_Engine(ctx, width))
+            return job((make or _Engine)(ctx, width))
         except _Overflow:
             width *= 2
 
@@ -362,13 +376,16 @@ class _Engine:
             # degree-first selection, order key as tie-break
             heappush(self.heap, (big >> pk.deg_shift, key, self._seq, g_idx, idx))
 
-    def run(self, polys, degree_cap=None):
+    def run(self, polys, degree_cap=None, skip=()):
+        """Reduced basis of the polys.  The index pairs that reduce to zero
+        go to self.zeros; those in skip are not reduced at all."""
         self.G = []
         # by size, stably: the first divisor is the smallest reducer, to limit fill-in
         self.R = []
         self.live = {}
         self.heap = []
         self._seq = 0
+        self.zeros = []
         for p in polys:
             h = self.full_reduce(self._poly_in(p)[0], self.R, self._first)[0]
             if h:
@@ -381,12 +398,14 @@ class _Engine:
                 break
             ij = (item[3], item[4])
             big = self.live.pop(ij, None)
-            if big is None:
+            if big is None or ij in skip:
                 continue
             s = self.spoly(self.G[ij[0]], self.G[ij[1]], item[1], big)
             h = self.full_reduce(s, self.R, self._first)[0]
             if h:
                 self._add(h)
+            else:
+                self.zeros.append(ij)
         return self._finalize()
 
     def _finalize(self):
@@ -399,11 +418,13 @@ class _Engine:
             if not any((top - G[k][0]) & guard == guard for k in minimal):
                 minimal.append(idx)
         kept = [G[k] for k in minimal]
+        # from here each entry is dropped once replaced, to lower the peak
+        G = self.G = self.R = None
         for i in range(len(kept)):
             others = sorted(kept[:i] + kept[i + 1 :], key=lambda e: len(e[2]))
             kept[i] = self._entry(self.full_reduce(kept[i][2], others, self._first)[0])
-        kept.sort(key=lambda ent: ent[2][0][0], reverse=True)
-        return [self._poly_out(ent[2]) for ent in kept]
+        kept.sort(key=lambda ent: ent[2][0][0])
+        return [self._poly_out(kept.pop()[2]) for _ in range(len(kept))]
 
     def normal_form(self, f, basis):
         guard = self.pk.guard
@@ -423,6 +444,65 @@ class _Engine:
         terms, scale = self._poly_in(f)
         terms, scale = self.full_reduce(terms, None, first, scale)
         return self._poly_out(terms, scale)
+
+
+class _ModEngine(_Engine):
+    """A Buchberger run modulo the prime p, the basis coming out as monic
+    (exponents, residue) term lists.  Every reducer is monic, so `cross` is
+    (1, 1) and a term costs one multiply and one `% p`."""
+
+    def __init__(self, ctx, width, p):
+        super().__init__(ctx, width)
+        self.p = p
+
+    def _poly_in(self, f):
+        p = self.p
+        terms, den = self.kern.poly_in(f, self.pk.pack)  # den * f, integral
+        if den % p == 0 or terms[0][2] % p == 0:
+            raise ZeroDivisionError("a denominator or the lead vanishes mod p")
+        return self.strip([(k, w, c % p) for k, w, c in terms if c % p])[0], None
+
+    def _poly_out(self, terms, scale=None):
+        return [(self.pk.unpack(w), c) for _, w, c in terms]
+
+    def strip(self, terms):
+        lc, p = terms[0][2] if terms else 1, self.p
+        inv = pow(lc, -1, p)
+        return ([(k, w, c * inv % p) for k, w, c in terms] if inv != 1 else terms), lc
+
+    def comb(self, A, i, ca, B, cb, sk, sw):
+        """A - cb * x^s * B mod p (ca is 1)."""
+        p = self.p
+        out = A[:i]
+        push = out.append
+        ncb = p - cb
+        n = len(A)
+        for kb, wb, c in B:
+            kb += sk
+            while i < n and A[i][0] > kb:
+                push(A[i])
+                i += 1
+            if i < n and A[i][0] == kb:
+                t = A[i]
+                i += 1
+                c = (t[2] + c * ncb) % p
+                if c:
+                    push((kb, t[1], c))
+            else:
+                push((kb, wb + sw, c * ncb % p))
+        out.extend(A[i:])
+        return out
+
+    def full_reduce(self, f, G, pick, scale=None):
+        i = 0
+        while i < len(f):
+            red = pick(G, f[i][1])
+            if red is None:
+                i += 1
+            else:
+                k, w, c = f[i]
+                f = self.comb(f, i, 1, red[2], c, *self._shift(red, k, w))
+        return self.strip(f)[0], None
 
 
 class RowSpace:
@@ -599,8 +679,74 @@ def eliminate(ideal, k):
 _AUX = "@t"
 
 
+# literal, so that import does no work; two of them lift the s5 elimination
+# basis, whose coefficients need up to about 665 bits
+_PRIMES = tuple((1 << 350) - c for c in (113, 131, 401, 425))
+
+
+def _ratrec(u, m):
+    """n/d = u mod m by maximal-quotient rational reconstruction (Monagan,
+    ISSAC 2004), or None when no quotient of the Euclidean run on (m, u)
+    exceeds T = 2^20 log2(m)."""
+    T = m.bit_length() << 20
+    n = d = 0
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 and r0 > T:
+        q = r0 // r1
+        if q > T:
+            n, d, T = r1, t1, q
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(n, d) if d and gcd(n, d) == 1 else None
+
+
+def _lift(ctx, basis, m):
+    """Integral multiples of the polynomials over Q congruent mod m to the
+    monic term lists (smaller in memory than monic ones), or None.  Each
+    coefficient is reconstructed times the common denominator of the ones
+    before it, so most come out as integers at once."""
+    out = []
+    for f in basis:
+        den, terms = 1, []
+        for e, a in f:
+            r = _ratrec(a * den % m, m)
+            if r is None:
+                return None
+            terms.append((e, r.numerator, den * r.denominator))
+            den *= r.denominator
+        out.append(Polynomial(ctx, tuple((e, Fraction(n * den // d)) for e, n, d in terms)))
+    return out
+
+
+def _modular_basis(ctx, gens):
+    """A candidate for the reduced basis of (gens) over Q, or None: the first
+    prime that runs records its zero reductions, and each later one replays
+    it, is dropped if its monomials differ and is else combined by CRT."""
+    acc, skip = None, ()
+    for p in _PRIMES:
+        job = lambda eng: (eng.run(gens, skip=skip), eng.zeros)  # noqa: E731
+        try:
+            basis, zeros = _packed(ctx, gens, job, lambda c, w: _ModEngine(c, w, p))
+        except ZeroDivisionError:  # an unlucky prime
+            continue
+        if acc is None:
+            acc, m, skip = basis, p, frozenset(zeros)
+        elif [[e for e, _ in f] for f in basis] == [[e for e, _ in f] for f in acc]:
+            inv = pow(m, -1, p)
+            acc = [
+                [(e, a + m * ((c - a) * inv % p)) for (e, a), (_, c) in zip(f, g)]
+                for f, g in zip(acc, basis)
+            ]
+            m *= p
+            basis = None
+            lifted = _lift(ctx, acc, m)
+            if lifted is not None:
+                return lifted
+    return None
+
+
 def intersect(i_ideal, j_ideal):
-    """I cap J via a fresh auxiliary variable and one elimination."""
+    """I cap J via a fresh auxiliary variable and one elimination, over Q
+    found modulo primes and certified (module docstring)."""
     ctx = i_ideal.context
     if j_ideal.context != ctx:
         raise ValueError("mixed ring contexts")
@@ -610,17 +756,21 @@ def intersect(i_ideal, j_ideal):
     t = ctxa.var(_AUX)
     gens = [t * _port(f, ctxa, pad=1) for f in i_ideal.generators]
     gens += [(ctxa.one - t) * _port(g, ctxa, pad=1) for g in j_ideal.generators]
-    gb = buchberger(gens)
-    res = []
-    for g in gb:
-        if all(e[0] == 0 for e, _ in g.terms):
-            res.append(_port(g, ctx, drop=1))
+    modular = gens and not isinstance(ctx.field, ExtField)
+    for cand in (_modular_basis(ctxa, gens) if modular else None, gens):
+        if cand is None:
+            continue
+        gb = buchberger(cand)
+        res = [_port(g, ctx, drop=1) for g in gb if all(e[0] == 0 for e, _ in g.terms)]
+        if (cand is gens or all(normal_form(g, gb).is_zero() for g in gens)) and all(
+            ideal_member(g, i_ideal) and ideal_member(g, j_ideal) for g in res
+        ):
+            break
+    else:
+        raise AssertionError("intersection generator failed containment check")
     out = Ideal(ctx, res)
     if ctx.order == "dp":
         out._set_gb(res)
-    for g in res:
-        if not (ideal_member(g, i_ideal) and ideal_member(g, j_ideal)):
-            raise AssertionError("intersection generator failed containment check")
     return out
 
 

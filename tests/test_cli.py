@@ -161,6 +161,66 @@ def test_golden_mismatch_detected(tmp_path, capsys):
     assert "golden mismatch" in capsys.readouterr().err
 
 
+def test_golden_mismatch_names_the_first_differing_field(tmp_path, capsys):
+    assert main(["exp", "s7-dims", "--golden", str(tmp_path), "--bless"]) == 0
+    capsys.readouterr()
+    target = tmp_path / "s7-dims.json"
+    doc = json.loads(target.read_bytes())
+    doc["results"]["hilbert-table"][4][1] = 5
+    target.write_text(json.dumps(doc, indent=2) + "\n")
+    assert main(["exp", "s7-dims", "--golden", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert (
+        "golden mismatch for s7-dims at results.hilbert-table.4.1: "
+        "expected 5, computed 6"
+    ) in err
+    # a field only one side has reads as absent
+    doc = json.loads(golden_bytes(run_experiment("s7-dims")))
+    doc["results"]["extra"] = [1]
+    target.write_text(json.dumps(doc, indent=2) + "\n")
+    assert main(["exp", "s7-dims", "--golden", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert 'at results.extra: expected [1], computed "<absent>"' in err
+
+
+def test_golden_that_is_not_json_is_reported(tmp_path, capsys):
+    (tmp_path / "s7-dims.json").write_text('{"id": "s7-dims",')
+    assert main(["exp", "s7-dims", "--golden", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"golden {tmp_path / 's7-dims.json'} is not valid JSON" in err
+    assert "Traceback" not in err
+
+
+def test_unreadable_golden_is_a_located_error(tmp_path, capsys, monkeypatch):
+    (tmp_path / "s6-residue.json").mkdir()
+    assert main(["exp", "s6-residue", "--golden", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"chowlab: cannot read golden {tmp_path / 's6-residue.json'}: ")
+    assert len(err.strip().splitlines()) == 1
+    # a golden "directory" that is a regular file
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert main(["exp", "s6-residue", "--golden", str(plain)]) == 2
+    assert "cannot read golden" in capsys.readouterr().err
+
+    def refuse(self):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    assert main(["exp", "s6-residue", "--golden", str(data_dir("goldens"))]) == 2
+    assert "s6-residue.json: Permission denied" in capsys.readouterr().err
+
+
+def test_bless_into_a_file_is_a_located_error(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("keep")
+    assert main(["exp", "s6-residue", "--golden", str(plain), "--bless"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"chowlab: cannot write golden {plain / 's6-residue.json'}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert plain.read_text() == "keep"
+
+
 def test_missing_golden_flagged(tmp_path, capsys):
     assert main(["exp", "s5-symbols", "--golden", str(tmp_path)]) == 1
     assert "missing golden" in capsys.readouterr().err

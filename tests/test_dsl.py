@@ -199,6 +199,49 @@ def test_huge_shorthand_digits_are_located_errors():
     assert out == "9" * 4000 + "\n"
 
 
+def test_deep_nesting_is_a_located_syntax_error():
+    ring = "ring r=0,(x,y),dp;\n"
+    scripts = [
+        "poly f=" + "(" * 50000 + "x" + ")" * 50000 + ";",
+        "poly f=" + "-" * 30000 + "x;",
+        "poly f=" + "+".join(["x"] * 30000) + ";",
+    ]
+    # the first level past the bound: a parenthesis, a minus, a plus
+    cols = [8 + dsl._MAX_NESTING, 8 + dsl._MAX_NESTING, 8 + 2 * dsl._MAX_NESTING + 1]
+    for script, col in zip(scripts, cols):
+        with pytest.raises(DslSyntaxError) as err:
+            parse(ring + script)
+        assert (err.value.line, err.value.col) == (2, col)
+        assert err.value.message == "expression nested too deeply"
+
+
+def test_nesting_at_the_bound_parses_renders_and_evaluates():
+    n = dsl._MAX_NESTING
+    ring = "ring r=0,(x,y),dp; ideal i=x;\n"
+    at_bound = [
+        "poly f=" + "(" * n + "x" + ")" * n + ";",
+        "poly f=" + "-" * n + "x;",
+        "poly f=" + "+".join(["x"] * (n + 1)) + ";",
+        "poly f=" + "*".join(["x"] * (n + 1)) + ";",
+        "int f=" + "^".join(["1"] * (n + 1)) + ";",
+        "int f=" + "deg(" * n + "x" + ")" * n + ";",
+        "poly f=i" + "[1]" * n + ";",
+        "poly f=" + "-(" * (n // 2) + "x" + ")" * (n // 2) + "+x" * (n // 2) + ";",
+    ]
+    for script in at_bound:
+        ast = parse(ring + script)
+        assert parse(render(ast)) == ast
+        if "[" in script:  # i[1] is a polynomial, so the second index fails
+            with pytest.raises(DslEvalError, match="only ideals support indexing"):
+                run_source(ring + script)
+        else:
+            run_source(ring + script)
+        # one more level of the same kind is refused
+        deeper = script.replace("=", "=(", 1).replace(";", ");", 1)
+        with pytest.raises(DslSyntaxError, match="nested too deeply"):
+            parse(ring + deeper)
+
+
 def test_expression_statements_print_each_value():
     out = run_source(RING + "poly f=x2+y; deg(f), homog(f); 3+4; print(1/2);")
     assert out == "2\n0\n7\n1/2\n"

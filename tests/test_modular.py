@@ -1,0 +1,215 @@
+"""The modular path of `intersect` over Q.
+
+`reference_intersect` is the elimination `intersect` ran before it had a
+modular path: one fraction-free `buchberger` on t*f and (1-t)*g, the t-free
+slice, and the containment check.  The seeded cases here always run;
+`test_modular_hypothesis.py` drives the same checks from generated inputs
+when hypothesis is installed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import chowlab.groebner as groebner
+from chowlab.groebner import Ideal, buchberger, ideal_member, intersect
+from chowlab.poly import RingContext
+
+VARS = ("x", "y", "z", "w")
+
+
+def reference_intersect(i, j):
+    """Generators of I cap J from one fraction-free elimination."""
+    ctx = i.context
+    ctxa = RingContext(("@t",) + ctx.variables, ("block", 1), ctx.field)
+    t = ctxa.var("@t")
+
+    def pad(g):
+        return ctxa.from_dict({(0,) + e: c for e, c in g.terms})
+
+    gens = [t * pad(f) for f in i.generators]
+    gens += [(ctxa.one - t) * pad(g) for g in j.generators]
+    res = [
+        ctx.from_dict({e[1:]: c for e, c in g.terms})
+        for g in buchberger(gens)
+        if all(e[0] == 0 for e, _ in g.terms)
+    ]
+    assert all(ideal_member(g, i) and ideal_member(g, j) for g in res)
+    return res
+
+
+def check_intersection(i, j):
+    got = intersect(i, j)
+    assert [g.terms for g in got.generators] == [
+        g.terms for g in reference_intersect(i, j)
+    ]
+    return got
+
+
+def random_ideal(rng, ctx, homogeneous, count):
+    gens = []
+    for _ in range(count):
+        deg = rng.randint(1, 2)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            if homogeneous:
+                e = [0] * ctx.nvars
+                for _ in range(deg):
+                    e[rng.randrange(ctx.nvars)] += 1
+            else:
+                e = [rng.randint(0, 1) for _ in range(ctx.nvars)]
+            e = tuple(e)
+            c = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            terms[e] = terms.get(e, 0) + c
+        gens.append(ctx.from_dict(terms))
+    return Ideal(ctx, gens)
+
+
+def random_pair(seed):
+    """A seeded pair over 2-4 variables, homogeneous for even seeds, in an
+    lp base ring for every fifth seed."""
+    rng = random.Random(seed)
+    nvars = 2 + seed % 3
+    ctx = RingContext(VARS[:nvars], "lp" if seed % 5 == 4 else "dp")
+    homogeneous = seed % 2 == 0
+    return (
+        random_ideal(rng, ctx, homogeneous, rng.randint(1, 2)),
+        random_ideal(rng, ctx, homogeneous, rng.randint(1, 2)),
+    )
+
+
+def record_buchberger(monkeypatch, *ideals):
+    """Count the eliminations: the ideals' own bases are computed first."""
+    for ideal in ideals:
+        ideal.groebner_basis()
+    calls = []
+    real = groebner.buchberger
+
+    def counting(gens, *args, **kwargs):
+        calls.append(list(gens))
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    return calls
+
+
+def is_prime(n):
+    """Miller-Rabin with the first twenty prime bases."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+    if n in bases:
+        return True
+    if n < 2 or any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def perturb(cand, t_part):
+    """cand with one coefficient of its first t-free (or t) element raised by 1."""
+    for k, g in enumerate(cand):
+        if any(e[0] for e, _ in g.terms) == t_part and len(g.terms) > 1:
+            terms = dict(g.terms)
+            e = g.terms[-1][0]
+            terms[e] += 1
+            return cand[:k] + [g.ctx.from_dict(terms)] + cand[k + 1 :]
+    raise AssertionError("no element to perturb")
+
+
+def small_pair():
+    ctx = RingContext(("x", "y"), "dp")
+    x, y = ctx.gens()
+    return Ideal(ctx, [x**2 + y**2 - 1]), Ideal(ctx, [x - y, y**3 + Fraction(1, 3)])
+
+
+def test_prime_table_entries_are_prime():
+    assert len(set(groebner._PRIMES)) == len(groebner._PRIMES) >= 2
+    assert all(is_prime(p) for p in groebner._PRIMES)
+    assert not is_prime(groebner._PRIMES[0] + 2)
+
+
+def test_modular_intersection_matches_fraction_free_elimination():
+    for seed in range(64):
+        check_intersection(*random_pair(seed))
+
+
+def test_unit_and_zero_ideals():
+    ctx = RingContext(("x", "y", "z"), "dp")
+    x, y, z = ctx.gens()
+    unit = Ideal(ctx, [x - 1, x])
+    i = Ideal(ctx, [x * y - Fraction(2, 7) * z, y**2])
+    assert [str(g) for g in check_intersection(unit, unit).generators] == ["1"]
+    check_intersection(unit, i)
+    check_intersection(i, unit)
+    assert check_intersection(Ideal(ctx, []), i).generators == ()
+
+
+def test_lucky_path_calls_buchberger_once_on_the_candidate(monkeypatch):
+    i, j = small_pair()
+    want = [g.terms for g in reference_intersect(i, j)]
+    calls = record_buchberger(monkeypatch, i, j)
+    assert [g.terms for g in intersect(i, j).generators] == want
+    (cand,) = calls
+    # the lift is already the reduced basis that certifies it, up to scalars
+    monic = [g * (1 / g.leading_coeff()) for g in cand]
+    assert [g.terms for g in monic] == [g.terms for g in buchberger(cand)]
+
+
+def test_unlucky_primes_are_skipped(monkeypatch):
+    ctx = RingContext(("x", "y"), "dp")
+    x, y = ctx.gens()
+    # 7 divides a denominator, 5 kills the leading coefficient 5
+    i = Ideal(ctx, [5 * x**2 + Fraction(1, 7) * y])
+    j = Ideal(ctx, [x * y - 2])
+    want = [g.terms for g in reference_intersect(i, j)]
+    for bad in (7, 5):
+        calls = record_buchberger(monkeypatch, i, j)
+        monkeypatch.setattr(groebner, "_PRIMES", (bad,) + groebner._PRIMES)
+        assert [g.terms for g in intersect(i, j).generators] == want
+        assert len(calls) == 1  # the candidate only: the table's real primes ran
+        monkeypatch.undo()
+
+
+def test_fallback_when_every_prime_fails(monkeypatch):
+    i, j = small_pair()
+    want = [g.terms for g in reference_intersect(i, j)]
+    calls = record_buchberger(monkeypatch, i, j)
+    monkeypatch.setattr(groebner, "_PRIMES", (3,))  # divides the denominator 3
+    assert [g.terms for g in intersect(i, j).generators] == want
+    assert len(calls) == 1
+    ctxa = calls[0][0].ctx
+    assert ctxa.variables[0] == "@t" and len(calls[0]) == 3  # the generators
+
+
+def test_tiny_primes_never_change_the_result(monkeypatch):
+    # primes this small are often unlucky, or lift only after several of
+    # them: about 40 of these 64 pairs get a candidate, the rest fall back
+    monkeypatch.setattr(groebner, "_PRIMES", (5, 7, 11, 101, 103, 107, 109))
+    for seed in range(64):
+        check_intersection(*random_pair(seed))
+
+
+@pytest.mark.parametrize("t_part", [True, False])
+def test_perturbed_candidate_is_rejected(monkeypatch, t_part):
+    i, j = small_pair()
+    want = [g.terms for g in reference_intersect(i, j)]
+    real = groebner._modular_basis
+    monkeypatch.setattr(
+        groebner, "_modular_basis", lambda ctx, gens: perturb(real(ctx, gens), t_part)
+    )
+    calls = record_buchberger(monkeypatch, i, j)
+    assert [g.terms for g in intersect(i, j).generators] == want
+    # the perturbed candidate, then the generators
+    assert len(calls) == 2 and len(calls[1]) == 3
