@@ -1,7 +1,7 @@
 """Command line front end: script replay and experiment reports.
 
 Exit codes: 0 success, 1 check or golden failure, 2 usage or missing
-input, 3 parse error, 4 evaluation error.
+input, 3 parse error, 4 evaluation error, 141 standard output closed early.
 """
 
 import argparse
@@ -13,6 +13,9 @@ from pathlib import Path
 
 from ..dsl import DslEvalError, DslSyntaxError, evaluate, parse
 from .experiments import EXPERIMENT_IDS, run_experiment
+
+# 128 + SIGPIPE: what a shell reports for a program that SIGPIPE ended
+EXIT_BROKEN_PIPE = 141
 
 
 def main(argv=None):
@@ -42,9 +45,15 @@ def main(argv=None):
     )
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_exp(args)
+    try:
+        code = _cmd_run(args) if args.command == "run" else _cmd_exp(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull so that the flush at
+        # exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 def _cmd_run(args):

@@ -1,11 +1,12 @@
 """Groebner bases: Buchberger with Gebauer-Moeller pair management.
 
-S-polynomial arithmetic runs fraction-free: integer coefficients over Q,
-integer coordinate tuples over an integral extension field, with periodic
-content stripping.  Public results are reduced Groebner bases (monic,
-interreduced, sorted descending by leading monomial), which makes every
-basis canonical for a given ideal and order.  On top of that: normal forms,
-ideal membership, elimination, pairwise intersection, and Krull dimension.
+S-polynomial arithmetic runs fraction-free: integer coefficients when all
+are rational, integer coordinate tuples over an integral extension field
+otherwise, with periodic content stripping.  Public results are reduced
+Groebner bases (monic, interreduced, sorted descending by leading
+monomial), which makes every basis canonical for a given ideal and order.
+On top of that: normal forms, ideal membership, elimination, pairwise
+intersection, and Krull dimension.
 
 Inside the engine a monomial is two Python ints made of W-bit fields
 (`_Packing`):
@@ -35,18 +36,29 @@ top-reduced, by `comb` against the pivot with its leading word, the
 content stripped every 8 steps as in `full_reduce`.  Every graded rank of
 `rings` is computed this way, over Q and over Q[a] alike.
 
-`intersect` over Q computes its elimination basis modulo primes first
-(`_ModEngine`: monic reducers, one multiply and one `% p` per term).  The
-first prime of `_PRIMES` runs the pair loop in full and records the pairs
-that reduced to zero; later primes replay it without them (Traverso's
-Groebner trace) and are dropped if their bases have other monomials.  CRT
-and maximal-quotient rational reconstruction (Monagan 2004) lift the
-residues to a candidate C, and `buchberger(C)`, the reduced basis of (C)
-whatever C is, is the certificate: once every generator reduces to zero by
-it and its t-free slice H lies in I and in J, I cap J <= (C) cap Q[x] = (H)
-<= I cap J, and the reduced basis is unique.  An unlucky prime, a failed
-lift or a failed check falls back to the fraction-free run on the
-generators: a bad prime costs time, never a wrong answer.
+The coefficient kernel follows the data, not the ring.  A job (the
+polynomials handed to `_packed`) with no coefficient whose a-part is
+nonzero runs on integers (`_ZKernel`) even in a Q[a] ring, and its output
+goes back through `field.element`; only a job with an irrational
+coefficient pays for tuples in Z[b] (`_ExtKernel`).  This is exact: a
+reduced Groebner basis, a normal form and a rank are the same over Q and
+over any extension of Q (Cox, Little, O'Shea, Ideals, Varieties, and
+Algorithms, ch. 2 sec. 7).  `RowSpace` starts on integers and moves to Z[b]
+at its first irrational row.
+
+`intersect` on rational generators, in any field, computes its elimination
+basis modulo primes first (`_ModEngine`: monic reducers, one multiply and
+one `% p` per term).  The first prime of `_PRIMES` runs the pair loop in
+full and records the pairs that reduced to zero; later primes replay it
+without them (Traverso's Groebner trace) and are dropped if their bases
+have other monomials.  CRT and maximal-quotient rational reconstruction
+(Monagan 2004) lift the residues to a candidate C, and `buchberger(C)`, the
+reduced basis of (C) whatever C is, is the certificate: once every
+generator reduces to zero by it and its t-free slice H lies in I and in J,
+I cap J <= (C) cap Q[x] = (H) <= I cap J, and the reduced basis is unique.
+An unlucky prime, a failed lift or a failed check falls back to the
+fraction-free run on the generators: a bad prime costs time, never a wrong
+answer.
 """
 
 import threading
@@ -54,7 +66,7 @@ from bisect import insort
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import add, neg
+from operator import add, mul, neg
 
 from .coeff import ExtField
 from .poly import Polynomial, RingContext
@@ -107,16 +119,22 @@ class _Packing:
 
 
 class _ZKernel:
-    """Integer coefficient arithmetic for rational-field inputs."""
+    """Integer coefficient arithmetic for inputs whose coefficients are all
+    rational, in Q or embedded in an extension field."""
 
     one = 1
 
-    @staticmethod
-    def poly_in(p, pack):
+    def __init__(self, field):
+        self.ext = isinstance(field, ExtField)
+        # value(c, s): the field element c * s for an int c and a Fraction s
+        self.value = (lambda c, s: field.element((c * s,))) if self.ext else mul
+
+    def poly_in(self, p, pack):
         """(terms, den): the packed terms of den * p, all integral."""
-        den = lcm(*(c.denominator for _, c in p.terms))
+        terms = [(e, c.coeffs[0]) for e, c in p.terms] if self.ext else p.terms
+        den = lcm(*(c.denominator for _, c in terms))
         return [
-            (*pack(e), c.numerator * (den // c.denominator)) for e, c in p.terms
+            (*pack(e), c.numerator * (den // c.denominator)) for e, c in terms
         ], den
 
     @staticmethod
@@ -208,14 +226,27 @@ class _ExtKernel:
     def scalar(self, c):
         return self.field.element([x * s for x, s in zip(c, self.powers)])
 
+    def value(self, c, s):
+        return self.scalar(c) * s
+
+
+def _irrational(field, polys):
+    """True iff some coefficient of the polys has a nonzero a-part."""
+    return isinstance(field, ExtField) and any(
+        any(c.coeffs[1:]) for p in polys for _, c in p.terms
+    )
+
 
 def _packed(ctx, polys, job, make=None):
-    """job(make(ctx, width)), make defaulting to _Engine, with fields wide
-    enough for every degree the run reaches."""
+    """job(make(ctx, width, kernel)), make defaulting to _Engine, with fields
+    wide enough for every degree the run reaches and the integer kernel
+    unless some coefficient of the polys is irrational."""
     width = max(8, (2 * max(p.total_degree() for p in polys)).bit_length() + 1)
+    field = ctx.field
+    kern = _ExtKernel(field) if _irrational(field, polys) else _ZKernel(field)
     while True:
         try:
-            return job((make or _Engine)(ctx, width))
+            return job((make or _Engine)(ctx, width, kern))
         except _Overflow:
             width *= 2
 
@@ -228,11 +259,10 @@ class _Engine:
     terms, largest total degree of its terms).
     """
 
-    def __init__(self, ctx, width):
+    def __init__(self, ctx, width, kern):
         self.ctx = ctx
         self.pk = _Packing(ctx.order, ctx.nvars, width)
-        field = ctx.field
-        self.kern = _ExtKernel(field) if isinstance(field, ExtField) else _ZKernel()
+        self.kern = kern
 
     def strip(self, terms):
         """(terms / g, g) for the content g, signed to make the lead positive."""
@@ -251,10 +281,10 @@ class _Engine:
 
     def _poly_out(self, terms, scale=None):
         """The polynomial scale * terms; monic when no scale is given."""
-        scalar, unpack = self.kern.scalar, self.pk.unpack
+        value, unpack = self.kern.value, self.pk.unpack
         if scale is None:
-            scale = self.ctx.field.one / scalar(terms[0][2])
-        out = tuple((unpack(w), scalar(c) * scale) for _, w, c in terms)
+            scale = Fraction(1) / self.kern.scalar(terms[0][2])
+        out = tuple((unpack(w), value(c, scale)) for _, w, c in terms)
         return Polynomial(self.ctx, out)
 
     def _entry(self, terms):
@@ -451,8 +481,8 @@ class _ModEngine(_Engine):
     (exponents, residue) term lists.  Every reducer is monic, so `cross` is
     (1, 1) and a term costs one multiply and one `% p`."""
 
-    def __init__(self, ctx, width, p):
-        super().__init__(ctx, width)
+    def __init__(self, ctx, width, kern, p):
+        super().__init__(ctx, width, kern)
         self.p = p
 
     def _poly_in(self, f):
@@ -514,19 +544,30 @@ class RowSpace:
     it, and a nonzero remainder becomes a new pivot.  Pivot leads are
     distinct, so the rank is the number of pivots.  A pivot is kept as three
     tuples (keys, words, coefficients), a third of the memory of a term
-    list, since all of them live until the space is dropped.
+    list, since all of them live until the space is dropped.  The space
+    starts on the integer kernel and moves to Z[b] at the first row with an
+    irrational coefficient, each pivot coefficient c becoming (c, 0, ...).
     """
 
     def __init__(self, ctx, d):
-        self.eng = _Engine(ctx, max(8, d.bit_length() + 1))
+        self.eng = _Engine(ctx, max(8, d.bit_length() + 1), _ZKernel(ctx.field))
         self.pivots = {}
 
     @property
     def rank(self):
         return len(self.pivots)
 
+    def _admit(self, polys):
+        eng = self.eng
+        if type(eng.kern) is _ZKernel and _irrational(eng.ctx.field, polys):
+            eng.kern = kern = _ExtKernel(eng.ctx.field)
+            pad = (0,) * (kern.field.degree - 1)
+            for w, (ks, ws, cs) in self.pivots.items():
+                self.pivots[w] = ks, ws, tuple(kern.elt((c, *pad)) for c in cs)
+
     def add(self, p):
         """Insert a polynomial; True if the rank grew."""
+        self._admit([p])
         return self._insert(self.eng._poly_in(p)[0])
 
     def add_multiples(self, multiples):
@@ -535,6 +576,7 @@ class RowSpace:
         Rows go in by descending leading monomial, so most of them install a
         fresh pivot without elimination; each is shifted as it goes in.
         """
+        self._admit([g for g, _ in multiples])
         eng = self.eng
         rows = []
         for g, ms in multiples:
@@ -704,6 +746,7 @@ def _lift(ctx, basis, m):
     monic term lists (smaller in memory than monic ones), or None.  Each
     coefficient is reconstructed times the common denominator of the ones
     before it, so most come out as integers at once."""
+    field = ctx.field.coerce if isinstance(ctx.field, ExtField) else Fraction
     out = []
     for f in basis:
         den, terms = 1, []
@@ -713,7 +756,7 @@ def _lift(ctx, basis, m):
                 return None
             terms.append((e, r.numerator, den * r.denominator))
             den *= r.denominator
-        out.append(Polynomial(ctx, tuple((e, Fraction(n * den // d)) for e, n, d in terms)))
+        out.append(Polynomial(ctx, tuple((e, field(n * den // d)) for e, n, d in terms)))
     return out
 
 
@@ -724,8 +767,9 @@ def _modular_basis(ctx, gens):
     acc, skip = None, ()
     for p in _PRIMES:
         job = lambda eng: (eng.run(gens, skip=skip), eng.zeros)  # noqa: E731
+        make = lambda c, w, k: _ModEngine(c, w, k, p)  # noqa: E731
         try:
-            basis, zeros = _packed(ctx, gens, job, lambda c, w: _ModEngine(c, w, p))
+            basis, zeros = _packed(ctx, gens, job, make)
         except ZeroDivisionError:  # an unlucky prime
             continue
         if acc is None:
@@ -745,8 +789,9 @@ def _modular_basis(ctx, gens):
 
 
 def intersect(i_ideal, j_ideal):
-    """I cap J via a fresh auxiliary variable and one elimination, over Q
-    found modulo primes and certified (module docstring)."""
+    """I cap J via a fresh auxiliary variable and one elimination, found
+    modulo primes and certified when every coefficient is rational (module
+    docstring)."""
     ctx = i_ideal.context
     if j_ideal.context != ctx:
         raise ValueError("mixed ring contexts")
@@ -756,7 +801,7 @@ def intersect(i_ideal, j_ideal):
     t = ctxa.var(_AUX)
     gens = [t * _port(f, ctxa, pad=1) for f in i_ideal.generators]
     gens += [(ctxa.one - t) * _port(g, ctxa, pad=1) for g in j_ideal.generators]
-    modular = gens and not isinstance(ctx.field, ExtField)
+    modular = gens and not _irrational(ctx.field, gens)
     for cand in (_modular_basis(ctxa, gens) if modular else None, gens):
         if cand is None:
             continue

@@ -52,6 +52,24 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("== s6-residue: PASS")
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("command", ["exp", "run"])
+def test_reader_that_exits_early_is_no_traceback(command, unbuffered):
+    args = ["s7-dims"] if command == "exp" else [str(data_dir("sessions") / "s6-session.sess")]
+    src = str(Path(chowlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chowlab", command, *args],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader is gone before the first write
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
+
+
 def test_run_missing_file(capsys):
     assert main(["run", "/no/such/file.sess"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -1,0 +1,163 @@
+"""The coefficient kernel follows the data, not the ring.
+
+A job whose coefficients are all rational runs on the integer kernel even
+in a Q[a] ring; one with an irrational coefficient runs on Z[b].  Scaling
+the inputs by the unit a forces Z[b] without any knob, so each check here
+compares the two kernels on the same ideal: a reduced basis, a normal form
+and a rank do not change under a field extension.  The seeded cases always
+run; `test_kernel_choice_hypothesis.py` drives the same checks from
+generated inputs when hypothesis is installed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import chowlab.groebner as groebner
+from chowlab.coeff import QQ, ExtField
+from chowlab.groebner import (
+    Ideal,
+    RowSpace,
+    _ExtKernel,
+    _packed,
+    _ZKernel,
+    buchberger,
+    intersect,
+    normal_form,
+)
+from chowlab.poly import RingContext, graded_piece_basis
+from test_modular import random_pair
+from test_rowspace import FIELDS, check_rank, dependent_rows, random_form
+
+ALL_FIELDS = FIELDS + (ExtField("a", [-2, 0, 0, 1]),)  # plus the cubic a^3 - 2
+EXT_FIELDS = ALL_FIELDS[1:]
+
+
+def unit(field):
+    """A unit with a nonzero a-part; over Q a rational one."""
+    return field.gen if field != QQ else Fraction(-3, 7)
+
+
+def rational_form(rng, ctx, d, nterms):
+    """A homogeneous polynomial of degree d with rational coefficients."""
+    monos = graded_piece_basis(ctx, d)
+    terms = {}
+    for _ in range(nterms):
+        terms[rng.choice(monos)] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return ctx.from_dict(terms)
+
+
+def embed(g, ctx):
+    """g, a polynomial over Q, as a polynomial of the ring ctx."""
+    return ctx.from_dict(dict(g.terms))
+
+
+# -- checks shared with the hypothesis module --------------------------------
+
+
+def check_buchberger(gens):
+    u = unit(gens[0].ctx.field)
+    assert buchberger([u * g for g in gens]) == buchberger(gens)
+
+
+def check_normal_form(f, gens):
+    basis = buchberger(gens)
+    u = unit(f.ctx.field)
+    assert normal_form(u * f, basis) == u * normal_form(f, basis)
+
+
+# -- seeded cases -------------------------------------------------------------
+
+
+def ring(field):
+    return RingContext(("x", "y", "z"), "dp", field)
+
+
+def test_scaled_generators_give_the_same_basis():
+    rng = random.Random(21)
+    for trial in range(24):
+        ctx = ring(ALL_FIELDS[trial % 4])
+        gens = [rational_form(rng, ctx, rng.randint(1, 3), 3) for _ in range(3)]
+        gens = [g for g in gens if g]
+        if gens:
+            check_buchberger(gens)
+
+
+def test_scaled_normal_form_is_the_scaled_remainder():
+    rng = random.Random(22)
+    for trial in range(24):
+        ctx = ring(ALL_FIELDS[trial % 4])
+        gens = [rational_form(rng, ctx, rng.randint(1, 2), 3) for _ in range(2)]
+        gens = [g for g in gens if g]
+        f = rational_form(rng, ctx, rng.randint(2, 4), 6)
+        if gens and f:
+            check_normal_form(f, gens)
+
+
+def test_row_space_switches_kernel_at_the_first_irrational_row():
+    rng = random.Random(23)
+    for trial in range(24):
+        field = ALL_FIELDS[trial % 4]
+        ctx = ring(field)
+        d = rng.randint(1, 4)
+        rational = [rational_form(rng, ctx, d, rng.randint(1, 6)) for _ in range(5)]
+        rational += [ctx.zero]
+        irrational = [unit(field) * p for p in rational[:2]]
+        irrational += dependent_rows(rng, ctx, rational, 2)
+        irrational += [random_form(rng, ctx, d, rng.randint(1, 6)) for _ in range(4)]
+        irrational += dependent_rows(rng, ctx, rational + irrational, 2)
+        # growth is reported exactly when the reference rank grows, on both
+        # sides of the switch to Z[b]
+        check_rank(ctx, d, rational + irrational)
+
+
+def kernel(ctx, polys):
+    """The kernel class a job on these polynomials runs on."""
+    return _packed(ctx, polys, lambda eng: type(eng.kern))
+
+
+def test_kernel_is_chosen_from_the_coefficients():
+    for field in ALL_FIELDS:
+        ctx = ring(field)
+        x, y, z = ctx.gens()
+        rational = [x**2 - Fraction(1, 3) * y * z, y**2 + 5 * x * z]
+        irrational = rational + [unit(field) * z**2]
+        assert kernel(ctx, rational) is _ZKernel
+        assert kernel(ctx, irrational) is (_ZKernel if field == QQ else _ExtKernel)
+
+        space = RowSpace(ctx, 2)
+        space.add_multiples([(g, [(0, 0, 0)]) for g in rational])
+        assert type(space.eng.kern) is _ZKernel
+        assert not space.add(unit(field) * rational[0])
+        assert type(space.eng.kern) is (_ZKernel if field == QQ else _ExtKernel)
+        assert space.add(irrational[-1]) and space.rank == 3
+
+
+@pytest.mark.parametrize("field", EXT_FIELDS, ids=str)
+def test_rational_intersection_in_an_extension_ring(monkeypatch, field):
+    calls = []
+    real = groebner._modular_basis
+
+    def recording(ctx, gens):
+        calls.append(real(ctx, gens))
+        return calls[-1]
+
+    monkeypatch.setattr(groebner, "_modular_basis", recording)
+    for seed in range(24):
+        i, j = random_pair(seed)
+        qctx = i.context
+        ctx = RingContext(qctx.variables, qctx.order, field)
+        ie = Ideal(ctx, [embed(g, ctx) for g in i.generators])
+        je = Ideal(ctx, [embed(g, ctx) for g in j.generators])
+        want = [embed(g, ctx) for g in intersect(i, j).generators]
+        calls.clear()
+        assert list(intersect(ie, je).generators) == want, seed
+        assert calls and calls[0] is not None  # the modular path ran and lifted
+        # a multiple by a is irrational, so the fraction-free run on Z[b]
+        a = field.gen
+        ia = Ideal(ctx, [a * g for g in ie.generators])
+        ja = Ideal(ctx, [a * g for g in je.generators])
+        calls.clear()
+        assert list(intersect(ia, ja).generators) == want, seed
+        assert not calls

@@ -13,7 +13,14 @@ from fractions import Fraction
 import pytest
 
 from chowlab.coeff import QQ, ExtField
-from chowlab.groebner import _Engine, _Overflow, _Packing, buchberger, normal_form
+from chowlab.groebner import (
+    _Engine,
+    _Overflow,
+    _Packing,
+    _ZKernel,
+    buchberger,
+    normal_form,
+)
 from chowlab.poly import Polynomial, RingContext, monomial_key
 
 ORDERS = ("dp", "lp", ("block", 1), ("block", 2), ("block", 3))
@@ -193,6 +200,6 @@ def test_packing_width_does_not_change_the_run():
     ctx = RingContext(("w", "x", "y", "z"), ("block", 2))
     w, x, y, z = ctx.gens()
     gens = [w**3 - x * y * z, x**2 * z - w * y**2, y**4 - z * w**3 + x]
-    narrow = _Engine(ctx, 8).run(gens)
-    wide = _Engine(ctx, 40).run(gens)
+    narrow = _Engine(ctx, 8, _ZKernel(ctx.field)).run(gens)
+    wide = _Engine(ctx, 40, _ZKernel(ctx.field)).run(gens)
     assert narrow == wide == buchberger(gens)
