@@ -16,6 +16,8 @@ from .experiments import EXPERIMENT_IDS, run_experiment
 
 # 128 + SIGPIPE: what a shell reports for a program that SIGPIPE ended
 EXIT_BROKEN_PIPE = 141
+# the largest delay signal.alarm takes (a C int)
+MAX_TIMEOUT = 2**31 - 1
 
 
 def main(argv=None):
@@ -41,7 +43,11 @@ def main(argv=None):
         "--bless", action="store_true", help="rewrite golden files instead of comparing"
     )
     exp_p.add_argument(
-        "--timeout", type=int, default=600, metavar="SEC", help="per-experiment limit"
+        "--timeout",
+        type=_timeout,
+        default=600,
+        metavar="SEC",
+        help=f"per-experiment limit, 0 to {MAX_TIMEOUT} (0: no limit)",
     )
 
     args = parser.parse_args(argv)
@@ -125,13 +131,24 @@ def _cmd_exp(args):
     return exit_code
 
 
+def _timeout(text):
+    """--timeout value: whole seconds from 0 (no limit) to MAX_TIMEOUT."""
+    try:
+        seconds = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number of seconds: {text!r}") from None
+    if not 0 <= seconds <= MAX_TIMEOUT:
+        raise argparse.ArgumentTypeError(f"{seconds} is outside 0 (no limit) to {MAX_TIMEOUT}")
+    return seconds
+
+
 def _run_with_timeout(seconds, exp_id):
     """run_experiment(exp_id), raising TimeoutError after `seconds` (0: no limit).
 
     The limit is a SIGALRM timer, and Python runs signal handlers only in
     the main thread, so `--timeout` holds only when the CLI runs there.
     """
-    if seconds <= 0:
+    if seconds == 0:
         return run_experiment(exp_id)
 
     def _alarm(signum, frame):

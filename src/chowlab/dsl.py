@@ -835,8 +835,11 @@ def _bi_hilb(env, args, pos):
         raise DslEvalError(str(exc), *pos)
     for degree, value in rows:
         env.emit(f"// {value:8d} t^{degree}")
-    if truncated:
+    if truncated and krull_dim(ideal) > 0:
         env.emit("// ** table truncated; quotient is not finite dimensional")
+    elif truncated:
+        cap = rows[-1][0]
+        env.emit(f"// ** table truncated at the degree cap t^{cap}; quotient is finite dimensional")
     return None
 
 

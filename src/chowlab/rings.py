@@ -5,7 +5,9 @@ standard monomials, minimal-generator degree counts via exact ranks, basis
 checks for graded quotient spaces, and a dense rank oracle that never touches
 Groebner bases (used to cross-validate the ones that do).  Every rank is
 that of a `groebner.RowSpace`; this module supplies the degrees, the
-shifts and the rank formulas.
+shifts and the rank formulas.  The oracle's rows are every product of a
+generator and a monomial not predicted by a Koszul syzygy g_i*g_j = g_j*g_i,
+which the generators' leading monomials alone detect (see `_ideal_space`).
 """
 
 from .groebner import Ideal, RowSpace, buchberger, normal_form
@@ -66,35 +68,51 @@ class GradedReport:
         return f"GradedReport(d={self.degree}, dim={self.dim_quotient})"
 
 
+def _divisible(m, leads):
+    """True iff some exponent vector in leads divides the monomial m."""
+    return any(all(a >= b for a, b in zip(m, lm)) for lm in leads)
+
+
 def graded_dim(ideal, d):
     """Dimension of (B/I)_d by counting standard monomials of degree d."""
     _require_homogeneous(ideal)
-    ctx = ideal.context
     lms = [g.leading_monomial() for g in ideal.groebner_basis()]
-    std = []
-    for m in graded_piece_basis(ctx, d):
-        if not any(all(a >= b for a, b in zip(m, lm)) for lm in lms):
-            std.append(m)
+    std = [m for m in graded_piece_basis(ideal.context, d) if not _divisible(m, lms)]
     return GradedReport(d, len(std), std)
 
 
 def _ideal_space(ideal, d):
-    """The row space of I_d, spanned by the products m*g of degree d."""
+    """The row space of I_d, spanned by every product m*g_j of degree d not
+    predicted by a Koszul syzygy.
+
+    The product m*g_j is skipped when the leading monomial, in the ring's
+    order, of an earlier generator g_i (i < j, any degree) divides m.  Write
+    m = t*LM(g_i) and g_i = c_i*LM(g_i) + r_i.  Then
+    c_i*m*g_j = t*g_j*g_i - t*r_i*g_j.  The first part is a sum of products
+    of g_i, an earlier generator; the second is a sum of products of g_j
+    whose multipliers lie below m in the order, since every monomial of r_i
+    lies below LM(g_i).  By induction on (j, m) each skipped product lies in
+    the span of the kept ones, so the span is I_d.  No Groebner basis is
+    involved: only the generators' own leading monomials are read.
+    """
     ctx = ideal.context
-    multiples = []
+    multiples, leads = [], []
     for g in ideal.generators:
         dg = is_homogeneous(g)
         if dg is None:
             raise ValueError("ideal has a non-homogeneous generator")
         if 0 <= dg <= d:
-            multiples.append((g, graded_piece_basis(ctx, d - dg)))
+            ms = [m for m in graded_piece_basis(ctx, d - dg) if not _divisible(m, leads)]
+            multiples.append((g, ms))
+        leads.append(g.leading_monomial())
     space = RowSpace(ctx, d)
     space.add_multiples(multiples)
     return space
 
 
 def linalg_oracle(ideal, d):
-    """dim (B/I)_d by brute-force rank of generator multiples; no GB involved."""
+    """dim (B/I)_d by the rank of every product m*g of degree d not predicted
+    by a Koszul syzygy; no GB involved."""
     return len(graded_piece_basis(ideal.context, d)) - _ideal_space(ideal, d).rank
 
 
@@ -173,7 +191,9 @@ def hilbert_table(ideal, cap=40):
     """[(d, dim (B/I)_d)] until the first zero dimension; capped length.
 
     Returns (rows, truncated): truncated is True when the cap was hit before
-    a zero dimension appeared (positive-dimensional quotients).
+    a zero dimension appeared.  A positive-dimensional quotient is always
+    truncated, but so is a finite-dimensional one that is nonzero in every
+    degree up to the cap, such as (x^41, y) in two variables.
     """
     rows = []
     for d in range(cap + 1):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -273,6 +274,29 @@ def test_timeout_enforced(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_experiment", slow)
     assert main(["exp", "s5-symbols", "--timeout", "1"]) == 1
     assert "exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", str(2**31), "10000000000", "1.5"])
+def test_timeout_out_of_range_is_a_usage_error(value, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_experiment", lambda exp_id: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exc:
+        main(["exp", "s7-dims", "--timeout", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--timeout" in err and "Traceback" not in err
+
+
+def test_timeout_bounds_are_accepted(monkeypatch, capsys):
+    seen = []
+
+    def record(exp_id):
+        seen.append(signal.alarm(0))  # the pending timer, cancelled
+        return run_experiment(exp_id)
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    assert main(["exp", "s7-dims", "--timeout", "0"]) == 0
+    assert main(["exp", "s7-dims", "--timeout", str(2**31 - 1)]) == 0
+    assert seen == [0, 2**31 - 1]
 
 
 def test_exp_all_keeps_reports_after_a_timeout(monkeypatch, capsys):

@@ -344,6 +344,14 @@ def test_hilb_matches_hilbert_table():
     # positive-dimensional quotients get the truncation marker
     out2 = run_source(RING + "ideal i=std(jacob(w5+x5+y5+z5)); ideal k=x,y; hilb(k,2);")
     assert out2.endswith("// ** table truncated; quotient is not finite dimensional\n")
+    # a finite quotient longer than the cap names the cap, not infinitude
+    out3 = run_source("ring r=0,(x,y),dp; ideal i=x^41,y; hilb(i,2);")
+    ctx2 = RingContext(("x", "y"), order="dp")
+    rows3, truncated3 = hilbert_table(Ideal(ctx2, [ctx2.var("x") ** 41, ctx2.var("y")]))
+    assert truncated3 and rows3 == [(d, 1) for d in range(41)]
+    expected3 = "".join(f"// {v:8d} t^{d}\n" for d, v in rows3)
+    marker = "// ** table truncated at the degree cap t^40; quotient is finite dimensional\n"
+    assert out3 == expected3 + marker
 
 
 def test_lres_betti_matches_mingens_degrees():

@@ -4,7 +4,9 @@ The seeded cases here always run; `test_rowspace_hypothesis.py` drives the
 same checks from generated inputs when hypothesis is installed.
 `reference_rank` is the field-division elimination the rank oracle used over
 Q[a] before every rank ran on the fraction-free engine, kept as an
-independent oracle: it shares no arithmetic with `groebner`.
+independent oracle: it shares no arithmetic with `groebner`.  The rank
+oracle skips the products that a Koszul syzygy predicts; the checks below
+compare its rank with the reference rank of every product.
 """
 
 import random
@@ -13,13 +15,14 @@ from fractions import Fraction
 from chowlab.coeff import QQ, ExtField
 from chowlab.groebner import Ideal, RowSpace
 from chowlab.poly import RingContext, graded_piece_basis
-from chowlab.rings import linalg_oracle
+from chowlab.rings import _ideal_space, jacob, linalg_oracle
 
 FIELDS = (
     QQ,
     ExtField("a", [1, -1, 1]),  # integral: Z[a] coefficients
     ExtField("a", [Fraction(-1, 2), 0, 1]),  # not integral: b = 2a is
 )
+ORDERS = ("dp", "lp", ("block", 1))
 
 
 def reference_rank(polys):
@@ -68,6 +71,24 @@ def check_multiples(ctx, d, gens):
     space = RowSpace(ctx, d)
     space.add_multiples(multiples)
     assert space.rank == reference_rank(products)
+
+
+def all_products(ctx, d, gens):
+    """Every product m*g of degree d, m a monomial."""
+    return [
+        ctx.monomial(m) * g
+        for g in gens
+        if g.total_degree() <= d
+        for m in graded_piece_basis(ctx, d - g.total_degree())
+    ]
+
+
+def check_ideal_space(ctx, d, gens):
+    """The pruned products of the rank oracle span what all products span."""
+    ideal = Ideal(ctx, gens)
+    want = reference_rank(all_products(ctx, d, ideal.generators))
+    assert _ideal_space(ideal, d).rank == want, (ctx.order, d)
+    assert linalg_oracle(ideal, d) == len(graded_piece_basis(ctx, d)) - want
 
 
 def random_coeff(rng, field):
@@ -169,3 +190,66 @@ def test_linalg_oracle_on_every_field():
             ]
             want = len(graded_piece_basis(ctx, d)) - reference_rank(products)
             assert linalg_oracle(Ideal(ctx, gens), d) == want, (field, d)
+
+
+# -- Koszul pruning of the rank oracle's products ------------------------------
+
+
+def pruning_cases(ctx):
+    x, y, z = ctx.gens()
+    c = ctx.field.gen if ctx.field != QQ else Fraction(2, 3)
+    return {
+        "constant": [x * y + c * z**2, ctx.const(3), y**2 - x * z],
+        "duplicates": [x**2 - c * y * z, x**2 - c * y * z, 2 * (x**2 - c * y * z), y * z],
+        "lead divides a later lead": [x + c * y, x**2 + y * z, x * y - z**2, y + z],
+        "mixed degrees": [x**3 + c * y * z**2, y - z, x * z + y**2],
+        "degree above d": [x**6 + c * y**6, z**3 - x * y**2, x**2 + y * z],
+        "not regular": [x * y, x * z, y * z],
+    }
+
+
+def test_pruned_products_keep_the_span():
+    for field in FIELDS:
+        for order in ORDERS:
+            ctx = RingContext(("x", "y", "z"), order, field)
+            for gens in pruning_cases(ctx).values():
+                for d in range(6):
+                    check_ideal_space(ctx, d, gens)
+
+
+def test_pruned_products_on_random_generators():
+    rng = random.Random(14)
+    for trial in range(27):
+        field, order = FIELDS[trial % 3], ORDERS[trial // 3 % 3]
+        ctx = RingContext(("x", "y", "z"), order, field)
+        gens = [random_form(rng, ctx, rng.randint(0, 3), 3) for _ in range(4)]
+        gens.insert(rng.randint(0, 3), rng.choice(gens) * random_coeff(rng, field))
+        check_ideal_space(ctx, rng.randint(2, 5), gens)
+
+
+def product_counts(monkeypatch, ideal, d):
+    """(products passed to RowSpace.add_multiples, rank) of _ideal_space."""
+    counts = []
+    add_multiples = RowSpace.add_multiples
+
+    def counting(self, multiples):
+        counts.append(sum(len(ms) for _, ms in multiples))
+        return add_multiples(self, multiples)
+
+    monkeypatch.setattr(RowSpace, "add_multiples", counting)
+    rank = _ideal_space(ideal, d).rank
+    monkeypatch.undo()
+    return counts[0], rank
+
+
+def test_koszul_pruning_counts(monkeypatch):
+    ctx = RingContext(("w", "x", "y", "z"))
+    w, x, y, z = ctx.gens()
+    k = w**2 * x + w * x * y + w * y**2 + y**3 + w * x * z
+    s5 = jacob(w**5 + z**5 + x * y**4 + x**4 * y + z * w * k, "full")
+    # 4 generators of degree 4 times 220 monomials of degree 9 make 880
+    assert product_counts(monkeypatch, s5, 13) == (590, 560)
+    # xy, xz, yz: the syzygies z*xy - y*xz and z*xy - x*yz are not Koszul
+    ctx = RingContext(("x", "y", "z"))
+    x, y, z = ctx.gens()
+    assert product_counts(monkeypatch, Ideal(ctx, [x * y, x * z, y * z]), 3) == (9, 7)

@@ -9,7 +9,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from chowlab.coeff import QQ  # noqa: E402
 from chowlab.poly import RingContext, graded_piece_basis  # noqa: E402
-from test_rowspace import FIELDS, check_multiples, check_rank  # noqa: E402
+from test_rowspace import (  # noqa: E402
+    FIELDS,
+    ORDERS,
+    check_ideal_space,
+    check_multiples,
+    check_rank,
+)
 
 
 def coeffs(field):
@@ -59,3 +65,23 @@ def multiple_cases(draw):
 @given(multiple_cases())
 def test_multiples_match_field_division(case):
     check_multiples(*case)
+
+
+@st.composite
+def ideal_cases(draw):
+    ctx = RingContext(
+        ("x", "y", "z"), draw(st.sampled_from(ORDERS)), draw(st.sampled_from(FIELDS))
+    )
+    # constants and generators above d included; repeats and scaled copies too
+    gens = draw(st.lists(st.integers(0, 4).flatmap(lambda d: forms(ctx, d)), max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        if gens:
+            copy = draw(st.sampled_from(gens)) * draw(coeffs(ctx.field))
+            gens.insert(draw(st.integers(0, len(gens))), copy)
+    return ctx, draw(st.integers(0, 4)), gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal_cases())
+def test_pruned_products_keep_the_span(case):
+    check_ideal_space(*case)
