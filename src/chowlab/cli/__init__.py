@@ -65,9 +65,10 @@ def main(argv=None):
 def _cmd_run(args):
     path = Path(args.path)
     try:
-        source = path.read_text()
-    except OSError as exc:
-        print(f"chowlab: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+        source = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"chowlab: cannot read {path}: {reason}", file=sys.stderr)
         return 2
     try:
         script = parse(source)

@@ -312,8 +312,7 @@ def _exp_s5_ideal():
     ]
     j = Ideal(ctx, jgens)
     inter = intersect(i, j)
-    table = mingens_degrees(inter, 15)
-    counts = {d: c for d, c, _ in table if c}
+    counts = {d: len(r) for d, r in mingens_degrees(inter, 15).items()}
     gb = inter.groebner_basis()
     gb_degrees = {}
     for g in gb:
@@ -338,7 +337,7 @@ def _exp_s5_ideal():
         "no-generators-below-9",
         "PAPER",
         [0] * 9,
-        [next(c for dd, c, _ in table if dd == d) for d in range(9)],
+        [counts.get(d, 0) for d in range(9)],
     )
     rep.check(
         "first-generator-degree", "PAPER", 9, min(counts) if counts else None
@@ -509,8 +508,8 @@ def _exp_s6_ideal():
     j = Ideal(ctx, jgens)
     inter = intersect(i, j)
     table = mingens_degrees(inter, 12)
-    counts = {d: c for d, c, _ in table if c}
-    reps6 = next(r for d, _, r in table if d == 6)
+    counts = {d: len(r) for d, r in table.items()}
+    reps6 = table.get(6, [])
 
     rep.inputs = {
         "field": "QQ",
@@ -581,8 +580,8 @@ def _exp_s6_ideal():
     # alternate single-generator form of the correction ideal
     inter2 = intersect(i, Ideal(ctx, [x**4 * z]))
     table2 = mingens_degrees(inter2, 8)
-    counts2 = {d: c for d, c, _ in table2 if c}
-    reps6b = next(r for d, _, r in table2 if d == 6)
+    counts2 = {d: len(r) for d, r in table2.items()}
+    reps6b = table2.get(6, [])
     rep.results["narrow-form-mingens"] = counts2
     rep.results["narrow-form-degree-6-generators"] = reps6b
     rep.check("narrow-form-unique-degree-6", "PAPER", 1, counts2.get(6, 0))

@@ -582,20 +582,12 @@ class MingensTable:
 
     def __init__(self, ideal, rows):
         self.ideal = ideal
-        self.rows = rows  # [(degree, count, representatives)]
-
-    def ncols(self):
-        return len(self.ideal.generators)
+        self.rows = rows  # {degree: representatives}, as mingens_degrees
 
     def lines(self):
-        out = ["//  degree  count"]
-        total = 0
-        for degree, count, _ in self.rows:
-            if count:
-                out.append(f"// {degree:7d} {count:6d}")
-                total += count
-        out.append(f"// total: {total}")
-        return out
+        rows = [f"// {d:7d} {len(reps):6d}" for d, reps in self.rows.items()]
+        total = sum(len(reps) for reps in self.rows.values())
+        return ["//  degree  count", *rows, f"// total: {total}"]
 
 
 class Environment:
@@ -881,7 +873,7 @@ def _bi_ncols(env, args, pos):
     if isinstance(value, Ideal):
         return len(value.generators)
     if isinstance(value, MingensTable):
-        return value.ncols()
+        return len(value.ideal.generators)
     raise DslEvalError("ncols expects an ideal or a resolution table", *pos)
 
 

@@ -46,6 +46,15 @@ over any extension of Q (Cox, Little, O'Shea, Ideals, Varieties, and
 Algorithms, ch. 2 sec. 7).  `RowSpace` starts on integers and moves to Z[b]
 at its first irrational row.
 
+`minimal_generators` is one engine run in degree order (`_Engine.minimal`;
+Kreuzer and Robbiano, Computational Commutative Algebra 2, sec. 4.6): a
+generator of degree d is reduced after every pair of degree at most d and
+is minimal iff its remainder is nonzero, which is then inserted.  Its lead
+no basis lead divides, so its pairs lie above d and the basis stays a
+Groebner basis through degree d of the ideal of the generators so far.
+`run` inserts every generator before the first pair, because taking them
+in degree order made the s5 elimination of `intersect` twice as slow.
+
 `intersect` on rational generators, in any field, computes its elimination
 basis modulo primes first (`_ModEngine`: monic reducers, one multiply and
 one `% p` per term).  The first prime of `_PRIMES` runs the pair loop in
@@ -69,7 +78,7 @@ from math import gcd, lcm
 from operator import add, mul, neg
 
 from .coeff import ExtField
-from .poly import Polynomial, RingContext
+from .poly import Polynomial, RingContext, is_homogeneous
 
 
 class _Overflow(Exception):
@@ -152,6 +161,10 @@ class _ZKernel:
     def scalar(c):
         return c
 
+    @staticmethod
+    def normed(terms):
+        return terms
+
 
 class _ExtKernel:
     """Coefficients in Z[b] for the algebraic integer b = D*a, D the least
@@ -202,14 +215,16 @@ class _ExtKernel:
         self.elt = Elt
         self.one = Elt((1,) + (0,) * (d - 1))
 
-    def poly_in(self, p, pack):
-        coords = [[x / s for x, s in zip(c.coeffs, self.powers)] for _, c in p.terms]
+    def _integral(self, values):
+        """(den * values as elements of Z[b], den) for the least such den."""
+        coords = [[x / s for x, s in zip(c.coeffs, self.powers)] for c in values]
         den = lcm(*(x.denominator for cs in coords for x in cs))
         elt = self.elt
-        return [
-            (*pack(e), elt(x.numerator * (den // x.denominator) for x in cs))
-            for (e, _), cs in zip(p.terms, coords)
-        ], den
+        return [elt(x.numerator * (den // x.denominator) for x in cs) for cs in coords], den
+
+    def poly_in(self, p, pack):
+        cs, den = self._integral([c for _, c in p.terms])
+        return [(*pack(e), c) for (e, _), c in zip(p.terms, cs)], den
 
     @staticmethod
     def content(terms):
@@ -228,6 +243,11 @@ class _ExtKernel:
 
     def value(self, c, s):
         return self.scalar(c) * s
+
+    def normed(self, terms):
+        """terms times a multiple of 1/lead in Z[b], so the lead is an integer."""
+        (u,), _ = self._integral([1 / self.scalar(terms[0][2])])
+        return [(k, w, c * u) for k, w, c in terms]
 
 
 def _irrational(field, polys):
@@ -252,7 +272,7 @@ def _packed(ctx, polys, job, make=None):
 
 
 class _Engine:
-    """One Buchberger run (or normal form) over a fixed ring context.
+    """One Buchberger run, minimal-generator run or normal form in a ring context.
 
     A term is (key, word, coefficient); a polynomial is a list of terms,
     descending by key.  A basis entry is (lead word, lead coefficient,
@@ -263,6 +283,13 @@ class _Engine:
         self.ctx = ctx
         self.pk = _Packing(ctx.order, ctx.nvars, width)
         self.kern = kern
+        self.G = []
+        # by size, stably: the first divisor is the smallest reducer, to limit fill-in
+        self.R = []
+        self.live = {}
+        self.heap = []
+        self._seq = 0
+        self.zeros = []
 
     def strip(self, terms):
         """(terms / g, g) for the content g, signed to make the lead positive."""
@@ -406,37 +433,39 @@ class _Engine:
             # degree-first selection, order key as tie-break
             heappush(self.heap, (big >> pk.deg_shift, key, self._seq, g_idx, idx))
 
-    def run(self, polys, degree_cap=None, skip=()):
-        """Reduced basis of the polys.  The index pairs that reduce to zero
-        go to self.zeros; those in skip are not reduced at all."""
-        self.G = []
-        # by size, stably: the first divisor is the smallest reducer, to limit fill-in
-        self.R = []
-        self.live = {}
-        self.heap = []
-        self._seq = 0
-        self.zeros = []
+    def _insert(self, terms):
+        """Install the remainder of terms by the basis if it is nonzero; return it."""
+        h = self.full_reduce(terms, self.R, self._first)[0]
+        if h:
+            self._add(h)
+        return h
+
+    def _pairs_through(self, cap, skip=()):
+        """Reduce the live pairs of degree at most cap (None: all), lowest first;
+        pairs in skip are dropped, pairs that reduce to zero go to self.zeros."""
+        heap = self.heap
+        while heap and (cap is None or heap[0][0] <= cap):
+            _, key, _, i, j = heappop(heap)
+            big = self.live.pop((i, j), None)
+            if big is not None and (i, j) not in skip:
+                if not self._insert(self.spoly(self.G[i], self.G[j], key, big)):
+                    self.zeros.append((i, j))
+
+    def run(self, polys, skip=()):
+        """Reduced basis of the polys, all inserted before the first pair."""
         for p in polys:
-            h = self.full_reduce(self._poly_in(p)[0], self.R, self._first)[0]
-            if h:
-                self._add(h)
-        while self.heap:
-            item = heappop(self.heap)
-            if degree_cap is not None and item[0] > degree_cap:
-                # degree-first selection pops pairs in increasing degree, so
-                # nothing below the cap remains
-                break
-            ij = (item[3], item[4])
-            big = self.live.pop(ij, None)
-            if big is None or ij in skip:
-                continue
-            s = self.spoly(self.G[ij[0]], self.G[ij[1]], item[1], big)
-            h = self.full_reduce(s, self.R, self._first)[0]
-            if h:
-                self._add(h)
-            else:
-                self.zeros.append(ij)
+            self._insert(self._poly_in(p)[0])
+        self._pairs_through(None, skip)
         return self._finalize()
+
+    def minimal(self, polys):
+        """The polys outside the ideal of those before them in degree order."""
+        out = []
+        for p in sorted(polys, key=Polynomial.total_degree):
+            self._pairs_through(p.total_degree())
+            if self._insert(self._poly_in(p)[0]):
+                out.append(p)
+        return out
 
     def _finalize(self):
         G = self.G
@@ -547,6 +576,8 @@ class RowSpace:
     list, since all of them live until the space is dropped.  The space
     starts on the integer kernel and moves to Z[b] at the first row with an
     irrational coefficient, each pivot coefficient c becoming (c, 0, ...).
+    A pivot's lead is a rational integer (`normed`), so a reduction scales a
+    row by an integer, whose factors the content strip can remove again.
     """
 
     def __init__(self, ctx, d):
@@ -594,7 +625,7 @@ class RowSpace:
         while f:
             piv = pivots.get(f[0][1])
             if piv is None:
-                pivots[f[0][1]] = tuple(zip(*eng.strip(f)[0]))
+                pivots[f[0][1]] = tuple(zip(*eng.strip(eng.kern.normed(f))[0]))
                 return True
             cf, cg = eng.kern.cross(f[0][2], piv[2][0])
             f = eng.comb(f, 0, cf, zip(*piv), cg, 0, 0)
@@ -604,13 +635,8 @@ class RowSpace:
         return False
 
 
-def buchberger(gens, degree_cap=None):
-    """Reduced Groebner basis of the given generators (shared context).
-
-    With degree_cap no S-pair above that total degree is processed.  For
-    homogeneous input the result then has correct leading terms and normal
-    forms through the cap, because pair degrees never decrease.
-    """
+def _on_engine(method, gens):
+    """method(engine, gens) on the nonzero polynomials of gens (one context)."""
     gens = [g for g in gens if isinstance(g, Polynomial) and not g.is_zero()]
     if not gens:
         return []
@@ -618,7 +644,22 @@ def buchberger(gens, degree_cap=None):
     for g in gens:
         if g.ctx != ctx:
             raise ValueError("mixed ring contexts")
-    return _packed(ctx, gens, lambda eng: eng.run(gens, degree_cap))
+    return _packed(ctx, gens, lambda eng: method(eng, gens))
+
+
+def buchberger(gens):
+    """Reduced Groebner basis of the given generators (shared context)."""
+    return _on_engine(_Engine.run, gens)
+
+
+def minimal_generators(gens):
+    """A minimal generating set of the ideal of the homogeneous gens, drawn
+    from them: in ascending degree, stably, each generator outside the ideal
+    of the ones before it (module docstring).  Its size in each degree is
+    the number of minimal generators of that degree."""
+    if any(isinstance(g, Polynomial) and is_homogeneous(g) is None for g in gens):
+        raise ValueError("non-homogeneous generator")
+    return _on_engine(_Engine.minimal, gens)
 
 
 def normal_form(f, basis):

@@ -1,8 +1,9 @@
 """Graded quotient-ring computations for homogeneous ideals.
 
 Jacobian-type ideals of a homogeneous form, Hilbert-function tables via
-standard monomials, minimal-generator degree counts via exact ranks, basis
-checks for graded quotient spaces, and a dense rank oracle that never touches
+standard monomials, minimal-generator tables by degree from one
+degree-driven Groebner run (`groebner.minimal_generators`), basis checks
+for graded quotient spaces, and a dense rank oracle that never touches
 Groebner bases (used to cross-validate the ones that do).  Every rank is
 that of a `groebner.RowSpace`; this module supplies the degrees, the
 shifts and the rank formulas.  The oracle's rows are every product of a
@@ -10,7 +11,7 @@ generator and a monomial not predicted by a Koszul syzygy g_i*g_j = g_j*g_i,
 which the generators' leading monomials alone detect (see `_ideal_space`).
 """
 
-from .groebner import Ideal, RowSpace, buchberger, normal_form
+from .groebner import Ideal, RowSpace, minimal_generators
 from .poly import diff, graded_piece_basis, is_homogeneous
 
 
@@ -117,35 +118,19 @@ def linalg_oracle(ideal, d):
 
 
 def mingens_degrees(ideal, up_to):
-    """Minimal-generator counts per degree with representative generators.
+    """{degree: representatives} of the minimal generators of degree at most
+    up_to, ascending, holding only the degrees that have some.
 
-    In degree d the count is dim I_d - dim (I_{<d})_d, where I_{<d} is the
-    subideal generated below degree d: every product m*g with deg m >= 1
-    lands in (I_{<d})_d, so only degree-d generators contribute fresh rank.
-    That rank is the span of the normal forms of the degree-d generators
-    against a degree-d-truncated basis of I_{<d}, which avoids eliminating
-    the full product space.
+    In degree d the representatives are the degree-d generators, in input
+    order, outside the ideal of the lower generators and the earlier degree-d
+    ones (`groebner.minimal_generators`); there are dim I_d - dim (I_{<d})_d.
     """
     _require_homogeneous(ideal)
-    ctx = ideal.context
-    by_degree = {}
-    for g in ideal.generators:
-        dg = is_homogeneous(g)
-        if dg >= 0:
-            by_degree.setdefault(dg, []).append(g)
-    out = []
-    lower = []
-    for d in range(up_to + 1):
-        gens_d = by_degree.get(d, [])
-        if not gens_d:
-            out.append((d, 0, []))
-        else:
-            lower_gb = buchberger(lower, degree_cap=d)
-            space = RowSpace(ctx, d)
-            reps = [g for g in gens_d if space.add(normal_form(g, lower_gb))]
-            out.append((d, len(reps), reps))
-        lower.extend(gens_d)
-    return out
+    gens = [g for g in ideal.generators if g.total_degree() <= up_to]
+    table = {}
+    for g in minimal_generators(gens):
+        table.setdefault(g.total_degree(), []).append(g)
+    return table
 
 
 def quotient_basis_check(ideal, d, candidates, within=None):

@@ -76,6 +76,30 @@ def test_run_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_run_non_utf8_script(tmp_path, capsys):
+    bad = tmp_path / "bad.sess"
+    bad.write_bytes(b"\xff\xfering r=0,(x,y),dp;\n")
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"chowlab: cannot read {bad}: 'utf-8' codec")
+
+
+def test_run_lres_of_a_huge_degree(tmp_path, capsys):
+    # only the degrees that have generators are tabulated, not every degree
+    # up to the largest
+    script = tmp_path / "huge.sess"
+    script.write_text(
+        "ring r=0,(x,y),dp;\nideal i=x^1000000000,y^3;\nlist T=lres(i,0);\n"
+        'print(betti(T),"betti");\n'
+    )
+    assert main(["run", str(script)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "//  degree  count",
+        "//       3      1",
+        "// 1000000000      1",
+        "// total: 2",
+    ]
+
+
 def test_run_parse_error_has_location(tmp_path, capsys):
     bad = tmp_path / "bad.sess"
     bad.write_text("ring r=0,(x,y),dp;\npoly f=;\n")

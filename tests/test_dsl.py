@@ -358,8 +358,7 @@ def test_lres_betti_matches_mingens_degrees():
     ctx = RingContext(("w", "x", "y", "z"), order="dp")
     w, x, y, z = ctx.gens()
     ideal = Ideal(ctx, [x ** 2, x * y, y ** 3, x ** 2 + z * w])
-    rows = mingens_degrees(ideal, 3)
-    counts = {d: c for d, c, _ in rows if c}
+    counts = {d: len(r) for d, r in mingens_degrees(ideal, 3).items()}
     out = run_source(
         RING + "ideal i=x2,xy,y3,x2+zw;\nlist T=lres(i,0);\nprint(betti(T),\"betti\"); print(ncols(T));"
     )

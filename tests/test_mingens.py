@@ -1,0 +1,130 @@
+"""Minimal generators from one degree-driven engine run, against a rank reference.
+
+`reference_mingens` decides minimality without a Groebner basis: in degree
+d it puts every product m*g of a lower-degree generator into a `RowSpace`,
+then the degree-d generators in input order, and keeps a generator iff the
+rank grows.  `mingens_degrees` must return the same representatives, in the
+same order, on seeded random homogeneous ideals over Q and over Q(i) with
+irrational coefficients, in `dp` and `lp`.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from chowlab.coeff import QQ, ExtField
+from chowlab.groebner import Ideal, RowSpace, _irrational, minimal_generators
+from chowlab.poly import RingContext, graded_piece_basis
+from chowlab.rings import mingens_degrees
+from test_rowspace import random_coeff, random_form
+
+GAUSS = ExtField("a", [1, 0, 1])  # a^2 + 1
+
+
+def reference_mingens(ideal, up_to):
+    """{degree: representatives} by ranks: a degree-d generator is kept iff
+    it lies outside the span of the products of the lower generators and the
+    earlier degree-d ones."""
+    ctx = ideal.context
+    gens = ideal.generators
+    table = {}
+    for d in range(up_to + 1):
+        space = RowSpace(ctx, d)
+        lower = [g for g in gens if g.total_degree() < d]
+        space.add_multiples([(g, graded_piece_basis(ctx, d - g.total_degree())) for g in lower])
+        reps = [g for g in gens if g.total_degree() == d and space.add(g)]
+        if reps:
+            table[d] = reps
+    return table
+
+
+def check(ideal, up_to):
+    table = mingens_degrees(ideal, up_to)
+    assert table == reference_mingens(ideal, up_to)
+    assert list(table) == sorted(table)
+
+
+def nonzero_coeff(rng, field):
+    c = 0
+    while c == 0:
+        c = random_coeff(rng, field)
+    return c
+
+
+def random_ideal(rng, ctx):
+    """Random homogeneous forms of degree 1-4 mixed with scalar and monomial
+    multiples of earlier generators and sums of their products, shuffled."""
+    gens = []
+    for _ in range(rng.randint(2, 7)):
+        kind = rng.random()
+        if len(gens) > 1 and kind < 0.45:
+            g, h = rng.sample(gens, 2)
+            d = max(g.total_degree(), h.total_degree()) + rng.randint(0, 1)
+            terms = [
+                nonzero_coeff(rng, ctx.field) * random_form(rng, ctx, d - f.total_degree(), 1) * f
+                for f in (g, h)
+                if rng.random() < 0.8
+            ]
+            gens.append(sum(terms, ctx.zero))
+        elif gens and kind < 0.7:
+            g = rng.choice(gens)
+            m = ctx.monomial(rng.choice(graded_piece_basis(ctx, rng.randint(0, 2))))
+            gens.append(nonzero_coeff(rng, ctx.field) * m * g)
+        else:
+            gens.append(random_form(rng, ctx, rng.randint(1, 4), rng.randint(1, 4)))
+    rng.shuffle(gens)
+    return Ideal(ctx, gens)
+
+
+@pytest.mark.parametrize("field", [QQ, GAUSS], ids=["QQ", "Q(i)"])
+@pytest.mark.parametrize("order", ["dp", "lp"])
+def test_matches_rank_reference_on_random_ideals(field, order):
+    rng = random.Random(f"{order}-{field}")
+    for _ in range(12):
+        ctx = RingContext(tuple("wxyz"[: rng.randint(2, 4)]), order, field)
+        ideal = random_ideal(rng, ctx)
+        if field != QQ:
+            assert _irrational(field, ideal.generators)  # so Z[b] runs
+        check(ideal, 6)
+
+
+@pytest.mark.parametrize("field", [QQ, GAUSS], ids=["QQ", "Q(i)"])
+def test_edge_cases(field):
+    ctx = RingContext(("x", "y", "z"), "dp", field)
+    x, y, z = ctx.gens()
+    c = field.gen if field != QQ else Fraction(3, 2)
+    # a constant generates the unit ideal: nothing after it is minimal
+    unit = Ideal(ctx, [x * y, ctx.const(c), x, ctx.const(5)])
+    assert mingens_degrees(unit, 3) == {0: [ctx.const(c)]}
+    check(unit, 3)
+    # generators above up_to are ignored
+    high = Ideal(ctx, [y**5, c * x**2 + y * z, x * y**4])
+    assert mingens_degrees(high, 4) == {2: [c * x**2 + y * z]}
+    assert mingens_degrees(high, 5) == {2: [c * x**2 + y * z], 5: [y**5, x * y**4]}
+    check(high, 4)
+    check(high, 5)
+    # a repeated generator and its scalar multiple count once
+    f = x * y + c * y**2
+    rep = Ideal(ctx, [f, x**2, f, 7 * f, z * f])
+    assert mingens_degrees(rep, 3) == {2: [f, x**2]}
+    check(rep, 3)
+
+
+def test_minimal_generators_checks_its_input():
+    ctx = RingContext(("x", "y"), "dp")
+    x, y = ctx.gens()
+    assert minimal_generators([]) == []
+    assert minimal_generators([ctx.zero, x]) == [x]
+    with pytest.raises(ValueError, match="non-homogeneous"):
+        minimal_generators([x**2 + y])
+    other = RingContext(("x", "y"), "lp")
+    with pytest.raises(ValueError, match="mixed ring contexts"):
+        minimal_generators([x, other.var("y")])
+
+
+def test_degree_far_beyond_the_generators_is_cheap():
+    ctx = RingContext(("x", "y"), "dp")
+    x, y = ctx.gens()
+    n = 1000000000
+    assert mingens_degrees(Ideal(ctx, [x**n, y**3]), n) == {3: [y**3], n: [x**n]}

@@ -119,18 +119,18 @@ def test_mingens_monomial_ideal():
     x, y = ctx.gens()
     i = Ideal(ctx, [x**2, x * y, y**3])
     table = mingens_degrees(i, 6)
-    degs = [d for d, count, _ in table for _ in range(count)]
+    degs = [d for d, reps in table.items() for _ in reps]
     assert degs == [2, 2, 3]
     # representatives are the generators themselves here
-    assert table[2][2] == [x**2, x * y]
-    assert table[3][2] == [y**3]
+    assert table[2] == [x**2, x * y]
+    assert table[3] == [y**3]
 
 
 def test_mingens_drops_redundant_generator():
     ctx = RingContext(["x", "y"], "dp")
     x, y = ctx.gens()
     i = Ideal(ctx, [x**2, x**2 * y])
-    degs = [d for d, count, _ in mingens_degrees(i, 5) for _ in range(count)]
+    degs = [d for d, reps in mingens_degrees(i, 5).items() for _ in reps]
     assert degs == [2]
 
 
