@@ -54,20 +54,34 @@ no basis lead divides, so its pairs lie above d and the basis stays a
 Groebner basis through degree d of the ideal of the generators so far.
 `run` inserts every generator before the first pair, because taking them
 in degree order made the s5 elimination of `intersect` twice as slow.
+Given a known Groebner basis of the ideal, the run is Hilbert-driven
+(Traverso, JSC 22, 1996): once every degree-d lead of the known basis is
+divisible by a lead of the run's basis, the remaining pairs of degree d
+are dropped and the remaining degree-d generators are not minimal.  This
+is exact.  Pairs and generators go in degree order, so the run's basis
+already matches the ideal I below degree d, and with the test its leads
+cover the degree-d part of LM(I).  A remainder in degree d lies in I and
+has no term divisible by a run lead; its lead would lie in LM(I) but not
+be covered, so it is zero.
 
 `intersect` on rational generators, in any field, computes its elimination
 basis modulo primes first (`_ModEngine`: monic reducers, one multiply and
-one `% p` per term).  The first prime of `_PRIMES` runs the pair loop in
-full and records the pairs that reduced to zero; later primes replay it
-without them (Traverso's Groebner trace) and are dropped if their bases
-have other monomials.  CRT and maximal-quotient rational reconstruction
-(Monagan 2004) lift the residues to a candidate C, and `buchberger(C)`, the
-reduced basis of (C) whatever C is, is the certificate: once every
-generator reduces to zero by it and its t-free slice H lies in I and in J,
-I cap J <= (C) cap Q[x] = (H) <= I cap J, and the reduced basis is unique.
-An unlucky prime, a failed lift or a failed check falls back to the
-fraction-free run on the generators: a bad prime costs time, never a wrong
-answer.
+one `% p` per term).  The first prime of `_PRIMES`, below 2^30 so that its
+residues are single-digit ints, runs the pair loop in full and records the
+pairs that reduced to zero; the 350-bit primes replay it without them
+(Traverso's Groebner trace).  A replay whose basis has other monomials
+runs again in full and becomes the trace, as a small trace prime is far
+likelier to be unlucky than the prime it is checked against.  The trace
+prime stays out of the CRT: CRT and maximal-quotient rational
+reconstruction (Monagan 2004) of the replays lift the residues to a
+candidate C, and C is kept only if, made monic modulo the trace prime, it
+is the trace basis, a cheap check that a wrong lift rarely passes.  Then
+`buchberger(C)`, the reduced basis of (C) whatever C is, is the
+certificate: once every generator reduces to zero by it and its t-free
+slice H lies in I and in J, I cap J <= (C) cap Q[x] = (H) <= I cap J, and
+the reduced basis is unique.  An unlucky prime, a failed lift or a failed
+check falls back to the fraction-free run on the generators: a bad prime
+costs time, never a wrong answer.
 """
 
 import threading
@@ -290,6 +304,7 @@ class _Engine:
         self.heap = []
         self._seq = 0
         self.zeros = []
+        self.pruned = [0, 0]  # pairs and polys that `minimal` skipped
 
     def strip(self, terms):
         """(terms / g, g) for the content g, signed to make the lead positive."""
@@ -440,16 +455,20 @@ class _Engine:
             self._add(h)
         return h
 
-    def _pairs_through(self, cap, skip=()):
+    def _pairs_through(self, cap, skip=(), covered=None):
         """Reduce the live pairs of degree at most cap (None: all), lowest first;
-        pairs in skip are dropped, pairs that reduce to zero go to self.zeros."""
+        pairs in skip, or of a degree d with covered(d) true, are dropped, and
+        pairs that reduce to zero go to self.zeros."""
         heap = self.heap
         while heap and (cap is None or heap[0][0] <= cap):
-            _, key, _, i, j = heappop(heap)
+            deg, key, _, i, j = heappop(heap)
             big = self.live.pop((i, j), None)
-            if big is not None and (i, j) not in skip:
-                if not self._insert(self.spoly(self.G[i], self.G[j], key, big)):
-                    self.zeros.append((i, j))
+            if big is None or (i, j) in skip:
+                continue
+            if covered and covered(deg):
+                self.pruned[0] += 1
+            elif not self._insert(self.spoly(self.G[i], self.G[j], key, big)):
+                self.zeros.append((i, j))
 
     def run(self, polys, skip=()):
         """Reduced basis of the polys, all inserted before the first pair."""
@@ -458,12 +477,37 @@ class _Engine:
         self._pairs_through(None, skip)
         return self._finalize()
 
-    def minimal(self, polys):
-        """The polys outside the ideal of those before them in degree order."""
+    def minimal(self, polys, leads=None):
+        """The polys outside the ideal of those before them in degree order.
+
+        leads, if given, are the leading monomials of a Groebner basis of the
+        ideal of the polys in every degree they reach.  The pairs and polys
+        of a degree all of whose leads the run's basis covers are skipped
+        (module docstring), and self.pruned counts them.
+        """
+        covered = None
+        if leads is not None:
+            # per degree: the words of the leads no run lead divides yet, and
+            # len(G) when they were last checked
+            pending, seen = {}, {}
+            for m in leads:
+                w = self.pk.pack(m)[1]
+                pending.setdefault(w >> self.pk.deg_shift, []).append(w)
+
+            def covered(d):
+                left = pending.get(d)
+                if left and seen.get(d) != len(self.G):
+                    seen[d] = len(self.G)
+                    left = pending[d] = [w for w in left if not self._first(self.R, w)]
+                return not left
+
         out = []
         for p in sorted(polys, key=Polynomial.total_degree):
-            self._pairs_through(p.total_degree())
-            if self._insert(self._poly_in(p)[0]):
+            d = p.total_degree()
+            self._pairs_through(d, covered=covered)
+            if covered and covered(d):
+                self.pruned[1] += 1
+            elif self._insert(self._poly_in(p)[0]):
                 out.append(p)
         return out
 
@@ -652,14 +696,25 @@ def buchberger(gens):
     return _on_engine(_Engine.run, gens)
 
 
-def minimal_generators(gens):
+def minimal_generators(gens, basis=None):
     """A minimal generating set of the ideal of the homogeneous gens, drawn
     from them: in ascending degree, stably, each generator outside the ideal
     of the ones before it (module docstring).  Its size in each degree is
-    the number of minimal generators of that degree."""
+    the number of minimal generators of that degree.
+
+    basis, if given, is a Groebner basis of an ideal that agrees with the
+    ideal of the gens up to their largest degree, such as the cached basis
+    of an `Ideal` whose generators of higher degree were left out.  It does
+    not change the result; it lets the run skip every degree whose part of
+    the leading-monomial ideal its basis already covers.
+    """
     if any(isinstance(g, Polynomial) and is_homogeneous(g) is None for g in gens):
         raise ValueError("non-homogeneous generator")
-    return _on_engine(_Engine.minimal, gens)
+    leads = None
+    if basis is not None:
+        top = max([g.total_degree() for g in gens if isinstance(g, Polynomial)], default=0)
+        leads = [g.leading_monomial() for g in basis if g.total_degree() <= top]
+    return _on_engine(lambda eng, gs: eng.minimal(gs, leads), gens)
 
 
 def normal_form(f, basis):
@@ -762,9 +817,10 @@ def eliminate(ideal, k):
 _AUX = "@t"
 
 
-# literal, so that import does no work; two of them lift the s5 elimination
-# basis, whose coefficients need up to about 665 bits
-_PRIMES = tuple((1 << 350) - c for c in (113, 131, 401, 425))
+# literal, so that import does no work.  The first, below 2^30 so that its
+# residues are single-digit ints, runs the trace; two of the 350-bit ones lift
+# the s5 elimination basis, whose coefficients need up to about 665 bits
+_PRIMES = ((1 << 30) - 35,) + tuple((1 << 350) - c for c in (113, 131, 401, 425))
 
 
 def _ratrec(u, m):
@@ -782,51 +838,91 @@ def _ratrec(u, m):
     return Fraction(n, d) if d and gcd(n, d) == 1 else None
 
 
-def _lift(ctx, basis, m):
-    """Integral multiples of the polynomials over Q congruent mod m to the
-    monic term lists (smaller in memory than monic ones), or None.  Each
-    coefficient is reconstructed times the common denominator of the ones
-    before it, so most come out as integers at once."""
-    field = ctx.field.coerce if isinstance(ctx.field, ExtField) else Fraction
+def _lift(residues, m):
+    """Integral multiples of the polynomials over Q whose coefficient lists
+    are congruent mod m to the monic residue lists, as int lists (smaller in
+    memory than monic ones), or None.  Each coefficient is reconstructed
+    times the common denominator of the ones before it, so most come out as
+    integers at once."""
     out = []
-    for f in basis:
+    for f in residues:
         den, terms = 1, []
-        for e, a in f:
+        for a in f:
             r = _ratrec(a * den % m, m)
             if r is None:
                 return None
-            terms.append((e, r.numerator, den * r.denominator))
+            terms.append((r.numerator, den * r.denominator))
             den *= r.denominator
-        out.append(Polynomial(ctx, tuple((e, field(n * den // d)) for e, n, d in terms)))
+        out.append([n * den // d for n, d in terms])
     return out
 
 
+def _agrees(lifted, trace, q):
+    """True iff each lifted list, made monic mod q, is the trace's."""
+    for f, g in zip(lifted, trace):
+        lc = f[0] % q
+        if not lc:
+            return False
+        inv = pow(lc, -1, q)
+        if [c * inv % q for c in f] != g:
+            return False
+    return True
+
+
 def _modular_basis(ctx, gens):
-    """A candidate for the reduced basis of (gens) over Q, or None: the first
-    prime that runs records its zero reductions, and each later one replays
-    it, is dropped if its monomials differ and is else combined by CRT."""
-    acc, skip = None, ()
+    """A candidate for the reduced basis of (gens) over Q, or None.
+
+    The first prime that runs is the trace: it runs the pair loop in full,
+    records its zero reductions and stays out of the CRT.  Each later prime
+    replays it without them.  A replay whose monomials differ from the
+    trace's runs again in full and becomes the new trace, the residues so
+    far dropped; the others are combined by CRT, and a lift is returned once
+    it reduces mod the trace prime to the trace basis.  Only the trace keeps
+    its monomials; the rest are coefficient lists.
+    """
+    shape = acc = None
+    skip = ()
     for p in _PRIMES:
-        job = lambda eng: (eng.run(gens, skip=skip), eng.zeros)  # noqa: E731
-        make = lambda c, w, k: _ModEngine(c, w, k, p)  # noqa: E731
         try:
-            basis, zeros = _packed(ctx, gens, job, make)
+            basis, zeros = _mod_run(ctx, gens, p, skip)
+            if shape is not None and _shape(basis) != shape:
+                basis, zeros = _mod_run(ctx, gens, p, ())
+                shape = None  # the full run at p is the new trace
         except ZeroDivisionError:  # an unlucky prime
             continue
-        if acc is None:
-            acc, m, skip = basis, p, frozenset(zeros)
-        elif [[e for e, _ in f] for f in basis] == [[e for e, _ in f] for f in acc]:
+        residues = [[c for _, c in f] for f in basis]
+        if shape is None:
+            shape, trace, q, skip = _shape(basis), residues, p, frozenset(zeros)
+            acc = None
+        elif acc is None:
+            acc, m = residues, p
+        else:
             inv = pow(m, -1, p)
             acc = [
-                [(e, a + m * ((c - a) * inv % p)) for (e, a), (_, c) in zip(f, g)]
-                for f, g in zip(acc, basis)
+                [a + m * ((c - a) * inv % p) for a, c in zip(f, g)]
+                for f, g in zip(acc, residues)
             ]
             m *= p
-            basis = None
-            lifted = _lift(ctx, acc, m)
-            if lifted is not None:
-                return lifted
+            lifted = _lift(acc, m)
+            if lifted is not None and _agrees(lifted, trace, q):
+                field = ctx.field.coerce if isinstance(ctx.field, ExtField) else Fraction
+                return [
+                    Polynomial(ctx, tuple(zip(es, map(field, cs))))
+                    for es, cs in zip(shape, lifted)
+                ]
+        basis = residues = None  # not held through the next run
     return None
+
+
+def _mod_run(ctx, gens, p, skip):
+    """(basis, zeros) of the run mod p that drops the pairs in skip."""
+    job = lambda eng: (eng.run(gens, skip=skip), eng.zeros)  # noqa: E731
+    return _packed(ctx, gens, job, lambda c, w, k: _ModEngine(c, w, k, p))
+
+
+def _shape(basis):
+    """The monomials of a mod-p basis."""
+    return [[e for e, _ in f] for f in basis]
 
 
 def intersect(i_ideal, j_ideal):

@@ -124,11 +124,14 @@ def mingens_degrees(ideal, up_to):
     In degree d the representatives are the degree-d generators, in input
     order, outside the ideal of the lower generators and the earlier degree-d
     ones (`groebner.minimal_generators`); there are dim I_d - dim (I_{<d})_d.
+    When the ideal already holds its Groebner basis (as the results of
+    `intersect` in `dp`, `std` and `eliminate` do), the run prunes with it;
+    none is computed for that.
     """
     _require_homogeneous(ideal)
     gens = [g for g in ideal.generators if g.total_degree() <= up_to]
     table = {}
-    for g in minimal_generators(gens):
+    for g in minimal_generators(gens, ideal._gb):
         table.setdefault(g.total_degree(), []).append(g)
     return table
 

@@ -5,7 +5,8 @@ d it puts every product m*g of a lower-degree generator into a `RowSpace`,
 then the degree-d generators in input order, and keeps a generator iff the
 rank grows.  `mingens_degrees` must return the same representatives, in the
 same order, on seeded random homogeneous ideals over Q and over Q(i) with
-irrational coefficients, in `dp` and `lp`.
+irrational coefficients, in `dp` and `lp`, both when the ideal holds no
+Groebner basis and when the run may prune with the one it holds.
 """
 
 import random
@@ -13,8 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+import chowlab.groebner as groebner
 from chowlab.coeff import QQ, ExtField
-from chowlab.groebner import Ideal, RowSpace, _irrational, minimal_generators
+from chowlab.groebner import Ideal, RowSpace, _irrational, intersect, minimal_generators
 from chowlab.poly import RingContext, graded_piece_basis
 from chowlab.rings import mingens_degrees
 from test_rowspace import random_coeff, random_form
@@ -43,6 +45,26 @@ def check(ideal, up_to):
     table = mingens_degrees(ideal, up_to)
     assert table == reference_mingens(ideal, up_to)
     assert list(table) == sorted(table)
+    # the same representatives from a run that prunes with the ideal's basis
+    ideal.groebner_basis()
+    assert mingens_degrees(ideal, up_to) == table
+
+
+@pytest.fixture
+def pruned(monkeypatch):
+    """[skipped pairs, skipped generators, zero reductions] summed over
+    every minimal-generator run."""
+    total = [0, 0, 0]
+    real = groebner._Engine.minimal
+
+    def recording(eng, *args):
+        out = real(eng, *args)
+        for k, n in enumerate([*eng.pruned, len(eng.zeros)]):
+            total[k] += n
+        return out
+
+    monkeypatch.setattr(groebner._Engine, "minimal", recording)
+    return total
 
 
 def nonzero_coeff(rng, field):
@@ -79,14 +101,16 @@ def random_ideal(rng, ctx):
 
 @pytest.mark.parametrize("field", [QQ, GAUSS], ids=["QQ", "Q(i)"])
 @pytest.mark.parametrize("order", ["dp", "lp"])
-def test_matches_rank_reference_on_random_ideals(field, order):
+def test_matches_rank_reference_on_random_ideals(field, order, pruned):
     rng = random.Random(f"{order}-{field}")
     for _ in range(12):
         ctx = RingContext(tuple("wxyz"[: rng.randint(2, 4)]), order, field)
         ideal = random_ideal(rng, ctx)
         if field != QQ:
             assert _irrational(field, ideal.generators)  # so Z[b] runs
+        check(Ideal(ctx, ideal.generators), 3)
         check(ideal, 6)
+    assert pruned[1]  # the basis let some runs skip generators
 
 
 @pytest.mark.parametrize("field", [QQ, GAUSS], ids=["QQ", "Q(i)"])
@@ -127,4 +151,26 @@ def test_degree_far_beyond_the_generators_is_cheap():
     ctx = RingContext(("x", "y"), "dp")
     x, y = ctx.gens()
     n = 1000000000
-    assert mingens_degrees(Ideal(ctx, [x**n, y**3]), n) == {3: [y**3], n: [x**n]}
+    ideal = Ideal(ctx, [x**n, y**3])
+    assert mingens_degrees(ideal, n) == {3: [y**3], n: [x**n]}
+    assert ideal._gb is None  # no basis is computed for the run
+    ideal.groebner_basis()
+    assert mingens_degrees(ideal, n) == {3: [y**3], n: [x**n]}
+
+
+def test_s6_intersection_prunes_with_its_basis(pruned):
+    ctx = RingContext(("w", "x", "y", "z"))
+    w, x, y, z = ctx.gens()
+    i = Ideal(ctx, [
+        w * x**4 + 4 * w**4 * y, 4 * x**3 * w + y**4,
+        4 * x * y**3 + w**4, 5 * z**5 + 4 * x**4 * z,
+    ])
+    j = Ideal(ctx, [52 * x**4 * y**3 * z, w * x**4 * z, x**4 * z**2])
+    inter = intersect(i, j)  # holds its reduced basis
+    table = mingens_degrees(inter, 12)
+    assert {d: len(r) for d, r in table.items()} == {6: 1, 9: 2, 10: 1, 12: 1}
+    # the degree-11 pair is skipped; the three of degree 10 come before the
+    # degree-10 generator covers its lead, so they still reduce to zero
+    assert pruned == [1, 0, 3]
+    reps = [g for r in table.values() for g in r]
+    assert reps == minimal_generators(inter.generators)

@@ -140,6 +140,70 @@ def test_prime_table_entries_are_prime():
     assert not is_prime(groebner._PRIMES[0] + 2)
 
 
+def test_trace_prime_is_word_size():
+    assert groebner._PRIMES[0] < 2**30 <= min(groebner._PRIMES[1:])
+
+
+def record_mod_runs(monkeypatch):
+    """(prime, skip, zeros) of every mod-p run, in order."""
+    runs = []
+    real = groebner._Engine.run
+
+    def recording(eng, polys, skip=()):
+        out = real(eng, polys, skip)
+        if isinstance(eng, groebner._ModEngine):
+            runs.append((eng.p, skip, list(eng.zeros)))
+        return out
+
+    monkeypatch.setattr(groebner._Engine, "run", recording)
+    return runs
+
+
+def test_first_prime_traces_and_later_primes_replay(monkeypatch):
+    zeros_seen = 0
+    for seed in range(16):
+        i, j = random_pair(seed)
+        runs = record_mod_runs(monkeypatch)
+        check_intersection(i, j)
+        monkeypatch.undo()
+        if not runs:  # no generators, so no modular path
+            continue
+        (p, skip, zeros), *replays = runs
+        assert p == groebner._PRIMES[0] and skip == ()
+        assert len(replays) >= 2  # the trace prime stays out of the CRT
+        for q, skip, more in replays:
+            assert q > p and skip == frozenset(zeros) and more == []
+        zeros_seen += len(zeros)
+    assert zeros_seen > 0
+
+
+def test_unlucky_trace_prime_is_replaced(monkeypatch):
+    # 13 is unlucky for these pairs: its full run has other monomials than
+    # the 350-bit primes', so the first replay runs again in full and traces
+    unlucky, cands = [], []
+    real = groebner._modular_basis
+
+    def recording(ctx, gens):
+        cands.append(real(ctx, gens))
+        return cands[-1]
+
+    for seed in range(64):
+        i, j = random_pair(seed)
+        calls = record_buchberger(monkeypatch, i, j)
+        monkeypatch.setattr(groebner, "_PRIMES", (13,) + groebner._PRIMES[1:])
+        monkeypatch.setattr(groebner, "_modular_basis", recording)
+        runs = record_mod_runs(monkeypatch)
+        check_intersection(i, j)
+        monkeypatch.undo()
+        # never the fallback: one buchberger, on a candidate
+        assert len(calls) == 1 and None not in cands
+        fulls = [q for q, skip, _ in runs if skip == ()]  # a replay's is a frozenset
+        if fulls[1:]:
+            unlucky.append(seed)
+            assert fulls == [13, runs[1][0]] and len(runs) == 5
+    assert unlucky == [9, 13, 16, 19, 38]
+
+
 def test_modular_intersection_matches_fraction_free_elimination():
     for seed in range(64):
         check_intersection(*random_pair(seed))
@@ -195,7 +259,7 @@ def test_fallback_when_every_prime_fails(monkeypatch):
 
 def test_tiny_primes_never_change_the_result(monkeypatch):
     # primes this small are often unlucky, or lift only after several of
-    # them: about 40 of these 64 pairs get a candidate, the rest fall back
+    # them: about 35 of these 64 pairs get a candidate, the rest fall back
     monkeypatch.setattr(groebner, "_PRIMES", (5, 7, 11, 101, 103, 107, 109))
     for seed in range(64):
         check_intersection(*random_pair(seed))
@@ -213,3 +277,28 @@ def test_perturbed_candidate_is_rejected(monkeypatch, t_part):
     assert [g.terms for g in intersect(i, j).generators] == want
     # the perturbed candidate, then the generators
     assert len(calls) == 2 and len(calls[1]) == 3
+
+
+@pytest.mark.parametrize("every", [True, False])
+def test_lift_failing_the_trace_check_never_reaches_buchberger(monkeypatch, every):
+    i, j = small_pair()
+    want = [g.terms for g in reference_intersect(i, j)]
+    real = groebner._lift
+    lifts = []
+
+    def perturbed(basis, m):
+        out = real(basis, m)
+        lifts.append(out)
+        if every or len(lifts) == 1:  # raise the lead of the last polynomial
+            out[-1] = [out[-1][0] + 1] + out[-1][1:]
+        return out
+
+    monkeypatch.setattr(groebner, "_lift", perturbed)
+    calls = record_buchberger(monkeypatch, i, j)
+    assert [g.terms for g in intersect(i, j).generators] == want
+    (cand,) = calls
+    if every:  # each prime's lift failed the check: the generators
+        assert len(lifts) == len(groebner._PRIMES) - 2 and len(cand) == 3
+    else:  # the next prime's lift passed it
+        assert len(lifts) == 2
+        assert [[c for _, c in g.terms] for g in cand] == lifts[1]
