@@ -47,6 +47,9 @@ class DslEvalError(DslError):
 
 _TWO_CHAR_OPS = ("==", "!=", "<=", ">=")
 _ONE_CHAR_OPS = set("(){}[],;=+-*/^<>")
+# ASCII only: str.isdigit() is also true of '²' and '٣', which int() rejects
+# or reads as 3
+_WORD = re.compile(r"\w+", re.ASCII)
 # below Python's default limit (4300) on int-from-string conversion
 _MAX_LITERAL_DIGITS = 4000
 # deepest expression nesting the parser accepts: parentheses, unary
@@ -98,14 +101,12 @@ def tokenize(source):
             col += end + 1 - i
             i = end + 1
             continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+        word = _WORD.match(source, i)
+        if word:
+            text = word.group()
             toks.append(Token("num" if text.isdigit() else "word", text, line, col))
-            col += j - i
-            i = j
+            col += len(text)
+            i = word.end()
             continue
         pair = source[i : i + 2]
         if pair in _TWO_CHAR_OPS:

@@ -75,13 +75,20 @@ likelier to be unlucky than the prime it is checked against.  The trace
 prime stays out of the CRT: CRT and maximal-quotient rational
 reconstruction (Monagan 2004) of the replays lift the residues to a
 candidate C, and C is kept only if, made monic modulo the trace prime, it
-is the trace basis, a cheap check that a wrong lift rarely passes.  Then
-`buchberger(C)`, the reduced basis of (C) whatever C is, is the
-certificate: once every generator reduces to zero by it and its t-free
-slice H lies in I and in J, I cap J <= (C) cap Q[x] = (H) <= I cap J, and
-the reduced basis is unique.  An unlucky prime, a failed lift or a failed
-check falls back to the fraction-free run on the generators: a bad prime
-costs time, never a wrong answer.
+is the trace basis, a cheap check that a wrong lift rarely passes.  C then
+seeds the one exact elimination: the fraction-free reduced basis of C
+together with the generators, in the block order.  Its t-free slice H is
+certified by containment alone, whatever the seed (Cox, Little, O'Shea,
+ch. 3 sec. 1).  The generators are t*f for f in I and (1 - t)*g for g in
+J, so (gens) cap Q[x] = I cap J.  (C, gens) contains (gens), so H, which
+generates (C, gens) cap Q[x], generates an ideal containing I cap J; once H
+lies in I and in J, (H) = I cap J, and since the reduced basis is unique
+the output does not depend on the seed.  A wrong seed can only fail
+containment, and the elimination then runs unseeded; an incomplete one is
+completed by the generators.  When C is right, each generator reduces to
+zero as it is inserted and adds no basis element and no pair.  So an
+unlucky prime, a failed lift or a failed check costs time, never a wrong
+answer.
 """
 
 import threading
@@ -793,7 +800,8 @@ def _port(g, ctx2, pad=0, drop=0):
 
 
 def eliminate(ideal, k):
-    """Intersect with the subring omitting the first k variables."""
+    """Intersect with the subring omitting the first k variables: the
+    elements of its reduced basis in a block order free of them."""
     ctx = ideal.context
     if k == 0:
         out = Ideal(ctx, list(ideal.groebner_basis()))
@@ -802,16 +810,22 @@ def eliminate(ideal, k):
     if not 0 < k < ctx.nvars:
         raise ValueError("elimination count out of range")
     ctx_blk = RingContext(ctx.variables, ("block", k), ctx.field)
-    gb = buchberger([_port(g, ctx_blk) for g in ideal.generators])
     ctx_rest = RingContext(ctx.variables[k:], "dp", ctx.field)
-    res = []
-    for g in gb:
-        if all(all(x == 0 for x in e[:k]) for e, _ in g.terms):
-            res.append(_port(g, ctx_rest, drop=k))
+    res = _eliminated([_port(g, ctx_blk) for g in ideal.generators], k, ctx_rest)
     out = Ideal(ctx_rest, res)
     # t-free slice of a reduced elimination basis is itself a reduced basis
     out._set_gb(res)
     return out
+
+
+def _eliminated(gens, k, ctx):
+    """The elements free of the first k variables of the reduced basis of
+    gens, whose ring has a block order on those k, ported to ctx."""
+    return [
+        _port(g, ctx, drop=k)
+        for g in buchberger(gens)
+        if not any(any(e[:k]) for e, _ in g.terms)
+    ]
 
 
 _AUX = "@t"
@@ -905,9 +919,8 @@ def _modular_basis(ctx, gens):
             m *= p
             lifted = _lift(acc, m)
             if lifted is not None and _agrees(lifted, trace, q):
-                field = ctx.field.coerce if isinstance(ctx.field, ExtField) else Fraction
                 return [
-                    Polynomial(ctx, tuple(zip(es, map(field, cs))))
+                    Polynomial(ctx, tuple(zip(es, map(ctx.field.coerce, cs))))
                     for es, cs in zip(shape, lifted)
                 ]
         basis = residues = None  # not held through the next run
@@ -926,9 +939,9 @@ def _shape(basis):
 
 
 def intersect(i_ideal, j_ideal):
-    """I cap J via a fresh auxiliary variable and one elimination, found
-    modulo primes and certified when every coefficient is rational (module
-    docstring)."""
+    """I cap J via a fresh auxiliary variable and one exact elimination,
+    seeded with the basis found modulo primes when every coefficient is
+    rational, and certified by containment in I and in J (module docstring)."""
     ctx = i_ideal.context
     if j_ideal.context != ctx:
         raise ValueError("mixed ring contexts")
@@ -938,15 +951,10 @@ def intersect(i_ideal, j_ideal):
     t = ctxa.var(_AUX)
     gens = [t * _port(f, ctxa, pad=1) for f in i_ideal.generators]
     gens += [(ctxa.one - t) * _port(g, ctxa, pad=1) for g in j_ideal.generators]
-    modular = gens and not _irrational(ctx.field, gens)
-    for cand in (_modular_basis(ctxa, gens) if modular else None, gens):
-        if cand is None:
-            continue
-        gb = buchberger(cand)
-        res = [_port(g, ctx, drop=1) for g in gb if all(e[0] == 0 for e, _ in g.terms)]
-        if (cand is gens or all(normal_form(g, gb).is_zero() for g in gens)) and all(
-            ideal_member(g, i_ideal) and ideal_member(g, j_ideal) for g in res
-        ):
+    cand = gens and not _irrational(ctx.field, gens) and _modular_basis(ctxa, gens)
+    for seed in ([cand] if cand else []) + [[]]:
+        res = _eliminated(seed + gens, 1, ctx)
+        if all(ideal_member(g, i_ideal) and ideal_member(g, j_ideal) for g in res):
             break
     else:
         raise AssertionError("intersection generator failed containment check")
@@ -957,20 +965,20 @@ def intersect(i_ideal, j_ideal):
 
 
 def krull_dim(ideal):
-    """Affine Krull dimension of the quotient by the ideal (unit ideal: -1)."""
-    gb = ideal.groebner_basis()
-    n = ideal.context.nvars
-    if not gb:
-        return n
+    """Affine Krull dimension of the quotient by the ideal (unit ideal: -1):
+    the number of variables minus the size of a smallest set of them that
+    meets the support of every leading monomial of its basis."""
     supports = [
-        frozenset(i for i, x in enumerate(g.leading_monomial()) if x) for g in gb
+        {i for i, x in enumerate(g.leading_monomial()) if x}
+        for g in ideal.groebner_basis()
     ]
-    best = -1
-    for mask in range(1 << n):
-        subset = frozenset(i for i in range(n) if mask >> i & 1)
-        if len(subset) <= best:
-            continue
-        if any(s <= subset for s in supports):
-            continue
-        best = len(subset)
-    return best
+
+    def cover(sets):  # branch on the variables of a smallest support
+        if not sets:
+            return 0
+        smallest = min(sets, key=len)
+        return 1 + min(cover([s for s in sets if v not in s]) for v in smallest)
+
+    if set() in supports:
+        return -1
+    return ideal.context.nvars - cover(supports)

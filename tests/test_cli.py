@@ -139,6 +139,47 @@ def test_run_reports_unexpected_errors_without_traceback(tmp_path, capsys, monke
     assert "Traceback" not in err
 
 
+RING26 = "ring r=0,(" + ",".join("abcdefghijklmnopqrstuvwxyz") + "),dp;\n"
+
+
+# hostile scripts: (script, exit code, stdout on success or the start of the
+# located error after the path, seconds allowed)
+HOSTILE = {
+    # str.isdigit() holds for these digits, but int() rejects '²' and reads
+    # the others as 3
+    "superscript-exponent": (
+        "ring r=0,(x,y),dp;\npoly f=x^\u00b2;\n", 3, "2:10: unexpected character", 1
+    ),
+    "arabic-indic-digit": (
+        "ring r=0,(x,y),dp;\npoly f=\u0663*x;\nf;\n", 3, "2:8: unexpected character", 1
+    ),
+    "fullwidth-digit": (
+        "ring r=0,(x,y),dp;\npoly f=\uff13*x;\nf;\n", 3, "2:8: unexpected character", 1
+    ),
+    "accented-letter": (
+        "ring r=0,(x,y),dp;\npoly f=\u00e9;\n", 3, "2:8: unexpected character", 1
+    ),
+    # krull_dim once tried all 2^26 subsets of the variables
+    "dim-in-26-variables": (RING26 + "ideal J=a;\ndim(J);\n", 0, "25\n", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_script(name, tmp_path, capsys):
+    script, code, expect, seconds = HOSTILE[name]
+    path = tmp_path / "hostile.sess"
+    path.write_text(script, encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["run", str(path)]) == code
+    assert time.perf_counter() - start < seconds
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert (out, err) == (expect, "")
+    else:
+        assert err.startswith(f"{path}:{expect}"), err
+        assert "internal error" not in err and "Traceback" not in err
+
+
 def test_exp_unknown_id(capsys):
     assert main(["exp", "nope"]) == 2
     assert "unknown experiment" in capsys.readouterr().err

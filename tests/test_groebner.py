@@ -224,6 +224,36 @@ def test_krull_dim_basics():
     assert krull_dim(Ideal(ctx, [ctx.one])) == -1
 
 
+def subset_dim(n, supports):
+    """The size of a largest subset of range(n) containing no support, by
+    trying all 2^n subsets (-1 when the empty support is there)."""
+    best = -1
+    for mask in range(1 << n):
+        subset = {i for i in range(n) if mask >> i & 1}
+        if len(subset) > best and not any(s <= subset for s in supports):
+            best = len(subset)
+    return best
+
+
+def test_krull_dim_matches_the_subset_search():
+    # monomial ideals: a monomial's support is its set of variables, and
+    # an empty support (1 in the ideal) turns up in about 1 list in 20
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        ctx = RingContext([f"x{i}" for i in range(n)], "dp")
+        gens = ctx.gens()
+        supports, monomials = [], []
+        for _ in range(rng.randint(0, 6)):
+            s = set(rng.sample(range(n), rng.randint(0 if rng.random() < 0.05 else 1, n)))
+            m = ctx.one
+            for i in s:
+                m = m * gens[i] ** rng.randint(1, 2)
+            supports.append(s)
+            monomials.append(m)
+        assert krull_dim(Ideal(ctx, monomials)) == subset_dim(n, supports), supports
+
+
 def test_krull_dim_smooth_quintic():
     # full Jacobian of w^5 + x*y^4 + y*x^4 + z^5 cuts out only the origin
     ctx = wxyz()

@@ -19,8 +19,8 @@ from chowlab.poly import RingContext
 VARS = ("x", "y", "z", "w")
 
 
-def reference_intersect(i, j):
-    """Generators of I cap J from one fraction-free elimination."""
+def elimination_generators(i, j):
+    """t*f for f in I and (1-t)*g for g in J, in the block order with t first."""
     ctx = i.context
     ctxa = RingContext(("@t",) + ctx.variables, ("block", 1), ctx.field)
     t = ctxa.var("@t")
@@ -29,10 +29,15 @@ def reference_intersect(i, j):
         return ctxa.from_dict({(0,) + e: c for e, c in g.terms})
 
     gens = [t * pad(f) for f in i.generators]
-    gens += [(ctxa.one - t) * pad(g) for g in j.generators]
+    return gens + [(ctxa.one - t) * pad(g) for g in j.generators]
+
+
+def reference_intersect(i, j):
+    """Generators of I cap J from one fraction-free elimination."""
+    ctx = i.context
     res = [
         ctx.from_dict({e[1:]: c for e, c in g.terms})
-        for g in buchberger(gens)
+        for g in buchberger(elimination_generators(i, j))
         if all(e[0] == 0 for e, _ in g.terms)
     ]
     assert all(ideal_member(g, i) and ideal_member(g, j) for g in res)
@@ -80,14 +85,16 @@ def random_pair(seed):
 
 
 def record_buchberger(monkeypatch, *ideals):
-    """Count the eliminations: the ideals' own bases are computed first."""
+    """Record the eliminations, the calls in the ring with @t: each is its
+    seed followed by the generators t*f and (1-t)*g."""
     for ideal in ideals:
         ideal.groebner_basis()
     calls = []
     real = groebner.buchberger
 
     def counting(gens, *args, **kwargs):
-        calls.append(list(gens))
+        if gens and gens[0].ctx.variables[0] == "@t":
+            calls.append(list(gens))
         return real(gens, *args, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger", counting)
@@ -220,13 +227,15 @@ def test_unit_and_zero_ideals():
     assert check_intersection(Ideal(ctx, []), i).generators == ()
 
 
-def test_lucky_path_calls_buchberger_once_on_the_candidate(monkeypatch):
+def test_lucky_path_runs_one_elimination_seeded_by_the_candidate(monkeypatch):
     i, j = small_pair()
     want = [g.terms for g in reference_intersect(i, j)]
     calls = record_buchberger(monkeypatch, i, j)
     assert [g.terms for g in intersect(i, j).generators] == want
-    (cand,) = calls
-    # the lift is already the reduced basis that certifies it, up to scalars
+    (call,) = calls
+    cand = call[:-3]  # the seed, then the 3 generators
+    assert call[-3:] == elimination_generators(i, j)
+    # the lift is already the reduced basis of the elimination, up to scalars
     monic = [g * (1 / g.leading_coeff()) for g in cand]
     assert [g.terms for g in monic] == [g.terms for g in buchberger(cand)]
 
@@ -242,7 +251,9 @@ def test_unlucky_primes_are_skipped(monkeypatch):
         calls = record_buchberger(monkeypatch, i, j)
         monkeypatch.setattr(groebner, "_PRIMES", (bad,) + groebner._PRIMES)
         assert [g.terms for g in intersect(i, j).generators] == want
-        assert len(calls) == 1  # the candidate only: the table's real primes ran
+        # one elimination, seeded by a candidate (the pair has 2 generators):
+        # the table's real primes ran
+        assert len(calls) == 1 and len(calls[0]) > 2
         monkeypatch.undo()
 
 
@@ -279,6 +290,53 @@ def test_perturbed_candidate_is_rejected(monkeypatch, t_part):
     assert len(calls) == 2 and len(calls[1]) == 3
 
 
+def candidate(i, j):
+    """The lifted candidate of the pair, which the elimination is seeded with."""
+    gens = elimination_generators(i, j)
+    return groebner._modular_basis(gens[0].ctx, gens)
+
+
+# each seed for the pairs (small_pair, random_pair(0), ..., random_pair(7)),
+# and the eliminations it runs: 2 when its slice fails containment and the
+# unseeded pass follows, None when perturb finds no element to change
+SEEDS = {
+    "unit": (lambda cand, other: [cand[0].ctx.one], [2] * 9),
+    # the second element dropped: the generators complete the rest, so the
+    # slice is already exact
+    "dropped": (lambda cand, other: cand[:1] + cand[2:], [1] * 9),
+    "other-pair": (lambda cand, other: other, [2] * 9),
+    "perturbed-t": (
+        lambda cand, other: perturb(cand, True),
+        [2, 2, 2, 2, 2, 2, 1, 2, None],
+    ),
+    "perturbed-t-free": (
+        lambda cand, other: perturb(cand, False),
+        [2, 2, 2, 2, 2, None, None, 2, 2],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SEEDS))
+def test_every_seed_gives_the_exact_intersection(monkeypatch, kind):
+    make, counts = SEEDS[kind]
+    # the other pair has the same variables, so its candidate's ring is the same
+    cases = [(small_pair(), random_pair(3))]
+    cases += [(random_pair(seed), random_pair(seed + 3)) for seed in range(8)]
+    for ((i, j), other), count in zip(cases, counts):
+        if count is None:
+            with pytest.raises(AssertionError, match="no element to perturb"):
+                make(candidate(i, j), None)
+            continue
+        seed = make(candidate(i, j), candidate(*other))
+        want = [g.terms for g in reference_intersect(i, j)]
+        monkeypatch.setattr(groebner, "_modular_basis", lambda ctx, gens: seed)
+        calls = record_buchberger(monkeypatch, i, j)
+        assert [g.terms for g in intersect(i, j).generators] == want
+        gens = elimination_generators(i, j)
+        assert calls == [seed + gens, gens][:count]
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("every", [True, False])
 def test_lift_failing_the_trace_check_never_reaches_buchberger(monkeypatch, every):
     i, j = small_pair()
@@ -296,9 +354,10 @@ def test_lift_failing_the_trace_check_never_reaches_buchberger(monkeypatch, ever
     monkeypatch.setattr(groebner, "_lift", perturbed)
     calls = record_buchberger(monkeypatch, i, j)
     assert [g.terms for g in intersect(i, j).generators] == want
-    (cand,) = calls
-    if every:  # each prime's lift failed the check: the generators
-        assert len(lifts) == len(groebner._PRIMES) - 2 and len(cand) == 3
+    (call,) = calls
+    cand = call[:-3]  # the seed, then the 3 generators
+    if every:  # each prime's lift failed the check: no seed
+        assert len(lifts) == len(groebner._PRIMES) - 2 and cand == []
     else:  # the next prime's lift passed it
         assert len(lifts) == 2
         assert [[c for _, c in g.terms] for g in cand] == lifts[1]
