@@ -58,6 +58,16 @@ class RationalField:
 QQ = RationalField()
 
 
+# both irreducibility searches run up to the square root of a coefficient:
+# at this bound about 0.1 s; far above it, exponential in its digits
+_SEARCH_LIMIT = 1 << 40
+
+
+def _searchable(*ints):
+    if any(abs(n) > _SEARCH_LIMIT for n in ints):
+        raise ValueError("minimal polynomial coefficients too large")
+
+
 def _rational_roots(coeffs):
     """All rational roots of a polynomial with rational coefficients."""
     cs = [_frac(c) for c in coeffs]
@@ -73,6 +83,7 @@ def _rational_roots(coeffs):
     if _uni.eval_at(cs, Fraction(0)) == 0:
         roots.add(Fraction(0))
     a0, an = abs(ints[0]), abs(ints[-1])
+    _searchable(a0, an)
 
     def divisors(n):
         out = []
@@ -98,6 +109,7 @@ def _splits_into_quadratics(coeffs):
     # den^4 * m(z/den) is monic and integral, so by Gauss's lemma a split
     # (z^2+pz+q)(z^2+rz+s) of it has integer p, q, r, s
     d, c, b, a = (int(coeffs[k] * den ** (4 - k)) for k in range(4))
+    _searchable(d)
     for q in range(-isqrt(abs(d)), isqrt(abs(d)) + 1):
         if not q or d % q:
             continue
@@ -117,7 +129,9 @@ class ExtField:
     """Q[a]/(m(a)) for a monic irreducible m, 2 <= deg m <= 4.
 
     Irreducibility is verified: m has no rational root, and a quartic is
-    not a product of two rational quadratics.
+    not a product of two rational quadratics.  Both searches run over the
+    divisors of a coefficient of m cleared of denominators, and refuse one
+    above 2^40 in absolute value.
     """
 
     def __init__(self, gen_name, minpoly):

@@ -1057,6 +1057,10 @@ def _exec_decl(stmt, env):
         for e in stmt.exprs:
             value = _eval(e, env)
             if isinstance(value, Ideal):
+                if len(stmt.exprs) == 1:
+                    # ideals are immutable: bind the value, its cached basis too
+                    env.names[stmt.name] = value
+                    return
                 gens.extend(value.generators)
             else:
                 gens.append(_as_poly(value, ctx, e.pos))

@@ -1,12 +1,11 @@
 """Groebner bases: Buchberger with Gebauer-Moeller pair management.
 
-S-polynomial arithmetic runs fraction-free: integer coefficients when all
-are rational, integer coordinate tuples over an integral extension field
-otherwise, with periodic content stripping.  Public results are reduced
-Groebner bases (monic, interreduced, sorted descending by leading
-monomial), which makes every basis canonical for a given ideal and order.
-On top of that: normal forms, ideal membership, elimination, pairwise
-intersection, and Krull dimension.
+S-polynomial arithmetic runs fraction-free on integer coefficients, with
+periodic content stripping.  Public results are reduced Groebner bases
+(monic, interreduced, sorted descending by leading monomial), which makes
+every basis canonical for a given ideal and order.  On top of that: normal
+forms, ideal membership, elimination, pairwise intersection, and Krull
+dimension.
 
 Inside the engine a monomial is two Python ints made of W-bit fields
 (`_Packing`):
@@ -36,15 +35,29 @@ top-reduced, by `comb` against the pivot with its leading word, the
 content stripped every 8 steps as in `full_reduce`.  Every graded rank of
 `rings` is computed this way, over Q and over Q[a] alike.
 
-The coefficient kernel follows the data, not the ring.  A job (the
-polynomials handed to `_packed`) with no coefficient whose a-part is
-nonzero runs on integers (`_ZKernel`) even in a Q[a] ring, and its output
-goes back through `field.element`; only a job with an irrational
-coefficient pays for tuples in Z[b] (`_ExtKernel`).  This is exact: a
-reduced Groebner basis, a normal form and a rank are the same over Q and
-over any extension of Q (Cox, Little, O'Shea, Ideals, Varieties, and
-Algorithms, ch. 2 sec. 7).  `RowSpace` starts on integers and moves to Z[b]
-at its first irrational row.
+Every engine coefficient is a Python int (a residue in `_ModEngine`).  A
+job (the polynomials handed to `_packed`) whose coefficients are all
+rational runs over Q even in a Q[a] ring, its output coerced back into the
+field: a reduced Groebner basis, a normal form and a rank are the same over
+Q and over any extension of Q (Cox, Little, O'Shea, Ideals, Varieties, and
+Algorithms, ch. 2 sec. 7).  A job with an irrational coefficient carries the
+generator a of K = Q[a]/(m) as one more engine variable, and m, cleared of
+denominators, as one more generator that goes in first, since K[x]/I is
+Q[x,a]/(I + (m)).  a is the least significant block of the order (in "lp"
+the last variable), so the order eliminates a and puts it below every x,
+and the reduced basis of I + (m) is m plus the reduced basis of I over K,
+each coefficient written as a polynomial in a of degree below deg m (ch. 3
+sec. 1).  A coefficient c_0 + ... + c_{d-1} a^(d-1) goes in as its nonzero
+terms c_j a^j, the higher powers of a first; the output drops m and folds
+each run of terms with one x-part back into a field element.  a has weight
+0 in the degree field, which orders the pairs and drives `minimal`: an
+irrational leading coefficient puts a into an engine lead, and the pair
+with m that takes it out must fall in the lead's own degree.
+`normal_form` makes each reducer monic over K, so that its engine lead has
+a^0 and the first divisor in basis order is the one over K, and puts m
+first.  As m reduces first, every power of a stays below 2 deg m - 1, far
+inside its field.  `RowSpace` starts without a and takes it on at its first
+irrational row.
 
 `minimal_generators` is one engine run in degree order (`_Engine.minimal`;
 Kreuzer and Robbiano, Computational Commutative Algebra 2, sec. 4.6): a
@@ -96,7 +109,6 @@ from bisect import insort
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import add, mul, neg
 
 from .coeff import ExtField
 from .poly import Polynomial, RingContext, is_homogeneous
@@ -107,20 +119,28 @@ class _Overflow(Exception):
 
 
 class _Packing:
-    """Order keys and divisibility words of exponent vectors, W-bit fields."""
+    """Order keys and divisibility words of exponent vectors, W-bit fields.
 
-    def __init__(self, order, nvars, width):
+    With ext, a vector may carry one more exponent, that of the field
+    generator a: its own least significant block (in "lp" the last
+    variable), with weight 0 in the degree field.  A vector without it has
+    a^0.
+    """
+
+    def __init__(self, order, nvars, width, ext=False):
+        self.n = nvars
         self.limit = (1 << (width - 1)) - 1
         self.mask = (1 << width) - 1
+        total = nvars + ext
         if order == "lp":
-            fields = [nvars - 1 - i for i in range(nvars)]
-            self.sign, self.tops, nfields = 1, [], nvars
+            fields = [total - 1 - i for i in range(total)]
+            self.sign, self.tops, nfields = 1, [], total
         else:
             k = order[1] if isinstance(order, tuple) else 0
-            fields = [0] * nvars
+            fields = [0] * total
             self.sign, self.tops, nfields = -1, [], 0
             blocks = ((k, nvars), (0, k)) if k else ((0, nvars),)
-            for lo, hi in blocks:  # least significant first
+            for lo, hi in ((nvars, total),) * ext + blocks:  # least significant first
                 for i in range(lo, hi):
                     fields[i] = nfields + i - lo
                 nfields += hi - lo
@@ -132,8 +152,8 @@ class _Packing:
 
     def pack(self, exps):
         """(key, word) of an exponent vector."""
-        deg = sum(exps)
-        if deg > self.limit:
+        deg = sum(exps[: self.n])
+        if deg > self.limit or sum(exps[self.n :]) > self.limit:
             raise _Overflow
         body = 0
         for e, s in zip(exps, self.shifts):
@@ -148,129 +168,6 @@ class _Packing:
         return tuple(word >> s & mask for s in self.shifts)
 
 
-class _ZKernel:
-    """Integer coefficient arithmetic for inputs whose coefficients are all
-    rational, in Q or embedded in an extension field."""
-
-    one = 1
-
-    def __init__(self, field):
-        self.ext = isinstance(field, ExtField)
-        # value(c, s): the field element c * s for an int c and a Fraction s
-        self.value = (lambda c, s: field.element((c * s,))) if self.ext else mul
-
-    def poly_in(self, p, pack):
-        """(terms, den): the packed terms of den * p, all integral."""
-        terms = [(e, c.coeffs[0]) for e, c in p.terms] if self.ext else p.terms
-        den = lcm(*(c.denominator for _, c in terms))
-        return [
-            (*pack(e), c.numerator * (den // c.denominator)) for e, c in terms
-        ], den
-
-    @staticmethod
-    def content(terms):
-        """Gcd of the coefficients, signed like the leading coefficient."""
-        g = gcd(*[c for _, _, c in terms])
-        return -g if terms[0][2] < 0 else g
-
-    @staticmethod
-    def cross(a, b):
-        d = gcd(a, b)
-        return b // d, a // d
-
-    @staticmethod
-    def scalar(c):
-        return c
-
-    @staticmethod
-    def normed(terms):
-        return terms
-
-
-class _ExtKernel:
-    """Coefficients in Z[b] for the algebraic integer b = D*a, D the least
-    common denominator of the minimal polynomial: integer coordinate tuples
-    with the ring operations as operators."""
-
-    def __init__(self, field):
-        self.field = field
-        d = field.degree
-        D = lcm(*(c.denominator for c in field.minpoly))
-        self.powers = [D**k for k in range(d)]  # b^k = D^k * a^k
-        # integral rewrite rows for b^d .. b^(2d-2)
-        rows = [
-            [int(x * D ** (k - j)) for j, x in enumerate(field._pow[k])]
-            for k in range(d, 2 * d - 1)
-        ]
-
-        class Elt(tuple):
-            __slots__ = ()
-
-            def __add__(self, other):
-                return Elt(map(add, self, other))
-
-            def __neg__(self):
-                return Elt(map(neg, self))
-
-            def __floordiv__(self, g):
-                return Elt(x // g for x in self)
-
-            def __bool__(self):
-                return any(self)
-
-            def __mul__(self, other):
-                conv = [0] * (2 * d - 1)
-                for i, x in enumerate(self):
-                    if x:
-                        for j, y in enumerate(other, i):
-                            conv[j] += x * y
-                out = conv[:d]
-                for k in range(d, 2 * d - 1):
-                    ck = conv[k]
-                    if ck:
-                        row = rows[k - d]
-                        for i in range(d):
-                            out[i] += ck * row[i]
-                return Elt(out)
-
-        self.elt = Elt
-        self.one = Elt((1,) + (0,) * (d - 1))
-
-    def _integral(self, values):
-        """(den * values as elements of Z[b], den) for the least such den."""
-        coords = [[x / s for x, s in zip(c.coeffs, self.powers)] for c in values]
-        den = lcm(*(x.denominator for cs in coords for x in cs))
-        elt = self.elt
-        return [elt(x.numerator * (den // x.denominator) for x in cs) for cs in coords], den
-
-    def poly_in(self, p, pack):
-        cs, den = self._integral([c for _, c in p.terms])
-        return [(*pack(e), c) for (e, _), c in zip(p.terms, cs)], den
-
-    @staticmethod
-    def content(terms):
-        g = gcd(*[x for _, _, c in terms for x in c])
-        return -g if next(x for x in terms[0][2] if x) < 0 else g
-
-    @staticmethod
-    def cross(a, b):
-        c = gcd(*a, *b)
-        if c == 1:
-            return b, a
-        return b // c, a // c
-
-    def scalar(self, c):
-        return self.field.element([x * s for x, s in zip(c, self.powers)])
-
-    def value(self, c, s):
-        return self.scalar(c) * s
-
-    def normed(self, terms):
-        """terms times a multiple of 1/lead in Z[b], so the lead is an integer."""
-        (u,), _ = self._integral([1 / self.scalar(terms[0][2])])
-        return [(k, w, c * u) for k, w, c in terms]
-
-
 def _irrational(field, polys):
     """True iff some coefficient of the polys has a nonzero a-part."""
     return isinstance(field, ExtField) and any(
@@ -279,31 +176,38 @@ def _irrational(field, polys):
 
 
 def _packed(ctx, polys, job, make=None):
-    """job(make(ctx, width, kernel)), make defaulting to _Engine, with fields
-    wide enough for every degree the run reaches and the integer kernel
-    unless some coefficient of the polys is irrational."""
+    """job(make(ctx, width, ext)), make defaulting to _Engine, with fields
+    wide enough for every degree the run reaches, and ext true iff some
+    coefficient of the polys is irrational."""
     width = max(8, (2 * max(p.total_degree() for p in polys)).bit_length() + 1)
-    field = ctx.field
-    kern = _ExtKernel(field) if _irrational(field, polys) else _ZKernel(field)
+    ext = _irrational(ctx.field, polys)
     while True:
         try:
-            return job((make or _Engine)(ctx, width, kern))
+            return job((make or _Engine)(ctx, width, ext))
         except _Overflow:
             width *= 2
+
+
+def _cross(a, b):
+    """(b', a') with b' * a = a' * b, the cofactors of the lcm of a and b."""
+    d = gcd(a, b)
+    return b // d, a // d
 
 
 class _Engine:
     """One Buchberger run, minimal-generator run or normal form in a ring context.
 
     A term is (key, word, coefficient); a polynomial is a list of terms,
-    descending by key.  A basis entry is (lead word, lead coefficient,
-    terms, largest total degree of its terms).
+    descending by key, with integer coefficients.  A basis entry is (lead
+    word, lead coefficient, terms, largest total degree of its terms).  With
+    ext the field generator a is one more variable (module docstring), and
+    the basis starts with its minimal polynomial m.
     """
 
-    def __init__(self, ctx, width, kern):
+    def __init__(self, ctx, width, ext=False):
         self.ctx = ctx
-        self.pk = _Packing(ctx.order, ctx.nvars, width)
-        self.kern = kern
+        self.ext = ext
+        self.pk = _Packing(ctx.order, ctx.nvars, width, ext)
         self.G = []
         # by size, stably: the first divisor is the smallest reducer, to limit fill-in
         self.R = []
@@ -312,29 +216,68 @@ class _Engine:
         self._seq = 0
         self.zeros = []
         self.pruned = [0, 0]  # pairs and polys that `minimal` skipped
+        if ext:
+            m = ctx.field.minpoly
+            zero = (0,) * ctx.nvars
+            lifted = [(zero + (j,), m[j]) for j in range(len(m) - 1, -1, -1) if m[j]]
+            self._add(self.strip(self._integral(lifted)[0])[0])
+
+    def _terms(self, p):
+        """The (exponents, rational coefficient) pairs of p: with ext, each
+        coefficient c_0 + ... + c_{d-1} a^(d-1) is its nonzero c_j a^j, the
+        higher powers of a first; otherwise the a-part is zero and dropped."""
+        field = self.ctx.field
+        if not isinstance(field, ExtField):
+            return p.terms
+        if not self.ext:
+            return [(e, c.coeffs[0]) for e, c in p.terms]
+        top = range(field.degree - 1, -1, -1)
+        return [(e + (j,), c.coeffs[j]) for e, c in p.terms for j in top if c.coeffs[j]]
+
+    def _integral(self, terms):
+        """(packed terms of den * terms, den) for the least den that makes
+        them integral; terms are (exponents, rational) pairs."""
+        pack = self.pk.pack
+        den = lcm(*(c.denominator for _, c in terms))
+        return [(*pack(e), c.numerator * (den // c.denominator)) for e, c in terms], den
 
     def strip(self, terms):
         """(terms / g, g) for the content g, signed to make the lead positive."""
         if not terms:
             return terms, 1
-        g = self.kern.content(terms)
+        g = gcd(*[c for _, _, c in terms])
+        if terms[0][2] < 0:
+            g = -g
         if g != 1:
             terms = [(k, w, c // g) for k, w, c in terms]
         return terms, g
 
     def _poly_in(self, p):
         """(terms, scale) with p = scale * terms, terms primitive."""
-        terms, den = self.kern.poly_in(p, self.pk.pack)
+        terms, den = self._integral(self._terms(p))
         terms, g = self.strip(terms)
         return terms, Fraction(g, den)
 
     def _poly_out(self, terms, scale=None):
-        """The polynomial scale * terms; monic when no scale is given."""
-        value, unpack = self.kern.value, self.pk.unpack
-        if scale is None:
-            scale = Fraction(1) / self.kern.scalar(terms[0][2])
-        out = tuple((unpack(w), value(c, scale)) for _, w, c in terms)
-        return Polynomial(self.ctx, out)
+        """The polynomial scale * terms; monic when no scale is given.  With
+        ext, each run of terms with one x-part folds into a field element."""
+        ctx, unpack = self.ctx, self.pk.unpack
+        if self.ext:
+            n, runs = ctx.nvars, []
+            for _, w, c in terms:
+                e = unpack(w)
+                if not runs or runs[-1][0] != e[:n]:
+                    runs.append((e[:n], [0] * ctx.field.degree))
+                runs[-1][1][e[n]] = c  # e[n] < deg m: every term is reduced by m
+            vals = [(x, ctx.field.element(cs)) for x, cs in runs]
+            if scale is None:
+                scale = 1 / vals[0][1]
+        else:
+            vals = [(unpack(w), c) for _, w, c in terms]
+            if scale is None:
+                scale = Fraction(1, vals[0][1])
+        coerce = ctx.field.coerce
+        return Polynomial(ctx, tuple((x, coerce(c * scale)) for x, c in vals))
 
     def _entry(self, terms):
         top = max(w for _, w, _ in terms) >> self.pk.deg_shift
@@ -353,7 +296,7 @@ class _Engine:
         x^s has key sk and word sw; the terms of A before index i are known
         to lie above every term of x^s * B.
         """
-        mul_a = ca != self.kern.one
+        mul_a = ca != 1
         out = [(k, w, c * ca) for k, w, c in A[:i]] if mul_a else A[:i]
         push = out.append
         ncb = -cb
@@ -388,7 +331,7 @@ class _Engine:
     def _step(self, f, i, red):
         """Cancel term i of f against the entry red: (new f, its factor on f)."""
         k, w, c = f[i]
-        cf, cg = self.kern.cross(c, red[1])
+        cf, cg = _cross(c, red[1])
         return self.comb(f, i, cf, red[2], cg, *self._shift(red, k, w)), cf
 
     def full_reduce(self, f, G, pick, scale=None):
@@ -403,7 +346,7 @@ class _Engine:
                 continue
             f, cf = self._step(f, i, red)
             if scale is not None:
-                scale = scale / self.kern.scalar(cf)
+                scale = scale / cf
             steps += 1
             if steps & 7 == 0:
                 f, g = self.strip(f)
@@ -417,7 +360,7 @@ class _Engine:
         ski, swi = self._shift(ei, key, word)
         skj, swj = self._shift(ej, key, word)
         A = [(k + ski, w + swi, c) for k, w, c in ei[2]] if swi else ei[2]
-        cf, cg = self.kern.cross(ei[1], ej[1])
+        cf, cg = _cross(ei[1], ej[1])
         return self.strip(self.comb(A, 0, cf, ej[2], cg, skj, swj))[0]
 
     def _add(self, terms):
@@ -446,7 +389,8 @@ class _Engine:
                     del live[(i, j)]
         ent = self._entry(terms)
         G.append(ent)
-        insort(self.R, ent, key=lambda e: len(e[2]))
+        # with ext, m stays first: it keeps every power of a below 2 deg m - 1
+        insort(self.R, ent, 1 if self.ext and self.R else 0, key=lambda e: len(e[2]))
         for g_idx, big, key, coprime in kept:
             if coprime:
                 continue
@@ -528,18 +472,26 @@ class _Engine:
             if not any((top - G[k][0]) & guard == guard for k in minimal):
                 minimal.append(idx)
         kept = [G[k] for k in minimal]
+        mw = G[0][0] if self.ext else None  # m's lead, a^d
         # from here each entry is dropped once replaced, to lower the peak
         G = self.G = self.R = None
         for i in range(len(kept)):
-            others = sorted(kept[:i] + kept[i + 1 :], key=lambda e: len(e[2]))
+            others = sorted(kept[:i] + kept[i + 1 :], key=lambda e: (e[0] != mw, len(e[2])))
             kept[i] = self._entry(self.full_reduce(kept[i][2], others, self._first)[0])
-        kept.sort(key=lambda ent: ent[2][0][0])
+        # the output drops m (it is in the basis unless the ideal is (1))
+        kept = sorted([e for e in kept if e[0] != mw], key=lambda ent: ent[2][0][0])
         return [self._poly_out(kept.pop()[2]) for _ in range(len(kept))]
 
     def normal_form(self, f, basis):
+        """f reduced by the first divisor in basis order.  With ext, m comes
+        first, which keeps every power of a below 2 deg m - 1, and each
+        reducer is made monic over the field, so that its lead has a^0 and
+        divides what it divides over the field."""
         guard = self.pk.guard
-        words = [self.pk.pack(g.leading_monomial())[1] for g in basis]
-        ents = {}
+        pre = len(self.G)  # m with ext, else none
+        ents = dict(enumerate(self.G))
+        words = [e[0] for e in self.G]
+        words += [self.pk.pack(g.leading_monomial())[1] for g in basis]
 
         def first(_, word):
             # the first divisor in basis order, packed on its first use
@@ -547,7 +499,10 @@ class _Engine:
             for i, w in enumerate(words):
                 if (top - w) & guard == guard:
                     if i not in ents:
-                        ents[i] = self._entry(self._poly_in(basis[i])[0])
+                        g = basis[i - pre]
+                        if self.ext:
+                            g = g * (1 / g.leading_coeff())
+                        ents[i] = self._entry(self._poly_in(g)[0])
                     return ents[i]
             return None
 
@@ -559,15 +514,16 @@ class _Engine:
 class _ModEngine(_Engine):
     """A Buchberger run modulo the prime p, the basis coming out as monic
     (exponents, residue) term lists.  Every reducer is monic, so `cross` is
-    (1, 1) and a term costs one multiply and one `% p`."""
+    (1, 1) and a term costs one multiply and one `% p`.  Its input is
+    rational: it has no generator a to fold."""
 
-    def __init__(self, ctx, width, kern, p):
-        super().__init__(ctx, width, kern)
+    def __init__(self, ctx, width, p):
+        super().__init__(ctx, width)
         self.p = p
 
     def _poly_in(self, f):
         p = self.p
-        terms, den = self.kern.poly_in(f, self.pk.pack)  # den * f, integral
+        terms, den = self._integral(self._terms(f))  # den * f, integral
         if den % p == 0 or terms[0][2] % p == 0:
             raise ZeroDivisionError("a denominator or the lead vanishes mod p")
         return self.strip([(k, w, c % p) for k, w, c in terms if c % p])[0], None
@@ -624,33 +580,53 @@ class RowSpace:
     it, and a nonzero remainder becomes a new pivot.  Pivot leads are
     distinct, so the rank is the number of pivots.  A pivot is kept as three
     tuples (keys, words, coefficients), a third of the memory of a term
-    list, since all of them live until the space is dropped.  The space
-    starts on the integer kernel and moves to Z[b] at the first row with an
-    irrational coefficient, each pivot coefficient c becoming (c, 0, ...).
-    A pivot's lead is a rational integer (`normed`), so a reduction scales a
-    row by an integer, whose factors the content strip can remove again.
+    list, since all of them live until the space is dropped.
+
+    The space starts without the generator a and takes it on at the first
+    row with an irrational coefficient.  From then on a row p over Q[a]/(m)
+    goes in as the rows a^j * p, j < deg m, each folded by field arithmetic
+    and then lifted, whose span over Q is the span of p over Q[a]; the rank
+    over Q[a] is the rank over Q divided by deg m.  The rational pivots
+    before the switch are packed again with a and joined by their a^j
+    shifts, which are pivots already, since their leads are distinct.
     """
 
     def __init__(self, ctx, d):
-        self.eng = _Engine(ctx, max(8, d.bit_length() + 1), _ZKernel(ctx.field))
+        self.width = max(8, d.bit_length() + 1)
+        self.eng = _Engine(ctx, self.width)
         self.pivots = {}
 
     @property
     def rank(self):
-        return len(self.pivots)
+        eng = self.eng
+        return len(self.pivots) // (eng.ctx.field.degree if eng.ext else 1)
 
     def _admit(self, polys):
+        old = self.eng
+        if old.ext or not _irrational(old.ctx.field, polys):
+            return
+        self.eng = eng = _Engine(old.ctx, self.width, True)
+        pivots = {}
+        for _, ws, cs in self.pivots.values():
+            exps = [old.pk.unpack(w) for w in ws]
+            for j in range(old.ctx.field.degree):
+                keys, words = zip(*[eng.pk.pack(e + (j,)) for e in exps])
+                pivots[words[0]] = keys, words, cs
+        self.pivots = pivots
+
+    def _rows(self, p):
+        """The primitive rows whose span over Q is the span of p."""
         eng = self.eng
-        if type(eng.kern) is _ZKernel and _irrational(eng.ctx.field, polys):
-            eng.kern = kern = _ExtKernel(eng.ctx.field)
-            pad = (0,) * (kern.field.degree - 1)
-            for w, (ks, ws, cs) in self.pivots.items():
-                self.pivots[w] = ks, ws, tuple(kern.elt((c, *pad)) for c in cs)
+        if not eng.ext:
+            return [eng._poly_in(p)[0]]
+        a = eng.ctx.field.gen
+        return [eng._poly_in(p * a**j)[0] for j in range(eng.ctx.field.degree)]
 
     def add(self, p):
         """Insert a polynomial; True if the rank grew."""
         self._admit([p])
-        return self._insert(self.eng._poly_in(p)[0])
+        # the rows of p all grow the rank or none does
+        return any([self._insert(f) for f in self._rows(p)])
 
     def add_multiples(self, multiples):
         """Insert m*g for each (g, ms) and each exponent vector m in ms.
@@ -662,10 +638,10 @@ class RowSpace:
         eng = self.eng
         rows = []
         for g, ms in multiples:
-            terms = eng._poly_in(g)[0]
-            for m in ms:
-                sk, sw = eng.pk.pack(m)
-                rows.append((terms[0][0] + sk, sk, sw, terms))
+            for terms in self._rows(g):
+                for m in ms:
+                    sk, sw = eng.pk.pack(m)
+                    rows.append((terms[0][0] + sk, sk, sw, terms))
         rows.sort(key=lambda r: r[0], reverse=True)
         for _, sk, sw, terms in rows:
             self._insert([(k + sk, w + sw, c) for k, w, c in terms])
@@ -676,9 +652,9 @@ class RowSpace:
         while f:
             piv = pivots.get(f[0][1])
             if piv is None:
-                pivots[f[0][1]] = tuple(zip(*eng.strip(eng.kern.normed(f))[0]))
+                pivots[f[0][1]] = tuple(zip(*eng.strip(f)[0]))
                 return True
-            cf, cg = eng.kern.cross(f[0][2], piv[2][0])
+            cf, cg = _cross(f[0][2], piv[2][0])
             f = eng.comb(f, 0, cf, zip(*piv), cg, 0, 0)
             steps += 1
             if steps & 7 == 0:
@@ -930,7 +906,7 @@ def _modular_basis(ctx, gens):
 def _mod_run(ctx, gens, p, skip):
     """(basis, zeros) of the run mod p that drops the pairs in skip."""
     job = lambda eng: (eng.run(gens, skip=skip), eng.zeros)  # noqa: E731
-    return _packed(ctx, gens, job, lambda c, w, k: _ModEngine(c, w, k, p))
+    return _packed(ctx, gens, job, lambda c, w, ext: _ModEngine(c, w, p))
 
 
 def _shape(basis):

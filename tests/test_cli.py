@@ -161,6 +161,20 @@ HOSTILE = {
     ),
     # krull_dim once tried all 2^26 subsets of the variables
     "dim-in-26-variables": (RING26 + "ideal J=a;\ndim(J);\n", 0, "25\n", 1),
+    # the irreducibility check once ran trial division up to the square root
+    # of a coefficient, after clearing denominators
+    "huge-minpoly-coefficient": (
+        "ring r=(0,a),(x,y),dp;\nminpoly=a^2-" + "1234567890" * 7 + "123457;\n",
+        4,
+        "2:1: minimal polynomial coefficients too large",
+        1,
+    ),
+    "huge-minpoly-denominator": (
+        "ring r=(0,a),(x,y),dp;\nminpoly=a^2-1/1" + "0" * 29 + "1;\n",
+        4,
+        "2:1: minimal polynomial coefficients too large",
+        1,
+    ),
 }
 
 

@@ -137,6 +137,22 @@ def test_reducible_quartics_rejected():
         ExtField("a", minpoly)
 
 
+def test_irreducibility_search_refuses_huge_coefficients():
+    # up to 2^40 the check runs, here in well under a second each
+    ExtField("a", [-(2**40 - 87), 0, 1])
+    ExtField("a", [2**40 - 87, 0, 0, 0, 1])
+    with pytest.raises(ValueError, match="rational root"):
+        ExtField("a", [-(2**40), 0, 1])
+    for minpoly in (
+        [-(2**40 + 1), 0, 1],  # a0 for the rational roots
+        [F(1, 2**40 + 1), 0, 0, 1],  # cleared of its denominator
+        # a0 * 7^4 for the quadratic factors, a0 * 7 for the rational roots
+        [F(2**38, 7), 0, 0, 0, 1],
+    ):
+        with pytest.raises(ValueError, match="coefficients too large"):
+            ExtField("a", minpoly)
+
+
 def test_inverse_of_a_zero_divisor_raises(monkeypatch):
     # skip the construction check to reach arithmetic modulo a reducible quartic
     monkeypatch.setattr(coeff, "_splits_into_quadratics", lambda coeffs: False)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from chowlab import dsl
+from chowlab import dsl, groebner
 from chowlab.dsl import (
     BinOp,
     Call,
@@ -391,3 +391,20 @@ def test_session_transcript_structure():
     assert "//       6      1" in lines
     assert not any(l.startswith("//       7 ") or l.startswith("//       8 ") for l in lines)
     assert lines[-3:] == ["x^4*y^3*z^5", "x^8*z^2+5/4*x^4*z^6", "x^5*y^3*z"]
+
+
+def test_ideal_declaration_keeps_the_cached_basis(monkeypatch):
+    # `ideal l = std(k);` binds the value itself, so `hilb(l,2)` reuses its
+    # basis instead of running Buchberger on it again
+    calls = []
+    real = groebner.buchberger
+
+    def counting(gens):
+        calls.append(len(gens))
+        return real(gens)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    src = open("src/chowlab/data/sessions/s5-session2.sess").read()
+    with open("src/chowlab/data/goldens/s5-session2.transcript") as fh:
+        assert evaluate(parse(src)) == fh.read()
+    assert calls == [4, 5]

@@ -1,11 +1,12 @@
-"""The coefficient kernel follows the data, not the ring.
+"""The generator a is an engine variable exactly when the data need it.
 
-A job whose coefficients are all rational runs on the integer kernel even
-in a Q[a] ring; one with an irrational coefficient runs on Z[b].  Scaling
-the inputs by the unit a forces Z[b] without any knob, so each check here
-compares the two kernels on the same ideal: a reduced basis, a normal form
-and a rank do not change under a field extension.  The seeded cases always
-run; `test_kernel_choice_hypothesis.py` drives the same checks from
+A job whose coefficients are all rational runs without a even in a Q[a]
+ring; one with an irrational coefficient carries a as one more variable,
+with its minimal polynomial as one more generator.  Scaling the inputs by
+the unit a forces the extension variable without any knob, so each check
+here compares the two routes on the same ideal: a reduced basis, a normal
+form and a rank do not change under a field extension.  The seeded cases
+always run; `test_kernel_choice_hypothesis.py` drives the same checks from
 generated inputs when hypothesis is installed.
 """
 
@@ -19,16 +20,18 @@ from chowlab.coeff import QQ, ExtField
 from chowlab.groebner import (
     Ideal,
     RowSpace,
-    _ExtKernel,
+    _irrational,
     _packed,
-    _ZKernel,
     buchberger,
     intersect,
+    minimal_generators,
     normal_form,
+    s_polynomial,
 )
 from chowlab.poly import RingContext, graded_piece_basis
 from test_modular import random_pair
-from test_rowspace import FIELDS, check_rank, dependent_rows, random_form
+from test_packed import reference_normal_form
+from test_rowspace import FIELDS, ORDERS, check_rank, dependent_rows, random_form
 
 ALL_FIELDS = FIELDS + (ExtField("a", [-2, 0, 0, 1]),)  # plus the cubic a^3 - 2
 EXT_FIELDS = ALL_FIELDS[1:]
@@ -95,7 +98,7 @@ def test_scaled_normal_form_is_the_scaled_remainder():
             check_normal_form(f, gens)
 
 
-def test_row_space_switches_kernel_at_the_first_irrational_row():
+def test_row_space_takes_on_a_at_the_first_irrational_row():
     rng = random.Random(23)
     for trial in range(24):
         field = ALL_FIELDS[trial % 4]
@@ -108,29 +111,92 @@ def test_row_space_switches_kernel_at_the_first_irrational_row():
         irrational += [random_form(rng, ctx, d, rng.randint(1, 6)) for _ in range(4)]
         irrational += dependent_rows(rng, ctx, rational + irrational, 2)
         # growth is reported exactly when the reference rank grows, on both
-        # sides of the switch to Z[b]
+        # sides of the switch to the extension variable
         check_rank(ctx, d, rational + irrational)
 
 
-def kernel(ctx, polys):
-    """The kernel class a job on these polynomials runs on."""
-    return _packed(ctx, polys, lambda eng: type(eng.kern))
+def irrational_ideals(seed, count=36):
+    """Seeded generators over each field of ALL_FIELDS and each order, with
+    irrational coefficients in every extension field."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        field = ALL_FIELDS[trial % 4]
+        ctx = RingContext(("x", "y", "z"), ORDERS[trial % 3], field)
+        gens = [random_form(rng, ctx, rng.randint(2, 3), rng.randint(2, 4)) for _ in range(3)]
+        assert _irrational(field, gens) is (field != QQ)
+        yield gens
 
 
-def test_kernel_is_chosen_from_the_coefficients():
+def test_irrational_bases_meet_the_buchberger_criterion():
+    # a basis found with a as an engine variable, checked with field
+    # arithmetic alone: the generators and every S-polynomial reduce to zero,
+    # and the basis is monic and interreduced
+    for gens in irrational_ideals(24):
+        gb = buchberger(gens)
+        for g in gens:
+            assert not reference_normal_form(g, gb)
+        for i, g in enumerate(gb):
+            assert g.leading_coeff() == 1
+            assert reference_normal_form(g, gb[:i] + gb[i + 1 :]) == g
+            for h in gb[i + 1 :]:
+                assert not reference_normal_form(s_polynomial(g, h), gb)
+
+
+def test_powers_of_a_stay_below_twice_the_degree_of_m(monkeypatch):
+    # m reduces first wherever it divides, so every term of every job keeps a
+    # power of a below 2 deg m - 1, far inside its packed field, however long
+    # the reduction
+    excess = []
+    real = groebner._Engine.comb
+
+    def recording(eng, *args):
+        out = real(eng, *args)
+        if eng.ext:
+            top = 2 * eng.ctx.field.degree - 2
+            excess.append(max([eng.pk.unpack(w)[-1] for _, w, _ in out], default=0) - top)
+        return out
+
+    monkeypatch.setattr(groebner._Engine, "comb", recording)
+    # the binomial x + a*y sorts before m = a^2 - a + 1 among the reducers;
+    # were it tried first, a*x^5 would reduce to a^6*y^5 in the run (lp)
+    # and in the final interreduction (dp)
+    field = ALL_FIELDS[1]
+    a = field.gen
+    x, y, z = RingContext(("x", "y", "z"), "lp", field).gens()
+    buchberger([x + a * y, a * x**5 + z**5])
+    x, y, z = RingContext(("x", "y", "z"), "dp", field).gens()
+    buchberger([y**6 + a * x**5 * z, x + a * y])
+    for gens in irrational_ideals(25):
+        ctx = gens[0].ctx
+        x, y, z = ctx.gens()
+        f = (x + unit(ctx.field) * y + z) ** 5
+        buchberger(gens)
+        normal_form(f, gens)
+        normal_form(f, gens[::-1])
+        if ctx.order == "dp":
+            minimal_generators(gens + [g * x for g in gens])
+    assert excess and max(excess) <= 0
+
+
+def carries_a(ctx, polys):
+    """True iff a job on these polynomials carries the extension variable."""
+    return _packed(ctx, polys, lambda eng: eng.ext)
+
+
+def test_extension_variable_is_chosen_from_the_coefficients():
     for field in ALL_FIELDS:
         ctx = ring(field)
         x, y, z = ctx.gens()
         rational = [x**2 - Fraction(1, 3) * y * z, y**2 + 5 * x * z]
         irrational = rational + [unit(field) * z**2]
-        assert kernel(ctx, rational) is _ZKernel
-        assert kernel(ctx, irrational) is (_ZKernel if field == QQ else _ExtKernel)
+        assert not carries_a(ctx, rational)
+        assert carries_a(ctx, irrational) is (field != QQ)
 
         space = RowSpace(ctx, 2)
         space.add_multiples([(g, [(0, 0, 0)]) for g in rational])
-        assert type(space.eng.kern) is _ZKernel
+        assert not space.eng.ext
         assert not space.add(unit(field) * rational[0])
-        assert type(space.eng.kern) is (_ZKernel if field == QQ else _ExtKernel)
+        assert space.eng.ext is (field != QQ)
         assert space.add(irrational[-1]) and space.rank == 3
 
 
@@ -154,7 +220,7 @@ def test_rational_intersection_in_an_extension_ring(monkeypatch, field):
         calls.clear()
         assert list(intersect(ie, je).generators) == want, seed
         assert calls and calls[0] is not None  # the modular path ran and lifted
-        # a multiple by a is irrational, so the fraction-free run on Z[b]
+        # a multiple by a is irrational, so the fraction-free run with a
         a = field.gen
         ia = Ideal(ctx, [a * g for g in ie.generators])
         ja = Ideal(ctx, [a * g for g in je.generators])

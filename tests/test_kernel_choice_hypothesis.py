@@ -1,4 +1,4 @@
-"""Generated inputs for the kernel-choice checks of `test_kernel_choice.py`."""
+"""Generated inputs for the extension-variable checks of `test_kernel_choice.py`."""
 
 import pytest
 
@@ -51,7 +51,7 @@ def test_scaled_normal_form_is_the_scaled_remainder(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_row_space_switches_kernel_at_the_first_irrational_row(data):
+def test_row_space_takes_on_a_at_the_first_irrational_row(data):
     ctx = data.draw(rings)
     d = data.draw(st.integers(0, 4))
     rational = data.draw(st.lists(forms(ctx, d), max_size=8))

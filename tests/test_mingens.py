@@ -16,9 +16,17 @@ import pytest
 
 import chowlab.groebner as groebner
 from chowlab.coeff import QQ, ExtField
-from chowlab.groebner import Ideal, RowSpace, _irrational, intersect, minimal_generators
+from chowlab.groebner import (
+    Ideal,
+    RowSpace,
+    _irrational,
+    buchberger,
+    intersect,
+    minimal_generators,
+)
 from chowlab.poly import RingContext, graded_piece_basis
 from chowlab.rings import mingens_degrees
+from test_kernel_choice import EXT_FIELDS
 from test_rowspace import random_coeff, random_form
 
 GAUSS = ExtField("a", [1, 0, 1])  # a^2 + 1
@@ -107,7 +115,7 @@ def test_matches_rank_reference_on_random_ideals(field, order, pruned):
         ctx = RingContext(tuple("wxyz"[: rng.randint(2, 4)]), order, field)
         ideal = random_ideal(rng, ctx)
         if field != QQ:
-            assert _irrational(field, ideal.generators)  # so Z[b] runs
+            assert _irrational(field, ideal.generators)  # so a is an engine variable
         check(Ideal(ctx, ideal.generators), 3)
         check(ideal, 6)
     assert pruned[1]  # the basis let some runs skip generators
@@ -133,6 +141,21 @@ def test_edge_cases(field):
     rep = Ideal(ctx, [f, x**2, f, 7 * f, z * f])
     assert mingens_degrees(rep, 3) == {2: [f, x**2]}
     check(rep, 3)
+
+
+def test_irrational_lead_coefficient_is_resolved_in_its_degree():
+    # g's lead coefficient a puts a into its engine lead x^2*a; the pair of g
+    # with the minimal polynomial m yields the lead x^2, which h needs to
+    # reduce to zero, and lies in degree 2 only because a has weight 0
+    for field in EXT_FIELDS:
+        ctx = RingContext(("x", "y", "z"), "dp", field)
+        x, y, z = ctx.gens()
+        a = field.gen
+        g = a * x**2 + y**2
+        h = x**2 + (1 / a) * y**2
+        assert minimal_generators([g, h]) == [g]
+        assert minimal_generators([g, h, z**2], buchberger([g, z**2])) == [g, z**2]
+        check(Ideal(ctx, [g, h, x * z + a * y * z]), 3)
 
 
 def test_minimal_generators_checks_its_input():

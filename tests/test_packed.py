@@ -17,7 +17,6 @@ from chowlab.groebner import (
     _Engine,
     _Overflow,
     _Packing,
-    _ZKernel,
     buchberger,
     normal_form,
 )
@@ -147,6 +146,29 @@ def test_key_order_at_the_field_limit():
         check_key_order(order, (60, 0, 67, 0), (60, 1, 66, 0))
 
 
+def test_generator_a_packs_below_every_variable_with_weight_0():
+    # the order is the ring order on x, then the power of a; the degree
+    # field counts x alone; divisibility and linearity cover a's field
+    rng = random.Random(10)
+    for order in ORDERS:
+        pk = _Packing(order, 4, 8, ext=True)
+        for _ in range(300):
+            a = tuple(rng.randint(0, 30) for _ in range(5))
+            b = tuple(rng.choice((x, rng.randint(0, 30))) for x in a)
+            (ka, wa), (kb, wb) = pk.pack(a), pk.pack(b)
+            ta, tb = (monomial_key(order, a[:4]), a[4]), (monomial_key(order, b[:4]), b[4])
+            assert (ka > kb) == (ta > tb) and (ka == kb) == (ta == tb)
+            assert pk.unpack(wa) == a and wa >> pk.deg_shift == sum(a[:4])
+            divides = ((wb | pk.guard) - wa) & pk.guard == pk.guard
+            assert divides == all(x <= y for x, y in zip(a, b))
+            s = tuple(x + y for x, y in zip(a, b))
+            if sum(s[:4]) <= pk.limit:
+                assert pk.pack(s) == (ka + kb, wa + wb)
+            assert pk.pack(a[:4]) == pk.pack(a[:4] + (0,))
+        with pytest.raises(_Overflow):
+            pk.pack((0, 0, 0, 0, 128))
+
+
 def test_guard_divisibility_matches_tuples():
     rng = random.Random(8)
     for _ in range(2000):
@@ -200,6 +222,6 @@ def test_packing_width_does_not_change_the_run():
     ctx = RingContext(("w", "x", "y", "z"), ("block", 2))
     w, x, y, z = ctx.gens()
     gens = [w**3 - x * y * z, x**2 * z - w * y**2, y**4 - z * w**3 + x]
-    narrow = _Engine(ctx, 8, _ZKernel(ctx.field)).run(gens)
-    wide = _Engine(ctx, 40, _ZKernel(ctx.field)).run(gens)
+    narrow = _Engine(ctx, 8).run(gens)
+    wide = _Engine(ctx, 40).run(gens)
     assert narrow == wide == buchberger(gens)
