@@ -4,8 +4,10 @@ S-polynomial arithmetic runs fraction-free on integer coefficients, with
 periodic content stripping.  Public results are reduced Groebner bases
 (monic, interreduced, sorted descending by leading monomial), which makes
 every basis canonical for a given ideal and order.  On top of that: normal
-forms, ideal membership, elimination, pairwise intersection, and Krull
-dimension.
+forms, ideal membership, elimination, pairwise intersection, Krull
+dimension, and the Hilbert-series numerator of a monomial ideal
+(`hilbert_numerator`, Bigatti's pivot algorithm), from which `rings` reads
+every Hilbert table.
 
 Inside the engine a monomial is two Python ints made of W-bit fields
 (`_Packing`):
@@ -88,20 +90,37 @@ likelier to be unlucky than the prime it is checked against.  The trace
 prime stays out of the CRT: CRT and maximal-quotient rational
 reconstruction (Monagan 2004) of the replays lift the residues to a
 candidate C, and C is kept only if, made monic modulo the trace prime, it
-is the trace basis, a cheap check that a wrong lift rarely passes.  C then
-seeds the one exact elimination: the fraction-free reduced basis of C
-together with the generators, in the block order.  Its t-free slice H is
-certified by containment alone, whatever the seed (Cox, Little, O'Shea,
-ch. 3 sec. 1).  The generators are t*f for f in I and (1 - t)*g for g in
-J, so (gens) cap Q[x] = I cap J.  (C, gens) contains (gens), so H, which
-generates (C, gens) cap Q[x], generates an ideal containing I cap J; once H
-lies in I and in J, (H) = I cap J, and since the reduced basis is unique
-the output does not depend on the seed.  A wrong seed can only fail
-containment, and the elimination then runs unseeded; an incomplete one is
-completed by the generators.  When C is right, each generator reduces to
-zero as it is inserted and adds no basis element and no pair.  So an
-unlucky prime, a failed lift or a failed check costs time, never a wrong
-answer.
+is the trace basis, a cheap check that a wrong lift rarely passes.
+
+For homogeneous I and J, the t-free slice H of C, made monic, is certified
+with no exact elimination, by its Hilbert series (in the spirit of
+Traverso's Hilbert-driven bases).  The exact sequence 0 -> R/(I cap J) ->
+R/I + R/J -> R/(I+J) -> 0 gives HS(R/(I cap J)) = HS(R/I) + HS(R/J) -
+HS(R/(I+J)), and for a homogeneous ideal HS(R/I) = N(t)/(1-t)^n, with N the
+numerator of the leading monomials of any Groebner basis of I.  H is
+accepted iff (a) every element lies in I and in J; (b) N(LM(H)) =
+N(LM(I)) + N(LM(J)) - N(LM(I+J)), the basis of I+J being one more run in n
+variables; and (c) no term of one element is divisible by the lead of
+another.  Leads of H are taken in C's block order, which is grevlex on the
+x block whatever the ring's order.  By (a), (H) lies in I cap J, so
+(LM(H)) lies in LM((H)), which lies in LM(I cap J).  By (b) the two
+monomial ideals at the ends have the same Hilbert function, so they are
+equal.  So H is a Groebner basis of I cap J, and with (c) its reduced
+basis: the one the elimination below would output, byte for byte.
+
+Otherwise, or when the certificate fails, C seeds the one exact
+elimination: the fraction-free reduced basis of C together with the
+generators, in the block order.  Its t-free slice H is certified by
+containment alone, whatever the seed (Cox, Little, O'Shea, ch. 3 sec. 1).
+The generators are t*f for f in I and (1 - t)*g for g in J, so (gens) cap
+Q[x] = I cap J.  (C, gens) contains (gens), so H, which generates (C, gens)
+cap Q[x], generates an ideal containing I cap J; once H lies in I and in J,
+(H) = I cap J, and since the reduced basis is unique the output does not
+depend on the seed.  A wrong seed can only fail containment, and the
+elimination then runs unseeded; an incomplete one is completed by the
+generators.  When C is right, each generator reduces to zero as it is
+inserted and adds no basis element and no pair.  So an unlucky prime, a
+failed lift or a failed check costs time, never a wrong answer.
 """
 
 import threading
@@ -914,10 +933,58 @@ def _shape(basis):
     return [[e for e, _ in f] for f in basis]
 
 
+def _certified(cand, i_ideal, j_ideal):
+    """The t-free slice H of the candidate, monic, ported to the ring of I
+    and J and sorted as `_eliminated` sorts, if it passes the certificate
+    of the module docstring as the reduced basis of I cap J; else None."""
+    n = i_ideal.context.nvars
+    pair = i_ideal.generators + j_ideal.generators
+    if any(is_homogeneous(g) is None for g in pair):
+        return None
+    key = cand[0].ctx.key
+    hs = sorted(
+        [g for g in cand if g and not any(e[0] for e, _ in g.terms)],
+        key=lambda g: key(g.leading_monomial()),
+        reverse=True,
+    )
+    # in the order of the candidate's ring, which is grevlex on the x block
+    leads = [g.leading_monomial()[1:] for g in hs]
+    # (c) interreduced: a term is divisible by one lead if it is its
+    # polynomial's lead term (the first), else by none
+    pk = _Packing(
+        "dp", n, max(8, (2 * max(map(sum, leads), default=0)).bit_length() + 1)
+    )
+    words = [pk.pack(m)[1] for m in leads]
+    for g in hs:
+        for k, (e, _) in enumerate(g.terms):
+            top = pk.pack(e[1:])[1] | pk.guard
+            if sum((top - w) & pk.guard == pk.guard for w in words) != (k == 0):
+                return None
+    # (b) HS(R/(H)) = HS(R/I) + HS(R/J) - HS(R/(I+J)), read from the leads
+    ni, nj, nij = (
+        hilbert_numerator([g.leading_monomial() for g in basis], n)
+        for basis in (
+            i_ideal.groebner_basis(), j_ideal.groebner_basis(), buchberger(list(pair))
+        )
+    )
+    gap = _padd(_padd(hilbert_numerator(leads, n), nij), [-c for c in _padd(ni, nj)])
+    if any(gap):
+        return None
+    # (a) containment
+    res = [_port(g * (1 / g.leading_coeff()), i_ideal.context, drop=1) for g in hs]
+    if all(ideal_member(g, i_ideal) and ideal_member(g, j_ideal) for g in res):
+        return res
+    return None
+
+
 def intersect(i_ideal, j_ideal):
-    """I cap J via a fresh auxiliary variable and one exact elimination,
-    seeded with the basis found modulo primes when every coefficient is
-    rational, and certified by containment in I and in J (module docstring)."""
+    """I cap J via a fresh auxiliary variable.  When every coefficient is
+    rational the elimination basis is found modulo primes first; for
+    homogeneous I and J its t-free slice is certified by its Hilbert series
+    and containment, with no exact elimination.  Otherwise, or when that
+    certificate fails, one exact elimination runs, seeded with the modular
+    basis, then unseeded, each certified by containment in I and in J
+    (module docstring)."""
     ctx = i_ideal.context
     if j_ideal.context != ctx:
         raise ValueError("mixed ring contexts")
@@ -928,12 +995,14 @@ def intersect(i_ideal, j_ideal):
     gens = [t * _port(f, ctxa, pad=1) for f in i_ideal.generators]
     gens += [(ctxa.one - t) * _port(g, ctxa, pad=1) for g in j_ideal.generators]
     cand = gens and not _irrational(ctx.field, gens) and _modular_basis(ctxa, gens)
-    for seed in ([cand] if cand else []) + [[]]:
-        res = _eliminated(seed + gens, 1, ctx)
-        if all(ideal_member(g, i_ideal) and ideal_member(g, j_ideal) for g in res):
-            break
-    else:
-        raise AssertionError("intersection generator failed containment check")
+    res = _certified(cand, i_ideal, j_ideal) if cand else None
+    if res is None:
+        for seed in ([cand] if cand else []) + [[]]:
+            res = _eliminated(seed + gens, 1, ctx)
+            if all(ideal_member(g, i_ideal) and ideal_member(g, j_ideal) for g in res):
+                break
+        else:
+            raise AssertionError("intersection generator failed containment check")
     out = Ideal(ctx, res)
     if ctx.order == "dp":
         out._set_gb(res)
@@ -958,3 +1027,46 @@ def krull_dim(ideal):
     if set() in supports:
         return -1
     return ideal.context.nvars - cover(supports)
+
+
+def _padd(p, q, shift=0):
+    """p + t^shift * q on coefficient lists, lowest degree first."""
+    out = p + [0] * max(0, len(q) + shift - len(p))
+    for k, c in enumerate(q):
+        out[k + shift] += c
+    return out
+
+
+def hilbert_numerator(leads, n):
+    """[N_0, N_1, ...] with HS(R/(leads)) = N(t)/(1-t)^n, for exponent
+    vectors in n variables, trailing zeros dropped ([] for the unit ideal).
+
+    Bigatti's pivot algorithm (JPAA 119, 1997): minimalize; a generator
+    whose variables no other generator uses splits off as a factor
+    1 - t^deg; the rest pivot on the power x^e of their most frequent
+    variable, by N(M) = N(M + (x^e)) + t^e N(M : x^e), with e the median
+    exponent of x in the generators that are not powers of x.  Each branch
+    lowers the sum of all exponents, so the recursion ends.
+    """
+    gens = []
+    for m in sorted(set(leads), key=sum):
+        if not any(all(a <= b for a, b in zip(g, m)) for g in gens):
+            gens.append(m)
+    count = [sum(1 for g in gens if g[i]) for i in range(n)]
+    split, rest = [], []
+    for g in gens:
+        (split if all(count[i] == 1 for i in range(n) if g[i]) else rest).append(g)
+    num = [1]
+    if rest:
+        x = max(range(n), key=count.__getitem__)
+        exps = sorted(g[x] for g in rest if g[x] and sum(g) > g[x])
+        e = exps[len(exps) // 2]
+        power = tuple(e if i == x else 0 for i in range(n))
+        plus = hilbert_numerator([g for g in rest if g[x] < e] + [power], n)
+        colon = [g[:x] + (max(g[x] - e, 0),) + g[x + 1 :] for g in rest]
+        num = _padd(plus, hilbert_numerator(colon, n), e)
+    for g in split:
+        num = _padd(num, [-c for c in num], sum(g))
+    while num and not num[-1]:
+        num.pop()
+    return num

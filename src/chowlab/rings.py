@@ -1,7 +1,9 @@
 """Graded quotient-ring computations for homogeneous ideals.
 
-Jacobian-type ideals of a homogeneous form, Hilbert-function tables via
-standard monomials, minimal-generator tables by degree from one
+Jacobian-type ideals of a homogeneous form, Hilbert-function tables from
+the Hilbert-series numerator of the leading monomials
+(`groebner.hilbert_numerator`; `graded_dim` counts standard monomials, the
+enumerating reference), minimal-generator tables by degree from one
 degree-driven Groebner run (`groebner.minimal_generators`), basis checks
 for graded quotient spaces, and a dense rank oracle that never touches
 Groebner bases (used to cross-validate the ones that do).  Every rank is
@@ -11,7 +13,9 @@ generator and a monomial not predicted by a Koszul syzygy g_i*g_j = g_j*g_i,
 which the generators' leading monomials alone detect (see `_ideal_space`).
 """
 
-from .groebner import Ideal, RowSpace, minimal_generators
+from math import comb
+
+from .groebner import Ideal, RowSpace, hilbert_numerator, minimal_generators
 from .poly import diff, graded_piece_basis, is_homogeneous
 
 
@@ -182,12 +186,19 @@ def hilbert_table(ideal, cap=40):
     a zero dimension appeared.  A positive-dimensional quotient is always
     truncated, but so is a finite-dimensional one that is nonzero in every
     degree up to the cap, such as (x^41, y) in two variables.
+
+    Every dimension comes from the numerator N(t) of the Hilbert series of
+    the leading monomials of the ideal's basis, in n variables:
+    dim (B/I)_d = sum over k <= d of N_k * C(d - k + n - 1, n - 1).  No
+    monomial is enumerated.
     """
+    _require_homogeneous(ideal)
+    n = ideal.context.nvars
+    num = hilbert_numerator([g.leading_monomial() for g in ideal.groebner_basis()], n)
     rows = []
     for d in range(cap + 1):
-        dim_d = graded_dim(ideal, d).dim_quotient
+        dim_d = sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(num[: d + 1]))
         rows.append((d, dim_d))
         if dim_d == 0:
             return rows, False
     return rows, True
-

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from importlib import resources
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,15 @@ HOSTILE = {
     ),
     # krull_dim once tried all 2^26 subsets of the variables
     "dim-in-26-variables": (RING26 + "ideal J=a;\ndim(J);\n", 0, "25\n", 1),
+    # hilbert_table once enumerated every monomial up to the degree cap 40,
+    # about 9.4 million in 6 variables
+    "hilb-in-6-variables": (
+        "ring r=0,(a,b,c,d,e,f),dp; ideal J=a; hilb(J,2);\n",
+        0,
+        "".join(f"// {comb(d + 4, 4):8d} t^{d}\n" for d in range(41))
+        + "// ** table truncated; quotient is not finite dimensional\n",
+        1,
+    ),
     # the irreducibility check once ran trial division up to the square root
     # of a coefficient, after clearing denominators
     "huge-minpoly-coefficient": (

@@ -1,5 +1,6 @@
 """Groebner engine: bases, normal forms, elimination, intersection, dimension."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from chowlab.groebner import (
     Ideal,
     buchberger,
     eliminate,
+    hilbert_numerator,
     ideal_member,
     intersect,
     krull_dim,
@@ -235,9 +237,22 @@ def subset_dim(n, supports):
     return best
 
 
+def numerator_dim(num, n):
+    """n minus the multiplicity of the factor 1 - t of the Hilbert-series
+    numerator N(t) (-1 when N = 0): the order of the pole of
+    HS = N(t)/(1-t)^n at t = 1."""
+    if not num:
+        return -1
+    while sum(num) == 0:  # divide by 1 - t: the quotient's coefficients are N's prefix sums
+        num = list(itertools.accumulate(num))[:-1]
+        n -= 1
+    return n
+
+
 def test_krull_dim_matches_the_subset_search():
     # monomial ideals: a monomial's support is its set of variables, and
-    # an empty support (1 in the ideal) turns up in about 1 list in 20
+    # an empty support (1 in the ideal) turns up in about 1 list in 20; the
+    # Hilbert-series numerator of the leads is a second oracle
     rng = random.Random(12)
     for _ in range(300):
         n = rng.randint(1, 7)
@@ -251,7 +266,11 @@ def test_krull_dim_matches_the_subset_search():
                 m = m * gens[i] ** rng.randint(1, 2)
             supports.append(s)
             monomials.append(m)
-        assert krull_dim(Ideal(ctx, monomials)) == subset_dim(n, supports), supports
+        ideal = Ideal(ctx, monomials)
+        want = subset_dim(n, supports)
+        assert krull_dim(ideal) == want, supports
+        leads = [g.leading_monomial() for g in ideal.groebner_basis()]
+        assert numerator_dim(hilbert_numerator(leads, n), n) == want, supports
 
 
 def test_krull_dim_smooth_quintic():

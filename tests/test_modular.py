@@ -7,14 +7,16 @@ slice, and the containment check.  The seeded cases here always run;
 when hypothesis is installed.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 import chowlab.groebner as groebner
 from chowlab.groebner import Ideal, buchberger, ideal_member, intersect
-from chowlab.poly import RingContext
+from chowlab.poly import RingContext, graded_piece_basis, is_homogeneous
 
 VARS = ("x", "y", "z", "w")
 
@@ -99,6 +101,24 @@ def record_buchberger(monkeypatch, *ideals):
 
     monkeypatch.setattr(groebner, "buchberger", counting)
     return calls
+
+
+def record_certificates(monkeypatch):
+    """The result of every Hilbert-series certificate: the certified slice,
+    or None when it was rejected."""
+    results = []
+    real = groebner._certified
+
+    def recording(cand, i, j):
+        results.append(real(cand, i, j))
+        return results[-1]
+
+    monkeypatch.setattr(groebner, "_certified", recording)
+    return results
+
+
+def homogeneous(i, j):
+    return all(is_homogeneous(g) is not None for g in i.generators + j.generators)
 
 
 def is_prime(n):
@@ -200,10 +220,17 @@ def test_unlucky_trace_prime_is_replaced(monkeypatch):
         monkeypatch.setattr(groebner, "_PRIMES", (13,) + groebner._PRIMES[1:])
         monkeypatch.setattr(groebner, "_modular_basis", recording)
         runs = record_mod_runs(monkeypatch)
+        certs = record_certificates(monkeypatch)
         check_intersection(i, j)
         monkeypatch.undo()
-        # never the fallback: one buchberger, on a candidate
-        assert len(calls) == 1 and None not in cands
+        # never the fallback: a homogeneous pair's slice is certified with no
+        # elimination, any other pair runs one, seeded by a candidate
+        assert None not in cands and len(certs) == 1
+        if homogeneous(i, j):
+            assert certs[0] is not None and calls == []
+        else:
+            assert certs == [None] and len(calls) == 1
+            assert len(calls[0]) > len(i.generators + j.generators)
         fulls = [q for q, skip, _ in runs if skip == ()]  # a replay's is a frozenset
         if fulls[1:]:
             unlucky.append(seed)
@@ -297,17 +324,21 @@ def candidate(i, j):
 
 
 # each seed for the pairs (small_pair, random_pair(0), ..., random_pair(7)),
-# and the eliminations it runs: 2 when its slice fails containment and the
-# unseeded pass follows, None when perturb finds no element to change
+# and the eliminations it runs: 0 when its t-free slice passes the
+# Hilbert-series certificate (the pairs of even seeds are homogeneous), 2
+# when the seeded slice fails containment and the unseeded pass follows,
+# None when perturb finds no element to change
 SEEDS = {
     "unit": (lambda cand, other: [cand[0].ctx.one], [2] * 9),
     # the second element dropped: the generators complete the rest, so the
-    # slice is already exact
-    "dropped": (lambda cand, other: cand[:1] + cand[2:], [1] * 9),
+    # slice is already exact; on a homogeneous pair that element has t in
+    # three cases, and the slice is left whole
+    "dropped": (lambda cand, other: cand[:1] + cand[2:], [1, 0, 1, 0, 1, 1, 1, 0, 1]),
     "other-pair": (lambda cand, other: other, [2] * 9),
+    # the slice is left whole
     "perturbed-t": (
         lambda cand, other: perturb(cand, True),
-        [2, 2, 2, 2, 2, 2, 1, 2, None],
+        [2, 0, 2, 0, 2, 0, 1, 0, None],
     ),
     "perturbed-t-free": (
         lambda cand, other: perturb(cand, False),
@@ -331,9 +362,11 @@ def test_every_seed_gives_the_exact_intersection(monkeypatch, kind):
         want = [g.terms for g in reference_intersect(i, j)]
         monkeypatch.setattr(groebner, "_modular_basis", lambda ctx, gens: seed)
         calls = record_buchberger(monkeypatch, i, j)
+        certs = record_certificates(monkeypatch)
         assert [g.terms for g in intersect(i, j).generators] == want
         gens = elimination_generators(i, j)
         assert calls == [seed + gens, gens][:count]
+        assert [c is not None for c in certs] == [count == 0]
         monkeypatch.undo()
 
 
@@ -361,3 +394,133 @@ def test_lift_failing_the_trace_check_never_reaches_buchberger(monkeypatch, ever
     else:  # the next prime's lift passed it
         assert len(lifts) == 2
         assert [[c for _, c in g.terms] for g in cand] == lifts[1]
+
+
+def t_free(cand):
+    """The indices of the candidate's elements free of t."""
+    return [k for k, g in enumerate(cand) if not any(e[0] for e, _ in g.terms)]
+
+
+def homogeneous_pair():
+    """small_pair made homogeneous with a third variable."""
+    ctx = RingContext(("x", "y", "z"), "dp")
+    x, y, z = ctx.gens()
+    return (
+        Ideal(ctx, [x**2 + y**2 - z**2]),
+        Ideal(ctx, [x - y, y**3 + Fraction(1, 3) * z**3]),
+    )
+
+
+def s6_pairs():
+    """The two intersections of the s6-ideal experiment."""
+    ctx = RingContext(("w", "x", "y", "z"))
+    w, x, y, z = ctx.gens()
+    i = Ideal(ctx, [
+        w * x**4 + 4 * w**4 * y, 4 * x**3 * w + y**4,
+        4 * x * y**3 + w**4, 5 * z**5 + 4 * x**4 * z,
+    ])
+    j = Ideal(ctx, [52 * x**4 * y**3 * z, w * x**4 * z, x**4 * z**2])
+    return [(i, j), (i, Ideal(ctx, [x**4 * z]))]
+
+
+def test_homogeneous_path_certifies_the_slice_of_the_candidate(monkeypatch):
+    i, j = homogeneous_pair()
+    want = [g.terms for g in reference_intersect(i, j)]
+    cand = candidate(i, j)
+    calls = record_buchberger(monkeypatch, i, j)
+    every = []
+    inner = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda gens: every.append(gens) or inner(gens))
+    got = intersect(i, j)
+    assert [g.terms for g in got.generators] == want
+    # no elimination; the one other basis is that of I + J, in the ring of I
+    assert calls == [] and every == [list(i.generators + j.generators)]
+    # the output is the candidate's t-free slice, made monic
+    monic = [cand[k] * (1 / cand[k].leading_coeff()) for k in t_free(cand)]
+    ctx = i.context
+    assert [g.terms for g in got.generators] == [
+        ctx.from_dict({e[1:]: c for e, c in g.terms}).terms for g in monic
+    ]
+
+
+def test_certificate_accepts_the_shipped_and_seeded_homogeneous_pairs(monkeypatch):
+    pairs = s6_pairs() + [random_pair(seed) for seed in range(0, 32, 2)]
+    for i, j in pairs:
+        assert homogeneous(i, j)
+        calls = record_buchberger(monkeypatch, i, j)
+        certs = record_certificates(monkeypatch)
+        check_intersection(i, j)
+        monkeypatch.undo()
+        assert calls == [] and len(certs) == 1 and certs[0] is not None
+
+
+# homogeneous pairs whose candidates have at least two t-free elements; the
+# last one is in an lp ring
+REJECTED = [homogeneous_pair(), s6_pairs()[0], random_pair(2), random_pair(14)]
+
+
+@pytest.mark.parametrize("case", range(len(REJECTED)))
+def test_certificate_rejects_a_dropped_t_free_element(monkeypatch, case):
+    # the slice still lies in I cap J and is interreduced, so only its
+    # Hilbert-series numerator can tell
+    i, j = REJECTED[case]
+    cand = candidate(i, j)
+    k = t_free(cand)[0]
+    seed = cand[:k] + cand[k + 1 :]
+    n = i.context.nvars
+    whole, rest = (
+        groebner.hilbert_numerator([c[k].leading_monomial()[1:] for k in t_free(c)], n)
+        for c in (cand, seed)
+    )
+    assert whole != rest
+    want = [g.terms for g in reference_intersect(i, j)]
+    monkeypatch.setattr(groebner, "_modular_basis", lambda ctx, gens: seed)
+    calls = record_buchberger(monkeypatch, i, j)
+    certs = record_certificates(monkeypatch)
+    assert [g.terms for g in intersect(i, j).generators] == want
+    # rejected; the seeded elimination completes the slice
+    assert certs == [None] and calls == [seed + elimination_generators(i, j)]
+
+
+@pytest.mark.parametrize("case", range(len(REJECTED)))
+def test_certificate_rejects_a_perturbed_coefficient(monkeypatch, case):
+    # the monomials are unchanged, so the numerator and the interreduction
+    # hold, and containment must reject it
+    i, j = REJECTED[case]
+    cand = candidate(i, j)
+    k = [k for k in t_free(cand) if len(cand[k].terms) > 1][0]
+    terms = dict(cand[k].terms)
+    e = cand[k].terms[-1][0]
+    terms[e] *= 2
+    seed = cand[:k] + [cand[k].ctx.from_dict(terms)] + cand[k + 1 :]
+    want = [g.terms for g in reference_intersect(i, j)]
+    monkeypatch.setattr(groebner, "_modular_basis", lambda ctx, gens: seed)
+    calls = record_buchberger(monkeypatch, i, j)
+    certs = record_certificates(monkeypatch)
+    assert [g.terms for g in intersect(i, j).generators] == want
+    assert certs == [None] and calls[0] == seed + elimination_generators(i, j)
+
+
+@pytest.mark.parametrize("case", range(len(REJECTED)))
+def test_certificate_rejects_a_slice_that_is_not_interreduced(monkeypatch, case):
+    # h + m*g for two t-free elements g, h, with m*LM(g) below LM(h): still
+    # in I cap J with the same leads, so only the interreduction test tells
+    i, j = REJECTED[case]
+    cand = candidate(i, j)
+    ctxa = cand[0].ctx
+    h, mg = [
+        (h, ctxa.monomial(m) * g)
+        for g, h in itertools.permutations([cand[k] for k in t_free(cand)], 2)
+        if h.total_degree() >= g.total_degree()
+        for m in graded_piece_basis(ctxa, h.total_degree() - g.total_degree())
+        if not m[0]
+        and ctxa.key(tuple(map(add, m, g.leading_monomial()))) < ctxa.key(h.leading_monomial())
+    ][0]
+    k = cand.index(h)
+    seed = cand[:k] + [h + mg] + cand[k + 1 :]
+    want = [g.terms for g in reference_intersect(i, j)]
+    monkeypatch.setattr(groebner, "_modular_basis", lambda ctx, gens: seed)
+    calls = record_buchberger(monkeypatch, i, j)
+    certs = record_certificates(monkeypatch)
+    assert [g.terms for g in intersect(i, j).generators] == want
+    assert certs == [None] and calls[0] == seed + elimination_generators(i, j)

@@ -1,10 +1,12 @@
 """Graded quotients: Jacobian ideals, Hilbert data, minimal generators, ranks."""
 
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from chowlab.coeff import ExtField, solve_linear
+from chowlab.coeff import QQ, ExtField, solve_linear
 from chowlab.groebner import Ideal, intersect
 from chowlab.poly import RingContext, diff
 from chowlab.rings import (
@@ -17,6 +19,7 @@ from chowlab.rings import (
     mingens_degrees,
     quotient_basis_check,
 )
+from test_rowspace import random_form
 
 F = Fraction
 
@@ -93,6 +96,57 @@ def test_hilbert_table_caps_positive_dimension():
     rows, truncated = hilbert_table(Ideal(ctx, [x]), cap=5)
     assert truncated is True
     assert len(rows) == 6
+
+
+# the degree cap per number of variables: graded_dim enumerates every
+# monomial of each degree up to it
+DIFF_CAPS = {1: 40, 2: 40, 3: 30, 4: 16, 5: 10, 6: 8}
+
+
+def check_hilbert_table(ideal, cap, oracle_through=3):
+    """hilbert_table against graded_dim in every row, and against the
+    GB-free linalg_oracle in the rows of degree at most oracle_through."""
+    rows, truncated = hilbert_table(ideal, cap)
+    assert [d for d, _ in rows] == list(range(len(rows)))
+    assert [v for _, v in rows] == [graded_dim(ideal, d).dim_quotient for d, _ in rows]
+    assert all(v for _, v in rows[:-1])
+    assert truncated is (rows[-1][1] != 0)
+    assert not truncated or len(rows) == cap + 1
+    for d, v in rows[: oracle_through + 1]:
+        assert v == linalg_oracle(ideal, d), d
+    return rows, truncated
+
+
+def test_hilbert_table_matches_graded_dim_on_random_ideals():
+    # seeded homogeneous ideals over QQ and Q[a] (irrational coefficients
+    # too), in dp and lp, in 1-6 variables; with up to n + 1 generators some
+    # quotients are finite-dimensional
+    rng = random.Random(14)
+    fields = (QQ, ExtField("a", [1, -1, 1]))
+    for trial in range(48):
+        n = 1 + trial % 6
+        order, field = ("dp", "lp")[trial // 6 % 2], fields[trial // 12 % 2]
+        ctx = RingContext([f"x{k}" for k in range(n)], order, field)
+        gens = [
+            random_form(rng, ctx, rng.randint(1, 3), rng.randint(1, 3))
+            for _ in range(rng.randint(1, n + 1))
+        ]
+        check_hilbert_table(Ideal(ctx, gens), DIFF_CAPS[n])
+
+
+def test_hilbert_table_of_the_zero_and_unit_ideals_and_at_the_cap():
+    ctx = wxyz()
+    rows, truncated = check_hilbert_table(Ideal(ctx, []), 12)
+    assert rows == [(d, comb(d + 3, 3)) for d in range(13)] and truncated
+    assert check_hilbert_table(Ideal(ctx, [ctx.one]), 12) == ([(0, 0)], False)
+    # finite-dimensional, but nonzero in every degree up to the cap
+    ctx2 = RingContext(["x", "y"], "dp")
+    x, y = ctx2.gens()
+    rows, truncated = check_hilbert_table(Ideal(ctx2, [x**41, y]), 40)
+    assert rows == [(d, 1) for d in range(41)] and truncated
+    assert hilbert_table(Ideal(ctx2, [x**41, y]), 41) == (
+        [(d, 1) for d in range(41)] + [(41, 0)], False
+    )
 
 
 def test_linalg_oracle_matches_graded_dim_monomial():
