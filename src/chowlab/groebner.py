@@ -37,7 +37,7 @@ top-reduced, by `comb` against the pivot with its leading word, the
 content stripped every 8 steps as in `full_reduce`.  Every graded rank of
 `rings` is computed this way, over Q and over Q[a] alike.
 
-Every engine coefficient is a Python int (a residue in `_ModEngine`).  A
+Every engine coefficient is a Python int (a residue in a mod-p run).  A
 job (the polynomials handed to `_packed`) whose coefficients are all
 rational runs over Q even in a Q[a] ring, its output coerced back into the
 field: a reduced Groebner basis, a normal form and a rank are the same over
@@ -55,11 +55,12 @@ each run of terms with one x-part back into a field element.  a has weight
 0 in the degree field, which orders the pairs and drives `minimal`: an
 irrational leading coefficient puts a into an engine lead, and the pair
 with m that takes it out must fall in the lead's own degree.
-`normal_form` makes each reducer monic over K, so that its engine lead has
+`normal_forms` makes each reducer monic over K, so that its engine lead has
 a^0 and the first divisor in basis order is the one over K, and puts m
-first.  As m reduces first, every power of a stays below 2 deg m - 1, far
-inside its field.  `RowSpace` starts without a and takes it on at its first
-irrational row.
+first; it packs each basis element at most once for the whole batch.  As m
+reduces first, every power of a stays below 2 deg m - 1, far inside its
+field.  `RowSpace` starts without a and takes it on at its first irrational
+row.
 
 `minimal_generators` is one engine run in degree order (`_Engine.minimal`;
 Kreuzer and Robbiano, Computational Commutative Algebra 2, sec. 4.6): a
@@ -80,17 +81,28 @@ has no term divisible by a run lead; its lead would lie in LM(I) but not
 be covered, so it is zero.
 
 `intersect` on rational generators, in any field, computes its elimination
-basis modulo primes first (`_ModEngine`: monic reducers, one multiply and
-one `% p` per term).  The first prime of `_PRIMES`, below 2^30 so that its
-residues are single-digit ints, runs the pair loop in full and records the
-pairs that reduced to zero; the 350-bit primes replay it without them
-(Traverso's Groebner trace).  A replay whose basis has other monomials
-runs again in full and becomes the trace, as a small trace prime is far
-likelier to be unlucky than the prime it is checked against.  The trace
-prime stays out of the CRT: CRT and maximal-quotient rational
-reconstruction (Monagan 2004) of the replays lift the residues to a
-candidate C, and C is kept only if, made monic modulo the trace prime, it
-is the trace basis, a cheap check that a wrong lift rarely passes.
+basis modulo primes first (`modular`: monic reducers, one multiply and one
+`% p` per term).  The first prime of `_PRIMES`, below 2^30 so that its
+residues are single-digit ints, runs the pair loop in full and records it
+as a straight-line program (Traverso, "Groebner trace algorithms", ISSAC
+1988): each generator insertion and each S-pair that did not reduce to
+zero, with the term position and the reducer of every reduction step and
+the size of the remainder, then the minimal basis and the steps of its
+interreduction.  The 350-bit primes run only that program, with no pair
+queue, no Gebauer-Moeller update and no divisor search.  Before each step a
+replay checks that the reducer's lead divides the term at the recorded
+position.  A failed check, a remainder of another size (a zero where the
+trace had a remainder, or a remainder of a generator the trace reduced to
+zero) or an output with other monomials sends the prime to a full run,
+which becomes the trace, as a small trace prime is far likelier to be
+unlucky than the prime it is checked against.  The checks only save time:
+a candidate from a replay that passed them on another path is still only
+a candidate, and the exact certificate or elimination below decides, so it
+costs time, never a wrong answer.  The trace prime stays out of the CRT:
+CRT and maximal-quotient rational reconstruction (Monagan 2004) of the
+replays lift the residues to a candidate C, and C is kept only if, made
+monic modulo the trace prime, it is the trace basis, a cheap check that a
+wrong lift rarely passes.
 
 For homogeneous I and J, the t-free slice H of C, made monic, is certified
 with no exact elimination, by its Hilbert series (in the spirit of
@@ -425,26 +437,26 @@ class _Engine:
             self._add(h)
         return h
 
-    def _pairs_through(self, cap, skip=(), covered=None):
+    def _pairs_through(self, cap, covered=None):
         """Reduce the live pairs of degree at most cap (None: all), lowest first;
-        pairs in skip, or of a degree d with covered(d) true, are dropped, and
-        pairs that reduce to zero go to self.zeros."""
+        pairs of a degree d with covered(d) true are dropped, and pairs that
+        reduce to zero go to self.zeros."""
         heap = self.heap
         while heap and (cap is None or heap[0][0] <= cap):
             deg, key, _, i, j = heappop(heap)
             big = self.live.pop((i, j), None)
-            if big is None or (i, j) in skip:
+            if big is None:
                 continue
             if covered and covered(deg):
                 self.pruned[0] += 1
             elif not self._insert(self.spoly(self.G[i], self.G[j], key, big)):
                 self.zeros.append((i, j))
 
-    def run(self, polys, skip=()):
+    def run(self, polys):
         """Reduced basis of the polys, all inserted before the first pair."""
         for p in polys:
             self._insert(self._poly_in(p)[0])
-        self._pairs_through(None, skip)
+        self._pairs_through(None)
         return self._finalize()
 
     def minimal(self, polys, leads=None):
@@ -481,7 +493,8 @@ class _Engine:
                 out.append(p)
         return out
 
-    def _finalize(self):
+    def _minimal_set(self):
+        """The indices in G of a minimal basis, ascending by lead."""
         G = self.G
         guard = self.pk.guard
         order = sorted(range(len(G)), key=lambda k: G[k][2][0][0])
@@ -490,7 +503,11 @@ class _Engine:
             top = G[idx][0] | guard
             if not any((top - G[k][0]) & guard == guard for k in minimal):
                 minimal.append(idx)
-        kept = [G[k] for k in minimal]
+        return minimal
+
+    def _finalize(self):
+        G = self.G
+        kept = [G[k] for k in self._minimal_set()]
         mw = G[0][0] if self.ext else None  # m's lead, a^d
         # from here each entry is dropped once replaced, to lower the peak
         G = self.G = self.R = None
@@ -501,8 +518,9 @@ class _Engine:
         kept = sorted([e for e in kept if e[0] != mw], key=lambda ent: ent[2][0][0])
         return [self._poly_out(kept.pop()[2]) for _ in range(len(kept))]
 
-    def normal_form(self, f, basis):
-        """f reduced by the first divisor in basis order.  With ext, m comes
+    def normal_forms(self, fs, basis):
+        """Each f reduced by the first divisor in basis order, each basis
+        element packed at most once for all of them.  With ext, m comes
         first, which keeps every power of a below 2 deg m - 1, and each
         reducer is made monic over the field, so that its lead has a^0 and
         divides what it divides over the field."""
@@ -525,69 +543,11 @@ class _Engine:
                     return ents[i]
             return None
 
-        terms, scale = self._poly_in(f)
-        terms, scale = self.full_reduce(terms, None, first, scale)
-        return self._poly_out(terms, scale)
-
-
-class _ModEngine(_Engine):
-    """A Buchberger run modulo the prime p, the basis coming out as monic
-    (exponents, residue) term lists.  Every reducer is monic, so `cross` is
-    (1, 1) and a term costs one multiply and one `% p`.  Its input is
-    rational: it has no generator a to fold."""
-
-    def __init__(self, ctx, width, p):
-        super().__init__(ctx, width)
-        self.p = p
-
-    def _poly_in(self, f):
-        p = self.p
-        terms, den = self._integral(self._terms(f))  # den * f, integral
-        if den % p == 0 or terms[0][2] % p == 0:
-            raise ZeroDivisionError("a denominator or the lead vanishes mod p")
-        return self.strip([(k, w, c % p) for k, w, c in terms if c % p])[0], None
-
-    def _poly_out(self, terms, scale=None):
-        return [(self.pk.unpack(w), c) for _, w, c in terms]
-
-    def strip(self, terms):
-        lc, p = terms[0][2] if terms else 1, self.p
-        inv = pow(lc, -1, p)
-        return ([(k, w, c * inv % p) for k, w, c in terms] if inv != 1 else terms), lc
-
-    def comb(self, A, i, ca, B, cb, sk, sw):
-        """A - cb * x^s * B mod p (ca is 1)."""
-        p = self.p
-        out = A[:i]
-        push = out.append
-        ncb = p - cb
-        n = len(A)
-        for kb, wb, c in B:
-            kb += sk
-            while i < n and A[i][0] > kb:
-                push(A[i])
-                i += 1
-            if i < n and A[i][0] == kb:
-                t = A[i]
-                i += 1
-                c = (t[2] + c * ncb) % p
-                if c:
-                    push((kb, t[1], c))
-            else:
-                push((kb, wb + sw, c * ncb % p))
-        out.extend(A[i:])
+        out = []
+        for f in fs:
+            terms, scale = self._poly_in(f)
+            out.append(self._poly_out(*self.full_reduce(terms, None, first, scale)))
         return out
-
-    def full_reduce(self, f, G, pick, scale=None):
-        i = 0
-        while i < len(f):
-            red = pick(G, f[i][1])
-            if red is None:
-                i += 1
-            else:
-                k, w, c = f[i]
-                f = self.comb(f, i, 1, red[2], c, *self._shift(red, k, w))
-        return self.strip(f)[0], None
 
 
 class RowSpace:
@@ -726,12 +686,19 @@ def normal_form(f, basis):
     whose leading monomial divides it, so the remainder is exact and the
     same for any basis, Groebner or not.
     """
-    gs = [g for g in basis if not g.is_zero()]
-    if any(g.ctx != f.ctx for g in gs):
+    return normal_forms([f], basis)[0]
+
+
+def normal_forms(fs, basis):
+    """The normal form of each f by the basis, as `normal_form` gives it;
+    each basis element is packed at most once for all of them."""
+    fs, gs = list(fs), [g for g in basis if not g.is_zero()]
+    if fs and any(p.ctx != fs[0].ctx for p in fs + gs):
         raise ValueError("mixed ring contexts")
-    if f.is_zero():
-        return f
-    return _packed(f.ctx, [f] + gs, lambda eng: eng.normal_form(f, gs))
+    todo = [f for f in fs if not f.is_zero()]
+    job = lambda eng: eng.normal_forms(todo, gs)  # noqa: E731
+    done = iter(_packed(todo[0].ctx, todo + gs, job) if todo else ())
+    return [f if f.is_zero() else next(done) for f in fs]
 
 
 def s_polynomial(f, g):
@@ -779,11 +746,21 @@ class Ideal:
 
 def ideal_member(f, ideal):
     """True iff f reduces to zero modulo the ideal's Groebner basis."""
-    if isinstance(ideal, Ideal):
-        basis = ideal.groebner_basis()
-    else:
-        basis = buchberger(list(ideal))
-    return normal_form(f, basis).is_zero()
+    return contained([f], ideal)
+
+
+def contained(polys, *ideals):
+    """True iff every poly lies in every ideal (an `Ideal` or generators):
+    each reduces to zero modulo the ideal's Groebner basis, which is packed
+    once for all of them (`normal_forms`)."""
+    for ideal in ideals:
+        if isinstance(ideal, Ideal):
+            basis = ideal.groebner_basis()
+        else:
+            basis = buchberger(list(ideal))
+        if any(normal_forms(polys, basis)):
+            return False
+    return True
 
 
 def _port(g, ctx2, pad=0, drop=0):
@@ -826,113 +803,6 @@ def _eliminated(gens, k, ctx):
 _AUX = "@t"
 
 
-# literal, so that import does no work.  The first, below 2^30 so that its
-# residues are single-digit ints, runs the trace; two of the 350-bit ones lift
-# the s5 elimination basis, whose coefficients need up to about 665 bits
-_PRIMES = ((1 << 30) - 35,) + tuple((1 << 350) - c for c in (113, 131, 401, 425))
-
-
-def _ratrec(u, m):
-    """n/d = u mod m by maximal-quotient rational reconstruction (Monagan,
-    ISSAC 2004), or None when no quotient of the Euclidean run on (m, u)
-    exceeds T = 2^20 log2(m)."""
-    T = m.bit_length() << 20
-    n = d = 0
-    r0, r1, t0, t1 = m, u, 0, 1
-    while r1 and r0 > T:
-        q = r0 // r1
-        if q > T:
-            n, d, T = r1, t1, q
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    return Fraction(n, d) if d and gcd(n, d) == 1 else None
-
-
-def _lift(residues, m):
-    """Integral multiples of the polynomials over Q whose coefficient lists
-    are congruent mod m to the monic residue lists, as int lists (smaller in
-    memory than monic ones), or None.  Each coefficient is reconstructed
-    times the common denominator of the ones before it, so most come out as
-    integers at once."""
-    out = []
-    for f in residues:
-        den, terms = 1, []
-        for a in f:
-            r = _ratrec(a * den % m, m)
-            if r is None:
-                return None
-            terms.append((r.numerator, den * r.denominator))
-            den *= r.denominator
-        out.append([n * den // d for n, d in terms])
-    return out
-
-
-def _agrees(lifted, trace, q):
-    """True iff each lifted list, made monic mod q, is the trace's."""
-    for f, g in zip(lifted, trace):
-        lc = f[0] % q
-        if not lc:
-            return False
-        inv = pow(lc, -1, q)
-        if [c * inv % q for c in f] != g:
-            return False
-    return True
-
-
-def _modular_basis(ctx, gens):
-    """A candidate for the reduced basis of (gens) over Q, or None.
-
-    The first prime that runs is the trace: it runs the pair loop in full,
-    records its zero reductions and stays out of the CRT.  Each later prime
-    replays it without them.  A replay whose monomials differ from the
-    trace's runs again in full and becomes the new trace, the residues so
-    far dropped; the others are combined by CRT, and a lift is returned once
-    it reduces mod the trace prime to the trace basis.  Only the trace keeps
-    its monomials; the rest are coefficient lists.
-    """
-    shape = acc = None
-    skip = ()
-    for p in _PRIMES:
-        try:
-            basis, zeros = _mod_run(ctx, gens, p, skip)
-            if shape is not None and _shape(basis) != shape:
-                basis, zeros = _mod_run(ctx, gens, p, ())
-                shape = None  # the full run at p is the new trace
-        except ZeroDivisionError:  # an unlucky prime
-            continue
-        residues = [[c for _, c in f] for f in basis]
-        if shape is None:
-            shape, trace, q, skip = _shape(basis), residues, p, frozenset(zeros)
-            acc = None
-        elif acc is None:
-            acc, m = residues, p
-        else:
-            inv = pow(m, -1, p)
-            acc = [
-                [a + m * ((c - a) * inv % p) for a, c in zip(f, g)]
-                for f, g in zip(acc, residues)
-            ]
-            m *= p
-            lifted = _lift(acc, m)
-            if lifted is not None and _agrees(lifted, trace, q):
-                return [
-                    Polynomial(ctx, tuple(zip(es, map(ctx.field.coerce, cs))))
-                    for es, cs in zip(shape, lifted)
-                ]
-        basis = residues = None  # not held through the next run
-    return None
-
-
-def _mod_run(ctx, gens, p, skip):
-    """(basis, zeros) of the run mod p that drops the pairs in skip."""
-    job = lambda eng: (eng.run(gens, skip=skip), eng.zeros)  # noqa: E731
-    return _packed(ctx, gens, job, lambda c, w, ext: _ModEngine(c, w, p))
-
-
-def _shape(basis):
-    """The monomials of a mod-p basis."""
-    return [[e for e, _ in f] for f in basis]
-
-
 def _certified(cand, i_ideal, j_ideal):
     """The t-free slice H of the candidate, monic, ported to the ring of I
     and J and sorted as `_eliminated` sorts, if it passes the certificate
@@ -972,9 +842,7 @@ def _certified(cand, i_ideal, j_ideal):
         return None
     # (a) containment
     res = [_port(g * (1 / g.leading_coeff()), i_ideal.context, drop=1) for g in hs]
-    if all(ideal_member(g, i_ideal) and ideal_member(g, j_ideal) for g in res):
-        return res
-    return None
+    return res if contained(res, i_ideal, j_ideal) else None
 
 
 def intersect(i_ideal, j_ideal):
@@ -994,12 +862,16 @@ def intersect(i_ideal, j_ideal):
     t = ctxa.var(_AUX)
     gens = [t * _port(f, ctxa, pad=1) for f in i_ideal.generators]
     gens += [(ctxa.one - t) * _port(g, ctxa, pad=1) for g in j_ideal.generators]
-    cand = gens and not _irrational(ctx.field, gens) and _modular_basis(ctxa, gens)
+    cand = None
+    if gens and not _irrational(ctx.field, gens):
+        from . import modular  # here, so that the rank paths never load it
+
+        cand = modular._modular_basis(ctxa, gens)
     res = _certified(cand, i_ideal, j_ideal) if cand else None
     if res is None:
         for seed in ([cand] if cand else []) + [[]]:
             res = _eliminated(seed + gens, 1, ctx)
-            if all(ideal_member(g, i_ideal) and ideal_member(g, j_ideal) for g in res):
+            if contained(res, i_ideal, j_ideal):
                 break
         else:
             raise AssertionError("intersection generator failed containment check")

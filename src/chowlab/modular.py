@@ -1,0 +1,306 @@
+"""The mod-p Groebner runs behind `groebner.intersect` over Q.
+
+`_modular_basis` computes a candidate for the reduced basis of rational
+generators from runs modulo the primes of `_PRIMES`: a full run at the
+first prime records its work as a straight-line program (the trace), each
+later prime replays that program, and CRT with rational reconstruction
+lifts the replays to Q.  The `groebner` module docstring gives the method
+and why a wrong candidate costs time, never a wrong answer.
+
+A program is (ops, minimal, inter, shape):
+
+- ops, in order, are the generator insertions of the trace and its S-pairs
+  that did not reduce to zero, each as (source, steps, size).  The source
+  is a generator's index, or (i, j, lcm) for the S-pair of basis slots i and
+  j with lead lcm lcm (an exponent vector); steps holds the term position
+  and the reducer slot of each reduction step, flat in an int array (less
+  than half the memory of a list of pairs), and size is the remainder's
+  number of terms.  Each op with a remainder installs the next basis slot.
+  A generator that reduced to zero stays in, so that a replay whose
+  remainder is not zero leaves the program.
+- minimal holds the slots of the minimal basis, inter the (steps, size) of
+  the interreduction of each of them, and shape the monomials of the
+  output, one list per polynomial.
+"""
+
+from array import array
+from fractions import Fraction
+from math import gcd
+
+from .groebner import _Engine, _packed
+from .poly import Polynomial
+
+# literal, so that import does no work.  The first, below 2^30 so that its
+# residues are single-digit ints, runs the trace; two of the 350-bit ones lift
+# the s5 elimination basis, whose coefficients need up to about 665 bits
+_PRIMES = ((1 << 30) - 35,) + tuple((1 << 350) - c for c in (113, 131, 401, 425))
+
+
+class _Astray(Exception):
+    """A replay left the path of its program."""
+
+
+class _ModEngine(_Engine):
+    """A Buchberger run modulo the prime p, the basis coming out as monic
+    (exponents, residue) term lists.  Every reducer is monic, so `cross` is
+    (1, 1) and a term costs one multiply and one `% p`.  Its input is
+    rational: it has no generator a to fold.
+
+    An entry also holds its slot, its index in G.  `run` records its program
+    (module docstring) in self.program; `replay` runs a program instead.
+    """
+
+    def __init__(self, ctx, width, p):
+        super().__init__(ctx, width)
+        self.p = p
+        self.ops, self.log, self.src = [], array("l"), None
+        self.program = None
+
+    def _poly_in(self, f):
+        p = self.p
+        terms, den = self._integral(self._terms(f))  # den * f, integral
+        if den % p == 0 or terms[0][2] % p == 0:
+            raise ZeroDivisionError("a denominator or the lead vanishes mod p")
+        return self.strip([(k, w, c % p) for k, w, c in terms if c % p])[0], None
+
+    def _poly_out(self, terms, scale=None):
+        return [(self.pk.unpack(w), c) for _, w, c in terms]
+
+    def _entry(self, terms, slot=None):
+        # `_add` makes its entry before it appends it to G: the next slot
+        return super()._entry(terms) + (len(self.G) if slot is None else slot,)
+
+    def strip(self, terms):
+        lc, p = terms[0][2] if terms else 1, self.p
+        inv = pow(lc, -1, p)
+        return ([(k, w, c * inv % p) for k, w, c in terms] if inv != 1 else terms), lc
+
+    def comb(self, A, i, ca, B, cb, sk, sw):
+        """A - cb * x^s * B mod p (ca is 1)."""
+        p = self.p
+        out = A[:i]
+        push = out.append
+        ncb = p - cb
+        n = len(A)
+        for kb, wb, c in B:
+            kb += sk
+            while i < n and A[i][0] > kb:
+                push(A[i])
+                i += 1
+            if i < n and A[i][0] == kb:
+                t = A[i]
+                i += 1
+                c = (t[2] + c * ncb) % p
+                if c:
+                    push((kb, t[1], c))
+            else:
+                push((kb, wb + sw, c * ncb % p))
+        out.extend(A[i:])
+        return out
+
+    def full_reduce(self, f, G, pick, scale=None):
+        """As `_Engine.full_reduce`, each step logged to self.log."""
+        log = self.log
+        i = 0
+        while i < len(f):
+            red = pick(G, f[i][1])
+            if red is None:
+                i += 1
+            else:
+                log.append(i)
+                log.append(red[4])
+                k, w, c = f[i]
+                f = self.comb(f, i, 1, red[2], c, *self._shift(red, k, w))
+        return self.strip(f)[0], None
+
+    def _follow(self, f, G, steps, size):
+        """f reduced by the recorded steps, the reducers taken from the slots
+        of G; each reducer's lead must divide the term at its position, and
+        the remainder must have size terms."""
+        guard = self.pk.guard
+        pairs = iter(steps)
+        for i, s in zip(pairs, pairs):
+            red = G[s]
+            if red is None or i >= len(f):
+                raise _Astray
+            if ((f[i][1] | guard) - red[0]) & guard != guard:  # the lead does not divide
+                raise _Astray
+            k, w, c = f[i]
+            f = self.comb(f, i, 1, red[2], c, *self._shift(red, k, w))
+        f = self.strip(f)[0]
+        if len(f) != size:
+            raise _Astray
+        return f
+
+    def spoly(self, ei, ej, key, word):
+        self.src = ei[4], ej[4], self.pk.unpack(word)
+        return super().spoly(ei, ej, key, word)
+
+    def _insert(self, terms):
+        self.log = array("l")
+        h = super()._insert(terms)
+        if h or type(self.src) is int:  # every generator, even one that reduced to zero
+            self.ops.append((self.src, self.log, len(h)))
+        return h
+
+    def run(self, polys):
+        """The reduced basis of the polys mod p, recorded in self.program."""
+        for k, f in enumerate(polys):
+            self.src = k
+            self._insert(self._poly_in(f)[0])
+        self._pairs_through(None)
+        minimal = self._minimal_set()
+        kept = self._keep(minimal)
+        inter = []
+        for k in minimal:
+            others = sorted([kept[j] for j in minimal if j != k], key=lambda e: len(e[2]))
+            self.log = array("l")
+            kept[k] = self._entry(self.full_reduce(kept[k][2], others, self._first)[0], k)
+            inter.append((self.log, len(kept[k][2])))
+        basis = self._output(kept)
+        self.program = self.ops, minimal, inter, _shape(basis)
+        self.ops = None
+        return basis
+
+    def replay(self, polys, program):
+        """The basis of the program's run at this prime, with no pair
+        update and no divisor search, or None where the run leaves the
+        program's path: a failed step check, a remainder of another size or
+        an output with other monomials."""
+        ops, minimal, inter, shape = program
+        gens = [self._poly_in(f)[0] for f in polys]
+        G = self.G
+        try:
+            for src, steps, size in ops:
+                if type(src) is int:
+                    f = gens[src]
+                else:
+                    f = self.spoly(G[src[0]], G[src[1]], *self.pk.pack(src[2]))
+                f = self._follow(f, G, steps, size)
+                if f:
+                    G.append(self._entry(f))
+            G = gens = None  # so that _keep releases the entries outside minimal
+            kept = self._keep(minimal)
+            for k, (steps, size) in zip(minimal, inter):
+                kept[k] = self._entry(self._follow(kept[k][2], kept, steps, size), k)
+        except _Astray:
+            return None
+        basis = self._output(kept)
+        return basis if _shape(basis) == shape else None
+
+    def _keep(self, minimal):
+        """G with every slot outside minimal emptied; G itself is released."""
+        kept = [None] * len(self.G)
+        for k in minimal:
+            kept[k] = self.G[k]
+        # from here each entry is dropped once replaced, to lower the peak
+        self.G = self.R = None
+        return kept
+
+    def _output(self, kept):
+        kept = sorted([e for e in kept if e], key=lambda e: e[2][0][0])
+        return [self._poly_out(kept.pop()[2]) for _ in range(len(kept))]
+
+
+def _ratrec(u, m):
+    """n/d = u mod m by maximal-quotient rational reconstruction (Monagan,
+    ISSAC 2004), or None when no quotient of the Euclidean run on (m, u)
+    exceeds T = 2^20 log2(m)."""
+    T = m.bit_length() << 20
+    n = d = 0
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 and r0 > T:
+        q = r0 // r1
+        if q > T:
+            n, d, T = r1, t1, q
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(n, d) if d and gcd(n, d) == 1 else None
+
+
+def _lift(residues, m):
+    """Integral multiples of the polynomials over Q whose coefficient lists
+    are congruent mod m to the monic residue lists, as int lists (smaller in
+    memory than monic ones), or None.  Each coefficient is reconstructed
+    times the common denominator of the ones before it, so most come out as
+    integers at once."""
+    out = []
+    for f in residues:
+        den, terms = 1, []
+        for a in f:
+            r = _ratrec(a * den % m, m)
+            if r is None:
+                return None
+            terms.append((r.numerator, den * r.denominator))
+            den *= r.denominator
+        out.append([n * den // d for n, d in terms])
+    return out
+
+
+def _agrees(lifted, trace, q):
+    """True iff each lifted list, made monic mod q, is the trace's."""
+    for f, g in zip(lifted, trace):
+        lc = f[0] % q
+        if not lc:
+            return False
+        inv = pow(lc, -1, q)
+        if [c * inv % q for c in f] != g:
+            return False
+    return True
+
+
+def _modular_basis(ctx, gens):
+    """A candidate for the reduced basis of (gens) over Q, or None.
+
+    The first prime that runs is the trace: it runs in full, records its
+    program and stays out of the CRT.  Each later prime replays the program.
+    A replay that leaves it runs again in full and becomes the new trace,
+    the residues so far dropped; the others are combined by CRT, and a lift
+    is returned once it reduces mod the trace prime to the trace basis.
+    Only the program keeps the monomials; the rest are coefficient lists.
+    """
+    program = acc = None
+    for p in _PRIMES:
+        try:
+            basis = _mod_run(ctx, gens, p, program)[0] if program else None
+            traced = basis is None
+            if traced:  # no trace yet, or the replay left its program
+                basis, program = _mod_run(ctx, gens, p)
+        except ZeroDivisionError:  # an unlucky prime
+            continue
+        residues = [[c for _, c in f] for f in basis]
+        if traced:
+            trace, q, acc = residues, p, None
+        elif acc is None:
+            acc, m = residues, p
+        else:
+            inv = pow(m, -1, p)
+            acc = [
+                [a + m * ((c - a) * inv % p) for a, c in zip(f, g)]
+                for f, g in zip(acc, residues)
+            ]
+            m *= p
+            lifted = _lift(acc, m)
+            if lifted is not None and _agrees(lifted, trace, q):
+                return [
+                    Polynomial(ctx, tuple(zip(es, map(ctx.field.coerce, cs))))
+                    for es, cs in zip(program[3], lifted)
+                ]
+        basis = residues = None  # not held through the next run
+    return None
+
+
+def _mod_run(ctx, gens, p, program=None):
+    """(basis, program) mod p: the program's replay (basis None where it
+    leaves the program), or with no program a full run and its program."""
+
+    def job(eng):
+        if program is None:
+            return eng.run(gens), eng.program
+        return eng.replay(gens, program), program
+
+    return _packed(ctx, gens, job, lambda c, w, ext: _ModEngine(c, w, p))
+
+
+def _shape(basis):
+    """The monomials of a mod-p basis."""
+    return [[e for e, _ in f] for f in basis]

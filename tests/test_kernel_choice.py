@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 import chowlab.groebner as groebner
+import chowlab.modular as modular
 from chowlab.coeff import QQ, ExtField
 from chowlab.groebner import (
     Ideal,
@@ -203,13 +204,13 @@ def test_extension_variable_is_chosen_from_the_coefficients():
 @pytest.mark.parametrize("field", EXT_FIELDS, ids=str)
 def test_rational_intersection_in_an_extension_ring(monkeypatch, field):
     calls = []
-    real = groebner._modular_basis
+    real = modular._modular_basis
 
     def recording(ctx, gens):
         calls.append(real(ctx, gens))
         return calls[-1]
 
-    monkeypatch.setattr(groebner, "_modular_basis", recording)
+    monkeypatch.setattr(modular, "_modular_basis", recording)
     for seed in range(24):
         i, j = random_pair(seed)
         qctx = i.context

@@ -15,6 +15,7 @@ from operator import add
 import pytest
 
 import chowlab.groebner as groebner
+import chowlab.modular as modular
 from chowlab.groebner import Ideal, buchberger, ideal_member, intersect
 from chowlab.poly import RingContext, graded_piece_basis, is_homogeneous
 
@@ -162,27 +163,45 @@ def small_pair():
 
 
 def test_prime_table_entries_are_prime():
-    assert len(set(groebner._PRIMES)) == len(groebner._PRIMES) >= 2
-    assert all(is_prime(p) for p in groebner._PRIMES)
-    assert not is_prime(groebner._PRIMES[0] + 2)
+    assert len(set(modular._PRIMES)) == len(modular._PRIMES) >= 2
+    assert all(is_prime(p) for p in modular._PRIMES)
+    assert not is_prime(modular._PRIMES[0] + 2)
 
 
 def test_trace_prime_is_word_size():
-    assert groebner._PRIMES[0] < 2**30 <= min(groebner._PRIMES[1:])
+    assert modular._PRIMES[0] < 2**30 <= min(modular._PRIMES[1:])
 
 
 def record_mod_runs(monkeypatch):
-    """(prime, skip, zeros) of every mod-p run, in order."""
-    runs = []
-    real = groebner._Engine.run
+    """(prime, program, replayed, zeros, searches, updates) of every mod-p
+    run, in order.  program is the one a full run recorded or a replay ran;
+    replayed is the replay's basis (None where it left the program) or, for
+    a full run, False; zeros holds the pairs the run reduced to zero, and
+    searches and updates count its `_first` and `_add` calls."""
+    runs, counts = [], [0, 0]
+    mod = modular._ModEngine
 
-    def recording(eng, polys, skip=()):
-        out = real(eng, polys, skip)
-        if isinstance(eng, groebner._ModEngine):
-            runs.append((eng.p, skip, list(eng.zeros)))
-        return out
+    def counted(k, real):
+        def counting(*args):
+            counts[k] += 1
+            return real(*args)
 
-    monkeypatch.setattr(groebner._Engine, "run", recording)
+        return counting
+
+    def recorded(real):
+        def recording(eng, polys, *program):
+            counts[:] = [0, 0]
+            out = real(eng, polys, *program)
+            ran, replayed = (program[0], out) if program else (eng.program, False)
+            runs.append((eng.p, ran, replayed, list(eng.zeros), *counts))
+            return out
+
+        return recording
+
+    monkeypatch.setattr(mod, "_first", counted(0, mod._first))
+    monkeypatch.setattr(mod, "_add", counted(1, mod._add))
+    monkeypatch.setattr(mod, "run", recorded(mod.run))
+    monkeypatch.setattr(mod, "replay", recorded(mod.replay))
     return runs
 
 
@@ -195,20 +214,25 @@ def test_first_prime_traces_and_later_primes_replay(monkeypatch):
         monkeypatch.undo()
         if not runs:  # no generators, so no modular path
             continue
-        (p, skip, zeros), *replays = runs
-        assert p == groebner._PRIMES[0] and skip == ()
+        (p, program, replayed, zeros, _, _), *replays = runs
+        assert p == modular._PRIMES[0] and replayed is False
+        # the program holds no S-pair that reduced to zero: no replay reduces one
+        assert all(size for src, _, size in program[0] if type(src) is not int)
         assert len(replays) >= 2  # the trace prime stays out of the CRT
-        for q, skip, more in replays:
-            assert q > p and skip == frozenset(zeros) and more == []
+        for q, ran, replayed, more, searches, updates in replays:
+            assert q > p and ran is program and replayed and more == []
+            # straight-line: no divisor search and no pair update
+            assert searches == updates == 0
         zeros_seen += len(zeros)
     assert zeros_seen > 0
 
 
 def test_unlucky_trace_prime_is_replaced(monkeypatch):
-    # 13 is unlucky for these pairs: its full run has other monomials than
-    # the 350-bit primes', so the first replay runs again in full and traces
+    # 13 is unlucky for these pairs: its full run takes another path than
+    # the 350-bit primes', so the first replay leaves the program, runs
+    # again in full and traces
     unlucky, cands = [], []
-    real = groebner._modular_basis
+    real = modular._modular_basis
 
     def recording(ctx, gens):
         cands.append(real(ctx, gens))
@@ -217,8 +241,8 @@ def test_unlucky_trace_prime_is_replaced(monkeypatch):
     for seed in range(64):
         i, j = random_pair(seed)
         calls = record_buchberger(monkeypatch, i, j)
-        monkeypatch.setattr(groebner, "_PRIMES", (13,) + groebner._PRIMES[1:])
-        monkeypatch.setattr(groebner, "_modular_basis", recording)
+        monkeypatch.setattr(modular, "_PRIMES", (13,) + modular._PRIMES[1:])
+        monkeypatch.setattr(modular, "_modular_basis", recording)
         runs = record_mod_runs(monkeypatch)
         certs = record_certificates(monkeypatch)
         check_intersection(i, j)
@@ -231,11 +255,88 @@ def test_unlucky_trace_prime_is_replaced(monkeypatch):
         else:
             assert certs == [None] and len(calls) == 1
             assert len(calls[0]) > len(i.generators + j.generators)
-        fulls = [q for q, skip, _ in runs if skip == ()]  # a replay's is a frozenset
+        fulls = [q for q, _, replayed, *_ in runs if replayed is False]
         if fulls[1:]:
             unlucky.append(seed)
             assert fulls == [13, runs[1][0]] and len(runs) == 5
+            assert runs[1][2] is None  # the replay that left the program
     assert unlucky == [9, 13, 16, 19, 38]
+
+
+def test_replay_equals_a_full_run_at_each_prime():
+    for i, j in [random_pair(seed) for seed in range(64)] + s6_pairs():
+        gens = elimination_generators(i, j)
+        if not gens:
+            continue
+        ctx = gens[0].ctx
+        _, program = modular._mod_run(ctx, gens, modular._PRIMES[0])
+        for p in modular._PRIMES[1:]:
+            replayed, ran = modular._mod_run(ctx, gens, p, program)
+            assert ran is program
+            assert replayed == modular._mod_run(ctx, gens, p)[0]
+
+
+def test_each_replay_step_and_remainder_is_checked(monkeypatch):
+    ctx = RingContext(("x", "y"), "dp")
+    x, y = ctx.gens()
+    eng = modular._ModEngine(ctx, 8, modular._PRIMES[1])
+    f = eng._poly_in(x * y + 1)[0]
+    G = [eng._entry(eng._poly_in(y**2 - x)[0])]
+    assert eng._follow(f, G, [], 2) == f  # steps: position, slot, position, ...
+    for size in (0, 1, 3):  # a remainder of another size, zero included
+        with pytest.raises(modular._Astray):
+            eng._follow(f, G, [], size)
+    combs = []
+    monkeypatch.setattr(modular._ModEngine, "comb", lambda *args: combs.append(args))
+    for steps in ([0, 0], [2, 0]):  # y^2 does not divide x*y; f has 2 terms
+        with pytest.raises(modular._Astray):
+            eng._follow(f, G, steps, 2)
+    assert combs == []
+
+
+def corrupt(kind, steps, slot):
+    """A copy of the flat steps (position, slot, ...) of the op that
+    installs slot, its first step corrupted."""
+    steps = steps[:]
+    if kind == "wrong-slot":  # another earlier reducer
+        steps[1] = (steps[1] + 1) % slot
+    elif kind == "shifted-position":
+        steps[0] += 1
+    else:
+        del steps[:2]
+    return steps
+
+
+@pytest.mark.parametrize("kind", ["dropped-step", "shifted-position", "wrong-slot"])
+@pytest.mark.parametrize("case", ["small", "homogeneous", "s6"])
+def test_a_corrupted_program_is_detected_and_the_prime_runs_in_full(
+    monkeypatch, kind, case
+):
+    pair = {"small": small_pair, "homogeneous": homogeneous_pair, "s6": s6_pairs}[case]()
+    i, j = pair[0] if case == "s6" else pair
+    real = modular._ModEngine.run
+    corrupted = []
+
+    def corrupting(eng, polys):
+        out = real(eng, polys)
+        if not corrupted:  # the first trace only
+            ops = eng.program[0]
+            # slots[t]: the slot op t installs, the number of earlier remainders
+            slots = [sum(1 for op in ops[:t] if op[2]) for t in range(len(ops))]
+            # the last op with steps and two earlier slots to choose from
+            t = max(t for t, op in enumerate(ops) if op[1] and slots[t] > 1)
+            src, steps, size = ops[t]
+            ops[t] = src, corrupt(kind, steps, slots[t]), size
+            corrupted.append(t)
+        return out
+
+    monkeypatch.setattr(modular._ModEngine, "run", corrupting)
+    runs = record_mod_runs(monkeypatch)
+    check_intersection(i, j)
+    (p, _, _, _, _, _), (q, _, replayed, _, _, _), (r, _, full, _, _, _), *rest = runs
+    # the first replay leaves the program; its prime runs in full and traces
+    assert p == modular._PRIMES[0] and replayed is None and r == q and full is False
+    assert len(rest) >= 2 and all(replayed for _, _, replayed, *_ in rest)
 
 
 def test_modular_intersection_matches_fraction_free_elimination():
@@ -276,7 +377,7 @@ def test_unlucky_primes_are_skipped(monkeypatch):
     want = [g.terms for g in reference_intersect(i, j)]
     for bad in (7, 5):
         calls = record_buchberger(monkeypatch, i, j)
-        monkeypatch.setattr(groebner, "_PRIMES", (bad,) + groebner._PRIMES)
+        monkeypatch.setattr(modular, "_PRIMES", (bad,) + modular._PRIMES)
         assert [g.terms for g in intersect(i, j).generators] == want
         # one elimination, seeded by a candidate (the pair has 2 generators):
         # the table's real primes ran
@@ -288,7 +389,7 @@ def test_fallback_when_every_prime_fails(monkeypatch):
     i, j = small_pair()
     want = [g.terms for g in reference_intersect(i, j)]
     calls = record_buchberger(monkeypatch, i, j)
-    monkeypatch.setattr(groebner, "_PRIMES", (3,))  # divides the denominator 3
+    monkeypatch.setattr(modular, "_PRIMES", (3,))  # divides the denominator 3
     assert [g.terms for g in intersect(i, j).generators] == want
     assert len(calls) == 1
     ctxa = calls[0][0].ctx
@@ -298,7 +399,7 @@ def test_fallback_when_every_prime_fails(monkeypatch):
 def test_tiny_primes_never_change_the_result(monkeypatch):
     # primes this small are often unlucky, or lift only after several of
     # them: about 35 of these 64 pairs get a candidate, the rest fall back
-    monkeypatch.setattr(groebner, "_PRIMES", (5, 7, 11, 101, 103, 107, 109))
+    monkeypatch.setattr(modular, "_PRIMES", (5, 7, 11, 101, 103, 107, 109))
     for seed in range(64):
         check_intersection(*random_pair(seed))
 
@@ -307,9 +408,9 @@ def test_tiny_primes_never_change_the_result(monkeypatch):
 def test_perturbed_candidate_is_rejected(monkeypatch, t_part):
     i, j = small_pair()
     want = [g.terms for g in reference_intersect(i, j)]
-    real = groebner._modular_basis
+    real = modular._modular_basis
     monkeypatch.setattr(
-        groebner, "_modular_basis", lambda ctx, gens: perturb(real(ctx, gens), t_part)
+        modular, "_modular_basis", lambda ctx, gens: perturb(real(ctx, gens), t_part)
     )
     calls = record_buchberger(monkeypatch, i, j)
     assert [g.terms for g in intersect(i, j).generators] == want
@@ -320,7 +421,7 @@ def test_perturbed_candidate_is_rejected(monkeypatch, t_part):
 def candidate(i, j):
     """The lifted candidate of the pair, which the elimination is seeded with."""
     gens = elimination_generators(i, j)
-    return groebner._modular_basis(gens[0].ctx, gens)
+    return modular._modular_basis(gens[0].ctx, gens)
 
 
 # each seed for the pairs (small_pair, random_pair(0), ..., random_pair(7)),
@@ -360,7 +461,7 @@ def test_every_seed_gives_the_exact_intersection(monkeypatch, kind):
             continue
         seed = make(candidate(i, j), candidate(*other))
         want = [g.terms for g in reference_intersect(i, j)]
-        monkeypatch.setattr(groebner, "_modular_basis", lambda ctx, gens: seed)
+        monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens: seed)
         calls = record_buchberger(monkeypatch, i, j)
         certs = record_certificates(monkeypatch)
         assert [g.terms for g in intersect(i, j).generators] == want
@@ -374,7 +475,7 @@ def test_every_seed_gives_the_exact_intersection(monkeypatch, kind):
 def test_lift_failing_the_trace_check_never_reaches_buchberger(monkeypatch, every):
     i, j = small_pair()
     want = [g.terms for g in reference_intersect(i, j)]
-    real = groebner._lift
+    real = modular._lift
     lifts = []
 
     def perturbed(basis, m):
@@ -384,13 +485,13 @@ def test_lift_failing_the_trace_check_never_reaches_buchberger(monkeypatch, ever
             out[-1] = [out[-1][0] + 1] + out[-1][1:]
         return out
 
-    monkeypatch.setattr(groebner, "_lift", perturbed)
+    monkeypatch.setattr(modular, "_lift", perturbed)
     calls = record_buchberger(monkeypatch, i, j)
     assert [g.terms for g in intersect(i, j).generators] == want
     (call,) = calls
     cand = call[:-3]  # the seed, then the 3 generators
     if every:  # each prime's lift failed the check: no seed
-        assert len(lifts) == len(groebner._PRIMES) - 2 and cand == []
+        assert len(lifts) == len(modular._PRIMES) - 2 and cand == []
     else:  # the next prime's lift passed it
         assert len(lifts) == 2
         assert [[c for _, c in g.terms] for g in cand] == lifts[1]
@@ -474,7 +575,7 @@ def test_certificate_rejects_a_dropped_t_free_element(monkeypatch, case):
     )
     assert whole != rest
     want = [g.terms for g in reference_intersect(i, j)]
-    monkeypatch.setattr(groebner, "_modular_basis", lambda ctx, gens: seed)
+    monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens: seed)
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
@@ -494,7 +595,7 @@ def test_certificate_rejects_a_perturbed_coefficient(monkeypatch, case):
     terms[e] *= 2
     seed = cand[:k] + [cand[k].ctx.from_dict(terms)] + cand[k + 1 :]
     want = [g.terms for g in reference_intersect(i, j)]
-    monkeypatch.setattr(groebner, "_modular_basis", lambda ctx, gens: seed)
+    monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens: seed)
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
@@ -519,7 +620,7 @@ def test_certificate_rejects_a_slice_that_is_not_interreduced(monkeypatch, case)
     k = cand.index(h)
     seed = cand[:k] + [h + mg] + cand[k + 1 :]
     want = [g.terms for g in reference_intersect(i, j)]
-    monkeypatch.setattr(groebner, "_modular_basis", lambda ctx, gens: seed)
+    monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens: seed)
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want

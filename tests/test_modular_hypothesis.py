@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-import chowlab.groebner as groebner  # noqa: E402
+import chowlab.modular as modular  # noqa: E402
 from chowlab.groebner import Ideal, intersect  # noqa: E402
 from chowlab.poly import RingContext  # noqa: E402
 from test_modular import VARS, check_intersection, reference_intersect  # noqa: E402
@@ -43,7 +43,7 @@ def test_random_pairs_match_fraction_free_elimination(pair):
 def test_perturbed_lift_never_changes_the_output(pair, data):
     i, j = pair
     want = [g.terms for g in reference_intersect(i, j)]
-    real = groebner._modular_basis
+    real = modular._modular_basis
 
     def perturbed(ctx, gens):
         cand = real(ctx, gens)
@@ -56,5 +56,5 @@ def test_perturbed_lift_never_changes_the_output(pair, data):
         return cand[:k] + [ctx.from_dict(terms)] + cand[k + 1 :]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groebner, "_modular_basis", perturbed)
+        mp.setattr(modular, "_modular_basis", perturbed)
         assert [g.terms for g in intersect(i, j).generators] == want

@@ -19,6 +19,7 @@ from chowlab.groebner import (
     _Packing,
     buchberger,
     normal_form,
+    normal_forms,
 )
 from chowlab.poly import Polynomial, RingContext, monomial_key
 
@@ -205,6 +206,34 @@ def test_normal_form_is_exact_on_non_groebner_bases():
         check_normal_form(f, basis)
     assert normal_form(f, [x * y - 1, x**2 - y]) == 3 * x + Fraction(1, 2) * x
     assert normal_form(f, [x**2 - y, x * y - 1]) == 3 * y**2 + Fraction(1, 2) * x
+
+
+def test_batched_normal_forms_match_one_at_a_time():
+    rng = random.Random(11)
+    for trial in range(80):
+        # QQ and Q[a]/(a^2-a+1)
+        field, order = FIELDS[trial % 2], ORDERS[trial // 2 % 4]
+        ctx = RingContext(("x", "y", "z"), order, field)
+        qctx = RingContext(("x", "y", "z"), order)
+
+        def poly(nterms, maxexp):
+            # over Q[a], about half rational: a batch mixes both kinds
+            ring = ctx if rng.random() < 0.5 else qctx
+            return ctx.from_dict(dict(random_poly(rng, ring, nterms, maxexp).terms))
+
+        # arbitrary generators: mostly not Groebner bases, so the first
+        # divisor in basis order decides each step
+        basis = [poly(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+        if trial % 3 == 2:  # a constant element, which divides every term
+            const = ctx.const(Fraction(rng.randint(1, 9), 2))
+            basis.insert(rng.randint(0, len(basis)), const)
+        fs = [poly(rng.randint(0, 8), 5) for _ in range(rng.randint(1, 5))] + [ctx.zero]
+        rng.shuffle(fs)
+        got = normal_forms(fs, basis)
+        assert [g.terms for g in got] == [normal_form(f, basis).terms for f in fs]
+        want = [reference_normal_form(f, basis) for f in fs]
+        assert [g.terms for g in got] == [g.terms for g in want]
+    assert normal_forms([], [ctx.zero]) == []
 
 
 def test_wide_exponents_restart_with_wider_fields():
