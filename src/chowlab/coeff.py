@@ -11,7 +11,7 @@ cyclotomic polynomial matching, which backs the torsion tests.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd, isqrt, lcm
+from math import isqrt, lcm
 
 from . import _uni
 
@@ -73,9 +73,7 @@ def _rational_roots(coeffs):
     cs = [_frac(c) for c in coeffs]
     if not cs or all(c == 0 for c in cs):
         raise ValueError("zero polynomial")
-    den_lcm = 1
-    for c in cs:
-        den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
+    den_lcm = lcm(*(c.denominator for c in cs))
     ints = [int(c * den_lcm) for c in cs]
     while ints and ints[0] == 0:
         ints = ints[1:]  # factor out z; z=0 handled below

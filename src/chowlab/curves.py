@@ -116,11 +116,6 @@ class RationalFunction1:
             e=self.e,
         )
 
-    def reciprocal(self):
-        if not self.num:
-            raise ZeroDivisionError("reciprocal of the zero function")
-        return RationalFunction1(list(self.den), list(self.num), e=self.e)
-
     def one_minus(self):
         """The function 1 - f, used by the Steinberg relation."""
         return RationalFunction1(

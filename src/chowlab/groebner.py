@@ -57,10 +57,10 @@ irrational leading coefficient puts a into an engine lead, and the pair
 with m that takes it out must fall in the lead's own degree.
 `normal_forms` makes each reducer monic over K, so that its engine lead has
 a^0 and the first divisor in basis order is the one over K, and puts m
-first; it packs each basis element at most once for the whole batch.  As m
-reduces first, every power of a stays below 2 deg m - 1, far inside its
-field.  `RowSpace` starts without a and takes it on at its first irrational
-row.
+first; it packs the basis once for the whole batch into one reducer list,
+searched by the engine's `_first`.  As m reduces first, every power of a
+stays below 2 deg m - 1, far inside its field.  `RowSpace` starts without
+a and takes it on at its first irrational row.
 
 `minimal_generators` is one engine run in degree order (`_Engine.minimal`;
 Kreuzer and Robbiano, Computational Commutative Algebra 2, sec. 4.6): a
@@ -69,7 +69,10 @@ is minimal iff its remainder is nonzero, which is then inserted.  Its lead
 no basis lead divides, so its pairs lie above d and the basis stays a
 Groebner basis through degree d of the ideal of the generators so far.
 `run` inserts every generator before the first pair, because taking them
-in degree order made the s5 elimination of `intersect` twice as slow.
+in degree order made the s5 elimination of `intersect` twice as slow.  It
+ends in `_finalize`, shared by every run: the minimal basis
+(`_minimal_set`), its slots kept (`_keep`), each entry interreduced by the
+others, m first, then the smallest, and the output (`_output`) without m.
 Given a known Groebner basis of the ideal, the run is Hilbert-driven
 (Traverso, JSC 22, 1996): once every degree-d lead of the known basis is
 divisible by a lead of the run's basis, the remaining pairs of degree d
@@ -83,23 +86,23 @@ be covered, so it is zero.
 `intersect` on rational generators, in any field, computes its elimination
 basis modulo primes first (`modular`: monic reducers, one multiply and one
 `% p` per term).  The first prime of `_PRIMES`, below 2^30 so that its
-residues are single-digit ints, runs the pair loop in full and records it
-as a straight-line program (Traverso, "Groebner trace algorithms", ISSAC
-1988): each generator insertion and each S-pair that did not reduce to
-zero, with the term position and the reducer of every reduction step and
-the size of the remainder, then the minimal basis and the steps of its
-interreduction.  The 350-bit primes run only that program, with no pair
-queue, no Gebauer-Moeller update and no divisor search.  Before each step a
-replay checks that the reducer's lead divides the term at the recorded
-position.  A failed check, a remainder of another size (a zero where the
-trace had a remainder, or a remainder of a generator the trace reduced to
-zero) or an output with other monomials sends the prime to a full run,
-which becomes the trace, as a small trace prime is far likelier to be
-unlucky than the prime it is checked against.  The checks only save time:
-a candidate from a replay that passed them on another path is still only
-a candidate, and the exact certificate or elimination below decides, so it
-costs time, never a wrong answer.  The trace prime stays out of the CRT:
-CRT and maximal-quotient rational reconstruction (Monagan 2004) of the
+residues are single-digit ints, runs `_Engine.run` in full, its hooks
+recording the run as a straight-line program (Traverso, "Groebner trace
+algorithms", ISSAC 1988): each generator insertion and each S-pair that did
+not reduce to zero, with the term position and the reducer of every
+reduction step and the size of the remainder, then the minimal basis and
+the steps of its interreduction.  The 350-bit primes run only that program,
+with no pair queue, no Gebauer-Moeller update and no divisor search.
+Before each step a replay checks that the reducer's lead divides the term
+at the recorded position.  A failed check, a remainder of another size (a
+zero where the trace had a remainder, or a remainder of a generator the
+trace reduced to zero) or an output with other monomials sends the prime to
+a full run, which becomes the trace, as a small trace prime is far likelier
+to be unlucky than the prime it is checked against.  The checks only save
+time: a candidate from a replay that passed them on another path is still
+only a candidate, and the exact certificate or elimination below decides,
+so it costs time, never a wrong answer.  The trace prime stays out of the
+CRT: CRT and maximal-quotient rational reconstruction (Monagan 2004) of the
 replays lift the residues to a candidate C, and C is kept only if, made
 monic modulo the trace prime, it is the trace basis, a cheap check that a
 wrong lift rarely passes.
@@ -230,9 +233,10 @@ class _Engine:
 
     A term is (key, word, coefficient); a polynomial is a list of terms,
     descending by key, with integer coefficients.  A basis entry is (lead
-    word, lead coefficient, terms, largest total degree of its terms).  With
-    ext the field generator a is one more variable (module docstring), and
-    the basis starts with its minimal polynomial m.
+    word, lead coefficient, terms, largest total degree of its terms, slot),
+    the slot being its index in G.  With ext the field generator a is one
+    more variable (module docstring), and the basis starts with its minimal
+    polynomial m, in slot 0.
     """
 
     def __init__(self, ctx, width, ext=False):
@@ -310,9 +314,10 @@ class _Engine:
         coerce = ctx.field.coerce
         return Polynomial(ctx, tuple((x, coerce(c * scale)) for x, c in vals))
 
-    def _entry(self, terms):
+    def _entry(self, terms, slot=None):
+        """The basis entry of terms, at slot (default: the next slot of G)."""
         top = max(w for _, w, _ in terms) >> self.pk.deg_shift
-        return (terms[0][1], terms[0][2], terms, top)
+        return (terms[0][1], terms[0][2], terms, top, len(self.G) if slot is None else slot)
 
     def _shift(self, ent, key, word):
         """Key and word of the x^s that carries ent's lead to (key, word)."""
@@ -505,48 +510,47 @@ class _Engine:
                 minimal.append(idx)
         return minimal
 
-    def _finalize(self):
-        G = self.G
-        kept = [G[k] for k in self._minimal_set()]
-        mw = G[0][0] if self.ext else None  # m's lead, a^d
+    def _keep(self, minimal):
+        """G with every slot outside minimal emptied; G itself is released."""
+        kept = [None] * len(self.G)
+        for k in minimal:
+            kept[k] = self.G[k]
         # from here each entry is dropped once replaced, to lower the peak
-        G = self.G = self.R = None
-        for i in range(len(kept)):
-            others = sorted(kept[:i] + kept[i + 1 :], key=lambda e: (e[0] != mw, len(e[2])))
-            kept[i] = self._entry(self.full_reduce(kept[i][2], others, self._first)[0])
-        # the output drops m (it is in the basis unless the ideal is (1))
-        kept = sorted([e for e in kept if e[0] != mw], key=lambda ent: ent[2][0][0])
+        self.G = self.R = None
+        return kept
+
+    def _output(self, kept):
+        """The polynomials of the nonempty slots, descending by lead."""
+        kept = sorted([e for e in kept if e], key=lambda e: e[2][0][0])
         return [self._poly_out(kept.pop()[2]) for _ in range(len(kept))]
+
+    def _finalize(self):
+        """Interreduce the minimal basis, each entry by the others, m first,
+        then the smallest; output it without m."""
+        minimal = self._minimal_set()
+        mw = self.G[0][0] if self.ext else None  # m's lead, a^d
+        kept = self._keep(minimal)
+        for k in minimal:
+            others = [kept[j] for j in minimal if j != k]
+            others.sort(key=lambda e: (e[0] != mw, len(e[2])))
+            kept[k] = self._entry(self.full_reduce(kept[k][2], others, self._first)[0], k)
+        if self.ext:  # m is slot 0, in the basis unless the ideal is (1)
+            kept[0] = None
+        return self._output(kept)
 
     def normal_forms(self, fs, basis):
         """Each f reduced by the first divisor in basis order, each basis
-        element packed at most once for all of them.  With ext, m comes
-        first, which keeps every power of a below 2 deg m - 1, and each
-        reducer is made monic over the field, so that its lead has a^0 and
-        divides what it divides over the field."""
-        guard = self.pk.guard
-        pre = len(self.G)  # m with ext, else none
-        ents = dict(enumerate(self.G))
-        words = [e[0] for e in self.G]
-        words += [self.pk.pack(g.leading_monomial())[1] for g in basis]
-
-        def first(_, word):
-            # the first divisor in basis order, packed on its first use
-            top = word | guard
-            for i, w in enumerate(words):
-                if (top - w) & guard == guard:
-                    if i not in ents:
-                        g = basis[i - pre]
-                        if self.ext:
-                            g = g * (1 / g.leading_coeff())
-                        ents[i] = self._entry(self._poly_in(g)[0])
-                    return ents[i]
-            return None
-
+        element packed once for all of them.  With ext, m comes first, which
+        keeps every power of a below 2 deg m - 1, and each reducer is made
+        monic over the field, so that its lead has a^0 and divides what it
+        divides over the field."""
+        if self.ext:
+            basis = [g * (1 / g.leading_coeff()) for g in basis]
+        R = self.G + [self._entry(self._poly_in(g)[0]) for g in basis]
         out = []
         for f in fs:
             terms, scale = self._poly_in(f)
-            out.append(self._poly_out(*self.full_reduce(terms, None, first, scale)))
+            out.append(self._poly_out(*self.full_reduce(terms, R, self._first, scale)))
         return out
 
 
@@ -750,15 +754,11 @@ def ideal_member(f, ideal):
 
 
 def contained(polys, *ideals):
-    """True iff every poly lies in every ideal (an `Ideal` or generators):
-    each reduces to zero modulo the ideal's Groebner basis, which is packed
-    once for all of them (`normal_forms`)."""
+    """True iff every poly lies in every `Ideal`: each reduces to zero
+    modulo the ideal's Groebner basis, which is packed once for all of them
+    (`normal_forms`)."""
     for ideal in ideals:
-        if isinstance(ideal, Ideal):
-            basis = ideal.groebner_basis()
-        else:
-            basis = buchberger(list(ideal))
-        if any(normal_forms(polys, basis)):
+        if any(normal_forms(polys, ideal.groebner_basis())):
             return False
     return True
 

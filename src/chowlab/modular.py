@@ -2,10 +2,11 @@
 
 `_modular_basis` computes a candidate for the reduced basis of rational
 generators from runs modulo the primes of `_PRIMES`: a full run at the
-first prime records its work as a straight-line program (the trace), each
-later prime replays that program, and CRT with rational reconstruction
-lifts the replays to Q.  The `groebner` module docstring gives the method
-and why a wrong candidate costs time, never a wrong answer.
+first prime, which is `_Engine.run` with recording hooks, records its work
+as a straight-line program (the trace), each later prime replays that
+program, and CRT with rational reconstruction lifts the replays to Q.  The
+`groebner` module docstring gives the method and why a wrong candidate
+costs time, never a wrong answer.
 
 A program is (ops, minimal, inter, shape):
 
@@ -46,14 +47,19 @@ class _ModEngine(_Engine):
     (1, 1) and a term costs one multiply and one `% p`.  Its input is
     rational: it has no generator a to fold.
 
-    An entry also holds its slot, its index in G.  `run` records its program
-    (module docstring) in self.program; `replay` runs a program instead.
+    Besides the arithmetic it has only recording hooks and the replay.
+    `run` is `_Engine.run` with the hooks: `full_reduce` records the (steps,
+    size) of each reduction, `_insert` turns its record into an op, `spoly`
+    names the op's source, and the records left over after the pairs are
+    the interreduction, in the order of `_minimal_set`.  The program (module
+    docstring) ends in self.program; `replay` runs a program instead, with
+    the same `_keep` and `_output`.
     """
 
     def __init__(self, ctx, width, p):
         super().__init__(ctx, width)
         self.p = p
-        self.ops, self.log, self.src = [], array("l"), None
+        self.ops, self.records, self.src = [], [], None
         self.program = None
 
     def _poly_in(self, f):
@@ -65,10 +71,6 @@ class _ModEngine(_Engine):
 
     def _poly_out(self, terms, scale=None):
         return [(self.pk.unpack(w), c) for _, w, c in terms]
-
-    def _entry(self, terms, slot=None):
-        # `_add` makes its entry before it appends it to G: the next slot
-        return super()._entry(terms) + (len(self.G) if slot is None else slot,)
 
     def strip(self, terms):
         lc, p = terms[0][2] if terms else 1, self.p
@@ -99,19 +101,21 @@ class _ModEngine(_Engine):
         return out
 
     def full_reduce(self, f, G, pick, scale=None):
-        """As `_Engine.full_reduce`, each step logged to self.log."""
-        log = self.log
+        """As `_Engine.full_reduce`, with no strip of a partial remainder;
+        the (steps, size) of the run go to self.records."""
+        steps = array("l")
         i = 0
         while i < len(f):
             red = pick(G, f[i][1])
             if red is None:
                 i += 1
             else:
-                log.append(i)
-                log.append(red[4])
-                k, w, c = f[i]
-                f = self.comb(f, i, 1, red[2], c, *self._shift(red, k, w))
-        return self.strip(f)[0], None
+                steps.append(i)
+                steps.append(red[4])
+                f = self._step(f, i, red)[0]
+        f = self.strip(f)[0]
+        self.records.append((steps, len(f)))
+        return f, None
 
     def _follow(self, f, G, steps, size):
         """f reduced by the recorded steps, the reducers taken from the slots
@@ -125,8 +129,7 @@ class _ModEngine(_Engine):
                 raise _Astray
             if ((f[i][1] | guard) - red[0]) & guard != guard:  # the lead does not divide
                 raise _Astray
-            k, w, c = f[i]
-            f = self.comb(f, i, 1, red[2], c, *self._shift(red, k, w))
+            f = self._step(f, i, red)[0]
         f = self.strip(f)[0]
         if len(f) != size:
             raise _Astray
@@ -137,29 +140,22 @@ class _ModEngine(_Engine):
         return super().spoly(ei, ej, key, word)
 
     def _insert(self, terms):
-        self.log = array("l")
         h = super()._insert(terms)
-        if h or type(self.src) is int:  # every generator, even one that reduced to zero
-            self.ops.append((self.src, self.log, len(h)))
+        steps, size = self.records.pop()
+        # `run` inserts every generator before the first pair, each one an
+        # op even if it reduced to zero, so a generator's index is len(ops)
+        if h or self.src is None:
+            self.ops.append((self.src or len(self.ops), steps, size))
         return h
+
+    def _minimal_set(self):
+        self.minimal = super()._minimal_set()
+        return self.minimal
 
     def run(self, polys):
         """The reduced basis of the polys mod p, recorded in self.program."""
-        for k, f in enumerate(polys):
-            self.src = k
-            self._insert(self._poly_in(f)[0])
-        self._pairs_through(None)
-        minimal = self._minimal_set()
-        kept = self._keep(minimal)
-        inter = []
-        for k in minimal:
-            others = sorted([kept[j] for j in minimal if j != k], key=lambda e: len(e[2]))
-            self.log = array("l")
-            kept[k] = self._entry(self.full_reduce(kept[k][2], others, self._first)[0], k)
-            inter.append((self.log, len(kept[k][2])))
-        basis = self._output(kept)
-        self.program = self.ops, minimal, inter, _shape(basis)
-        self.ops = None
+        basis = super().run(polys)
+        self.program = self.ops, self.minimal, self.records, _shape(basis)
         return basis
 
     def replay(self, polys, program):
@@ -187,19 +183,6 @@ class _ModEngine(_Engine):
             return None
         basis = self._output(kept)
         return basis if _shape(basis) == shape else None
-
-    def _keep(self, minimal):
-        """G with every slot outside minimal emptied; G itself is released."""
-        kept = [None] * len(self.G)
-        for k in minimal:
-            kept[k] = self.G[k]
-        # from here each entry is dropped once replaced, to lower the peak
-        self.G = self.R = None
-        return kept
-
-    def _output(self, kept):
-        kept = sorted([e for e in kept if e], key=lambda e: e[2][0][0])
-        return [self._poly_out(kept.pop()[2]) for _ in range(len(kept))]
 
 
 def _ratrec(u, m):

@@ -270,7 +270,7 @@ def test_replay_equals_a_full_run_at_each_prime():
             continue
         ctx = gens[0].ctx
         _, program = modular._mod_run(ctx, gens, modular._PRIMES[0])
-        for p in modular._PRIMES[1:]:
+        for p in modular._PRIMES:
             replayed, ran = modular._mod_run(ctx, gens, p, program)
             assert ran is program
             assert replayed == modular._mod_run(ctx, gens, p)[0]

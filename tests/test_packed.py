@@ -236,6 +236,24 @@ def test_batched_normal_forms_match_one_at_a_time():
     assert normal_forms([], [ctx.zero]) == []
 
 
+def test_normal_forms_pack_each_basis_element_once_per_batch(monkeypatch):
+    packed = []
+    real = _Engine._poly_in
+    monkeypatch.setattr(_Engine, "_poly_in", lambda eng, p: packed.append(p) or real(eng, p))
+    rng = random.Random(13)
+    for trial in range(40):
+        # QQ and Q[a]/(a^2-a+1), in "dp", so that no run restarts wider
+        ctx = RingContext(("x", "y", "z"), "dp", FIELDS[trial % 2])
+        basis = [random_poly(rng, ctx, rng.randint(1, 4), 3) for _ in range(rng.randint(0, 6))]
+        fs = [random_poly(rng, ctx, rng.randint(1, 8), 5) for _ in range(rng.randint(1, 5))]
+        basis, fs = [g for g in basis if g], [f for f in fs if f]
+        packed.clear()
+        normal_forms(fs, basis)
+        # the whole basis first, once, then each f: none packed again per f
+        assert len(packed) == (len(basis) + len(fs) if fs else 0)
+        assert packed[len(basis) :] == fs
+
+
 def test_wide_exponents_restart_with_wider_fields():
     ctx = RingContext(("x", "y"), "lp")
     x, y = ctx.gens()

@@ -1,0 +1,104 @@
+"""sympy as an independent oracle for both Groebner engines.
+
+The reduced Groebner basis of an ideal is unique, so the fraction-free
+`buchberger` must give the basis `sympy.groebner` gives over QQ, and the
+mod-p engine of `chowlab.modular` the one it gives with `modulus=p`: a full
+run at the trace prime and at a 350-bit prime, and the replay at the
+350-bit prime of the trace prime's program wherever the replay does not
+leave that program.
+
+The inputs are small on purpose: 3 variables, 2-3 generators of degree 2-3
+with 2-4 terms, coefficients n/d with |n| <= 9 and d <= 4, and
+non-homogeneous ideals only in "dp".  The fraction-free engine can run for
+minutes on inputs barely larger than these, above all non-homogeneous ones
+in "lp": on three such generators in x, y, z of degree at most 6, it did
+not finish in 120 s, its coefficients past 285,000 bits, where sympy and a
+mod-p run each take well under a second.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+import chowlab.modular as modular  # noqa: E402
+from chowlab.groebner import buchberger  # noqa: E402
+from chowlab.poly import RingContext  # noqa: E402
+
+VARS = ("x", "y", "z")
+SYMS = sympy.symbols(VARS)
+ORDERS = {"dp": "grevlex", "lp": "lex"}
+# (order, homogeneous) of each seeded case
+KINDS = [("dp", True), ("lp", True), ("dp", False)]
+
+
+def random_ideal(rng, ctx, homogeneous):
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        deg = rng.randint(2, 3)
+        monos = [
+            e
+            for e in itertools.product(range(deg + 1), repeat=len(VARS))
+            if sum(e) == deg or not homogeneous and sum(e) < deg
+        ]
+        terms = {
+            e: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+            for e in rng.sample(monos, rng.randint(2, 4))
+        }
+        gens.append(ctx.from_dict(terms))
+    return gens
+
+
+def sympy_basis(gens, order, p=None):
+    """sympy's reduced basis of the gens, over QQ or, given p, over GF(p):
+    each polynomial monic in the order, as a sorted tuple of (exponents,
+    coefficient) pairs, the coefficients Fractions or residues in [0, p)."""
+    opts = {"domain": "QQ"} if p is None else {"modulus": p}
+
+    def to_sympy(c):
+        if p is None:
+            return sympy.Rational(c.numerator, c.denominator)
+        return c.numerator * pow(c.denominator, -1, p) % p
+
+    def monic(c, lc):
+        if p is None:
+            return Fraction(int(c.p), int(c.q)) / Fraction(int(lc.p), int(lc.q))
+        return int(c) * pow(int(lc), -1, p) % p  # sympy gives symmetric residues
+
+    polys = [
+        sympy.Poly.from_dict({e: to_sympy(c) for e, c in g.terms}, SYMS, **opts) for g in gens
+    ]
+    out = []
+    for poly in sympy.groebner(polys, *SYMS, order=ORDERS[order], **opts).polys:
+        # not poly.monic(), which divides by the lex leading coefficient
+        lc = poly.LC(order=ORDERS[order])
+        out.append(tuple(sorted((e, monic(c, lc)) for e, c in poly.terms())))
+    return sorted(out)
+
+
+def canonical(basis):
+    """A basis of (exponents, coefficient) term lists as sympy_basis gives it."""
+    return sorted(tuple(sorted(terms)) for terms in basis)
+
+
+@pytest.mark.parametrize("kind", range(len(KINDS)))
+def test_both_engines_match_sympy(kind):
+    order, homogeneous = KINDS[kind]
+    ctx = RingContext(VARS, order)
+    trace, big = modular._PRIMES[:2]
+    replays = 0
+    for seed in range(24):
+        gens = random_ideal(random.Random(seed * len(KINDS) + kind), ctx, homogeneous)
+        assert canonical(g.terms for g in buchberger(gens)) == sympy_basis(gens, order)
+        want = {p: sympy_basis(gens, order, p) for p in (trace, big)}
+        full = {p: modular._mod_run(ctx, gens, p) for p in (trace, big)}
+        for p, (basis, _) in full.items():
+            assert canonical(basis) == want[p]
+        replayed, _ = modular._mod_run(ctx, gens, big, full[trace][1])
+        if replayed is not None:  # it did not leave the program
+            replays += 1
+            assert canonical(replayed) == want[big]
+    assert replays > 12
