@@ -9,13 +9,21 @@ printed item, suitable for byte-for-byte comparison.
 The surface syntax follows the classical computer-algebra convention:
 `//` line comments, `;` terminators, and shorthand monomials where a
 digit run glues to a variable run (`5w5` is 5*w^5, `x2y3z` is x^2*y^3*z).
-Caret exponents are also accepted.  `parse` returns an AST whose nodes
-compare equal modulo source positions, `render` prints an AST back to
-canonical one-statement-per-line source, and parse(render(parse(s)))
+Caret exponents are also accepted.  A ring variable is named by its full
+identifier before the shorthand applies.  `parse` returns an AST whose
+nodes compare equal modulo source positions, `render` prints an AST back
+to canonical one-statement-per-line source, and parse(render(parse(s)))
 == parse(s) on every supported script.
+
+The lexer is one regular expression, matched at each position.  Each
+builtin's argument count sits in the `_BUILTINS` table beside its
+handler, and a `ValueError` by which the library refuses a builtin's
+input becomes a `DslEvalError` located at the call.
 """
 
+import operator
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 from .coeff import QQ, ExtElement, ExtField
@@ -45,11 +53,6 @@ class DslEvalError(DslError):
 # ---------------------------------------------------------------------------
 # lexer
 
-_TWO_CHAR_OPS = ("==", "!=", "<=", ">=")
-_ONE_CHAR_OPS = set("(){}[],;=+-*/^<>")
-# ASCII only: str.isdigit() is also true of '²' and '٣', which int() rejects
-# or reads as 3
-_WORD = re.compile(r"\w+", re.ASCII)
 # below Python's default limit (4300) on int-from-string conversion
 _MAX_LITERAL_DIGITS = 4000
 # deepest expression nesting the parser accepts: parentheses, unary
@@ -60,67 +63,42 @@ _MAX_LITERAL_DIGITS = 4000
 _MAX_NESTING = 64
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
+Token = namedtuple("Token", "kind text line col")  # kind: word num str op eof
 
-    def __init__(self, kind, text, line, col):
-        self.kind = kind  # word | num | str | op | eof
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
+# one lexeme per match, named by its group; `\w` is ASCII only, since
+# str.isdigit() is also true of '²' and '٣', which int() rejects or reads as 3
+_LEXEME = re.compile(
+    r'(?P<nl>\n)|(?P<space>[ \t\r]+)|(?P<comment>//[^\n]*)|"(?P<str>[^"\n]*)"'
+    r"|(?P<word>\w+)|(?P<op>[=!<>]=|[(){}\[\],;=+\-*/^<>])",
+    re.ASCII,
+)
 
 
 def tokenize(source):
     """Token list for script text; whitespace and // comments are skipped."""
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            end = source.find('"', i + 1)
-            if end < 0 or "\n" in source[i + 1 : end]:
+    i = line_start = 0
+    line = 1
+    while i < len(source):
+        col = i - line_start + 1
+        lexeme = _LEXEME.match(source, i)
+        if lexeme is None:
+            if source[i] == '"':
                 raise DslSyntaxError("unterminated string literal", line, col)
-            toks.append(Token("str", source[i + 1 : end], line, col))
-            col += end + 1 - i
-            i = end + 1
-            continue
-        word = _WORD.match(source, i)
-        if word:
-            text = word.group()
-            toks.append(Token("num" if text.isdigit() else "word", text, line, col))
-            col += len(text)
-            i = word.end()
-            continue
-        pair = source[i : i + 2]
-        if pair in _TWO_CHAR_OPS:
-            toks.append(Token("op", pair, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            toks.append(Token("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            raise DslSyntaxError(f"unexpected character {source[i]!r}", line, col)
+        kind, text = lexeme.lastgroup, lexeme[lexeme.lastgroup]
+        i = lexeme.end()
+        if kind == "nl":
+            line, line_start = line + 1, i
+        elif kind == "comment":
+            # a comment takes no columns: the end of input after it is
+            # located at its start
+            line_start += len(text)
+        elif kind != "space":
+            if kind == "word" and text.isdigit():
+                kind = "num"
+            toks.append(Token(kind, text, line, col))
+    toks.append(Token("eof", "", line, i - line_start + 1))
     return toks
 
 
@@ -274,6 +252,14 @@ class _Parser:
             self.fail(f"expected {what}")
         return self.advance()
 
+    def items(self, parse_one):
+        """One or more comma-separated results of parse_one."""
+        out = [parse_one()]
+        while self.at_op(","):
+            self.advance()
+            out.append(parse_one())
+        return out
+
     # statements
 
     def statement(self):
@@ -294,10 +280,7 @@ class _Parser:
             stmt = self.simple_assign()
             self.expect_op(";")
             return stmt
-        exprs = [self.expression()]
-        while self.at_op(","):
-            self.advance()
-            exprs.append(self.expression())
+        exprs = self.items(self.expression)
         self.expect_op(";")
         return ExprStmt(exprs, pos=(tok.line, tok.col))
 
@@ -323,10 +306,7 @@ class _Parser:
             self.fail("expected a ground field specification")
         self.expect_op(",")
         self.expect_op("(")
-        variables = [self.expect_word("a variable name").text]
-        while self.at_op(","):
-            self.advance()
-            variables.append(self.expect_word("a variable name").text)
+        variables = self.items(lambda: self.expect_word("a variable name").text)
         self.expect_op(")")
         self.expect_op(",")
         order = self.expect_word("a monomial order")
@@ -351,10 +331,7 @@ class _Parser:
         exprs = []
         if self.at_op("="):
             self.advance()
-            exprs.append(self.expression())
-            while self.at_op(","):
-                self.advance()
-                exprs.append(self.expression())
+            exprs = self.items(self.expression)
         if kind in ("poly", "list") and len(exprs) != 1:
             self.fail(f"{kind} declaration needs exactly one value", start)
         if kind == "int" and len(exprs) > 1:
@@ -464,12 +441,7 @@ class _Parser:
             self.advance()
             if self.at_op("("):
                 self.deeper(self.advance())
-                args = []
-                if not self.at_op(")"):
-                    args.append(self.expression())
-                    while self.at_op(","):
-                        self.advance()
-                        args.append(self.expression())
+                args = [] if self.at_op(")") else self.items(self.expression)
                 self.expect_op(")")
                 self.depth -= 1
                 return Call(tok.text, args, pos=(tok.line, tok.col))
@@ -597,12 +569,8 @@ class Environment:
     def __init__(self):
         self.ctx = None
         self.names = {}
-        self.pending_param = None
-        self.pending_ring = None
+        self.pending = None  # a parametric RingDecl waiting for its minpoly
         self.lines = []
-
-    def emit(self, text):
-        self.lines.append(text)
 
 
 class _QuitSignal(Exception):
@@ -652,6 +620,8 @@ def _resolve(ident, env, pos):
     if ident in env.names:
         return env.names[ident]
     if env.ctx is not None:
+        if ident in env.ctx.variables:
+            return env.ctx.var(ident)
         match = _SHORTHAND.fullmatch(ident)
         if match:
             coeff, body = match.groups()
@@ -666,17 +636,6 @@ def _resolve(ident, env, pos):
                     poly = poly * _power(env.ctx.var(letter), int(digits or 1), pos)
                 return poly
     raise DslEvalError(f"unknown identifier {ident!r}", *pos)
-
-
-def _compare(op, left, right, pos):
-    if op in ("==", "!="):
-        equal = left == right
-        return int(equal) if op == "==" else int(not equal)
-    for v in (left, right):
-        if not isinstance(v, (int, Fraction)):
-            raise DslEvalError(f"ordered comparison needs numbers, not {type(v).__name__}", *pos)
-    table = {"<": left < right, "<=": left <= right, ">": left > right, ">=": left >= right}
-    return int(table[op])
 
 
 def _power(base, exponent, pos):
@@ -701,52 +660,47 @@ def _power(base, exponent, pos):
     raise DslEvalError("cannot exponentiate this value", *pos)
 
 
+_SCALARS = (int, Fraction, ExtElement)
+# "/" multiplies by the inverse of its scalar divisor
+_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.mul,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+}
+
+
 def _binop(expr, env):
     op, pos = expr.op, expr.pos
     left = _eval(expr.left, env)
     right = _eval(expr.right, env)
-    if op in _CMP_OPS:
-        return _compare(op, left, right, pos)
     if op == "^":
         return _power(left, right, pos)
+    if op in _CMP_OPS:
+        if op not in ("==", "!="):
+            for v in (left, right):
+                if not isinstance(v, (int, Fraction)):
+                    raise DslEvalError(f"ordered comparison needs numbers, not {type(v).__name__}", *pos)
+        return int(_OPS[op](left, right))
     if isinstance(left, str) or isinstance(right, str):
         if op == "+" and isinstance(left, str) and isinstance(right, str):
             return left + right
         raise DslEvalError("strings only support +", *pos)
     if isinstance(left, Polynomial) or isinstance(right, Polynomial):
         ctx = left.ctx if isinstance(left, Polynomial) else right.ctx
-        a = _as_poly(left, ctx, pos)
-        b = _as_poly(right, ctx, pos)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if b.total_degree() > 0:
-            raise DslEvalError("polynomial division is not supported", *pos)
-        scalar = b.coeff_of((0,) * ctx.nvars)
-        if scalar == 0:
+        left = _as_poly(left, ctx, pos)
+        right = _as_poly(right, ctx, pos)
+        if op == "/":
+            if right.total_degree() > 0:
+                raise DslEvalError("polynomial division is not supported", *pos)
+            right = right.coeff_of((0,) * ctx.nvars)
+    elif not (isinstance(left, _SCALARS) and isinstance(right, _SCALARS)):
+        raise DslEvalError(f"unsupported operands for {op!r}", *pos)
+    if op == "/":
+        if right == 0:
             raise DslEvalError("division by zero", *pos)
-        return a * scalar ** (-1)
-    if isinstance(left, (int, Fraction, ExtElement)) and isinstance(
-        right, (int, Fraction, ExtElement)
-    ):
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        try:
-            if isinstance(left, int) and isinstance(right, int):
-                return Fraction(left, right)
-            if isinstance(right, ExtElement):
-                return left * right ** (-1)
-            return left / right
-        except ZeroDivisionError:
-            raise DslEvalError("division by zero", *pos)
-    raise DslEvalError(f"unsupported operands for {op!r}", *pos)
+        # Fraction(1), not 1: int / int is a float
+        right = Fraction(1) / right
+    return _OPS[op](left, right)
 
 
 def _eval(expr, env):
@@ -779,25 +733,14 @@ def _eval(expr, env):
     raise DslEvalError(f"cannot evaluate {type(expr).__name__}", *expr.pos)
 
 
-# builtins
-
-
-def _need(args, count, name, pos):
-    if len(args) != count:
-        raise DslEvalError(f"{name} expects {count} argument(s), got {len(args)}", *pos)
+# builtins; each takes the evaluated arguments, whose count _call checks
 
 
 def _bi_jacob(env, args, pos):
-    _need(args, 1, "jacob", pos)
-    f = _as_poly(args[0], _require_ctx(env, pos), pos)
-    try:
-        return jacob(f, "full")
-    except ValueError as exc:
-        raise DslEvalError(str(exc), *pos)
+    return jacob(_as_poly(args[0], _require_ctx(env, pos), pos), "full")
 
 
 def _bi_std(env, args, pos):
-    _need(args, 1, "std", pos)
     ideal = _as_ideal(args[0], pos, "std argument")
     gb = ideal.groebner_basis()
     out = Ideal(ideal.context, list(gb))
@@ -806,38 +749,30 @@ def _bi_std(env, args, pos):
 
 
 def _bi_intersect(env, args, pos):
-    _need(args, 2, "intersect", pos)
     a = _as_ideal(args[0], pos, "intersect argument")
     b = _as_ideal(args[1], pos, "intersect argument")
     return intersect(a, b)
 
 
 def _bi_dim(env, args, pos):
-    _need(args, 1, "dim", pos)
     return krull_dim(_as_ideal(args[0], pos, "dim argument"))
 
 
 def _bi_hilb(env, args, pos):
-    _need(args, 2, "hilb", pos)
     ideal = _as_ideal(args[0], pos, "hilb argument")
     if args[1] != 2:
         raise DslEvalError("only hilb(I,2) is supported", *pos)
-    try:
-        rows, truncated = hilbert_table(ideal)
-    except ValueError as exc:
-        raise DslEvalError(str(exc), *pos)
-    for degree, value in rows:
-        env.emit(f"// {value:8d} t^{degree}")
+    rows, truncated = hilbert_table(ideal)
+    env.lines.extend(f"// {value:8d} t^{degree}" for degree, value in rows)
     if truncated and krull_dim(ideal) > 0:
-        env.emit("// ** table truncated; quotient is not finite dimensional")
+        env.lines.append("// ** table truncated; quotient is not finite dimensional")
     elif truncated:
         cap = rows[-1][0]
-        env.emit(f"// ** table truncated at the degree cap t^{cap}; quotient is finite dimensional")
+        env.lines.append(f"// ** table truncated at the degree cap t^{cap}; quotient is finite dimensional")
     return None
 
 
 def _bi_diff(env, args, pos):
-    _need(args, 2, "diff", pos)
     f = _as_poly(args[0], _require_ctx(env, pos), pos)
     v = args[1]
     if (
@@ -853,23 +788,20 @@ def _bi_diff(env, args, pos):
 
 
 def _bi_deg(env, args, pos):
-    _need(args, 1, "deg", pos)
     value = args[0]
     if isinstance(value, Polynomial):
         return value.total_degree()
-    if isinstance(value, (int, Fraction, ExtElement)):
+    if isinstance(value, _SCALARS):
         return 0 if value != 0 else -1
     raise DslEvalError("deg expects a polynomial", *pos)
 
 
 def _bi_homog(env, args, pos):
-    _need(args, 1, "homog", pos)
     value = _as_poly(args[0], _require_ctx(env, pos), pos)
     return 1 if is_homogeneous(value) is not None else 0
 
 
 def _bi_ncols(env, args, pos):
-    _need(args, 1, "ncols", pos)
     value = args[0]
     if isinstance(value, Ideal):
         return len(value.generators)
@@ -879,21 +811,15 @@ def _bi_ncols(env, args, pos):
 
 
 def _bi_lres(env, args, pos):
-    _need(args, 2, "lres", pos)
     ideal = _as_ideal(args[0], pos, "lres argument")
     if args[1] != 0:
         raise DslEvalError("only lres(I,0) is supported", *pos)
-    env.emit("// ** higher syzygies unsupported; reporting minimal generator degrees")
+    env.lines.append("// ** higher syzygies unsupported; reporting minimal generator degrees")
     up_to = max((g.total_degree() for g in ideal.generators), default=0)
-    try:
-        rows = mingens_degrees(ideal, up_to)
-    except ValueError as exc:
-        raise DslEvalError(str(exc), *pos)
-    return MingensTable(ideal, rows)
+    return MingensTable(ideal, mingens_degrees(ideal, up_to))
 
 
 def _bi_betti(env, args, pos):
-    _need(args, 1, "betti", pos)
     if not isinstance(args[0], MingensTable):
         raise DslEvalError("betti expects a resolution table", *pos)
     return args[0]
@@ -907,55 +833,52 @@ def _bi_print(env, args, pos):
             raise DslEvalError(f"unsupported print format {args[1]!r}", *pos)
         if not isinstance(args[0], MingensTable):
             raise DslEvalError('print(.,"betti") expects a resolution table', *pos)
-    for line in _format_value(args[0], pos):
-        env.emit(line)
+    env.lines.extend(_format_value(args[0], pos))
     return None
 
 
+# name -> (handler, argument count); print checks its own count
 _BUILTINS = {
-    "jacob": _bi_jacob,
-    "std": _bi_std,
-    "intersect": _bi_intersect,
-    "dim": _bi_dim,
-    "hilb": _bi_hilb,
-    "diff": _bi_diff,
-    "deg": _bi_deg,
-    "homog": _bi_homog,
-    "ncols": _bi_ncols,
-    "lres": _bi_lres,
-    "betti": _bi_betti,
-    "print": _bi_print,
+    "jacob": (_bi_jacob, 1),
+    "std": (_bi_std, 1),
+    "intersect": (_bi_intersect, 2),
+    "dim": (_bi_dim, 1),
+    "hilb": (_bi_hilb, 2),
+    "diff": (_bi_diff, 2),
+    "deg": (_bi_deg, 1),
+    "homog": (_bi_homog, 1),
+    "ncols": (_bi_ncols, 1),
+    "lres": (_bi_lres, 2),
+    "betti": (_bi_betti, 1),
+    "print": (_bi_print, None),
 }
 
 
 def _call(expr, env):
-    handler = _BUILTINS.get(expr.func)
-    if handler is None:
+    if expr.func not in _BUILTINS:
         raise DslEvalError(f"unsupported builtin {expr.func!r}", *expr.pos)
+    handler, count = _BUILTINS[expr.func]
     args = [_eval(a, env) for a in expr.args]
-    return handler(env, args, expr.pos)
+    if count not in (None, len(args)):
+        raise DslEvalError(f"{expr.func} expects {count} argument(s), got {len(args)}", *expr.pos)
+    try:
+        return handler(env, args, expr.pos)
+    except ValueError as exc:  # the library refuses the input
+        raise DslEvalError(str(exc), *expr.pos)
 
 
 def _format_value(value, pos):
     try:
-        return _value_lines(value, pos)
+        if isinstance(value, (str, int, Fraction, ExtElement)):
+            return [str(value)]
+        if isinstance(value, Polynomial):
+            return [render_poly(value)]
+        if isinstance(value, Ideal):
+            return [f"_[{k}]={render_poly(g)}" for k, g in enumerate(value.generators, 1)]
+        if isinstance(value, MingensTable):
+            return value.lines()
     except ValueError:  # Python's int-to-string digit limit
         raise DslEvalError("value too large to print", *pos)
-
-
-def _value_lines(value, pos):
-    if isinstance(value, str):
-        return [value]
-    if isinstance(value, int):
-        return [str(value)]
-    if isinstance(value, (Fraction, ExtElement)):
-        return [str(value)]
-    if isinstance(value, Polynomial):
-        return [render_poly(value)]
-    if isinstance(value, Ideal):
-        return [f"_[{k}]={render_poly(g)}" for k, g in enumerate(value.generators, 1)]
-    if isinstance(value, MingensTable):
-        return value.lines()
     raise DslEvalError(f"cannot print a {type(value).__name__}", *pos)
 
 
@@ -964,7 +887,7 @@ def _value_lines(value, pos):
 
 def _exec(stmt, env):
     pos = stmt.pos
-    if env.pending_param is not None and not isinstance(stmt, MinpolyDecl):
+    if env.pending is not None and not isinstance(stmt, MinpolyDecl):
         raise DslEvalError("parametric ring declaration needs a minpoly next", *pos)
     if isinstance(stmt, RingDecl):
         _exec_ring(stmt, env)
@@ -984,8 +907,7 @@ def _exec(stmt, env):
             value = _eval(e, env)
             if value is None:
                 continue
-            for line in _format_value(value, e.pos):
-                env.emit(line)
+            env.lines.extend(_format_value(value, e.pos))
     elif isinstance(stmt, ForLoop):
         _exec(stmt.init, env)
         for _ in range(_LOOP_LIMIT):
@@ -1004,7 +926,7 @@ def _exec(stmt, env):
 
 
 def _exec_ring(stmt, env):
-    if env.ctx is not None or env.pending_ring is not None:
+    if env.ctx is not None or env.pending is not None:
         raise DslEvalError("only one ring declaration per script", *stmt.pos)
     if stmt.param is None:
         try:
@@ -1014,16 +936,15 @@ def _exec_ring(stmt, env):
     else:
         if stmt.param in stmt.variables:
             raise DslEvalError("parameter name collides with a variable", *stmt.pos)
-        env.pending_param = stmt.param
-        env.pending_ring = (stmt.variables, stmt.order)
+        env.pending = stmt
 
 
 def _exec_minpoly(stmt, env):
     pos = stmt.pos
-    if env.pending_param is None:
+    ring = env.pending
+    if ring is None:
         raise DslEvalError("minpoly outside a parametric ring declaration", *pos)
-    param = env.pending_param
-    variables, order = env.pending_ring
+    param = ring.param
     scratch = Environment()
     scratch.ctx = RingContext((param,), order="lp", field=QQ)
     value = _eval(stmt.expr, scratch)
@@ -1035,12 +956,11 @@ def _exec_minpoly(stmt, env):
     lead = coeffs[-1]
     try:
         field = ExtField(param, [c / lead for c in coeffs])
-        env.ctx = RingContext(variables, order=order, field=field)
+        env.ctx = RingContext(ring.variables, order=ring.order, field=field)
     except ValueError as exc:
         raise DslEvalError(str(exc), *pos)
     env.names[param] = env.ctx.const(field.gen)
-    env.pending_param = None
-    env.pending_ring = None
+    env.pending = None
 
 
 def _exec_decl(stmt, env):

@@ -217,13 +217,15 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = self.ctx.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return self.ctx.one
+        if len(self.terms) <= 1:  # zero or a monomial: one step
+            return Polynomial(self.ctx, tuple((tuple(k * n for k in e), c**n) for e, c in self.terms))
+        # n - 1 products with the sparse base cost less than squaring, whose
+        # operands grow dense (Fateman, Stud. Appl. Math. 53, 1974)
+        out = self
+        for _ in range(n - 1):
+            out = out * self
         return out
 
     def __eq__(self, other):

@@ -179,6 +179,11 @@ HOSTILE = {
         "2:1: minimal polynomial coefficients too large",
         1,
     ),
+    # Polynomial.__pow__ once squared the base past its last bit, so ^16
+    # built the 32nd power, 58,905 terms
+    "power-of-a-sum": (
+        "ring r=0,(w,x,y,z),dp;\npoly f=(w+x+y+z+1)^16;\ndeg(f);\n", 0, "16\n", 5
+    ),
     "huge-minpoly-denominator": (
         "ring r=(0,a),(x,y),dp;\nminpoly=a^2-1/1" + "0" * 29 + "1;\n",
         4,

@@ -1,6 +1,7 @@
 """Script language: lexing, parsing, rendering, and evaluation."""
 
 import random
+from importlib import resources
 
 import pytest
 
@@ -24,6 +25,7 @@ from chowlab.poly import RingContext, render_poly
 from chowlab.rings import hilbert_table, jacob, mingens_degrees
 
 RING = "ring r=0,(w,x,y,z),dp;\n"
+DATA = resources.files("chowlab") / "data"
 
 
 def test_tokenize_shorthand_and_comments():
@@ -147,6 +149,33 @@ def test_unknown_identifier_has_location():
     # shorthand with a letter outside the ring is unknown too
     with pytest.raises(DslEvalError):
         run_source(RING + "poly f=x2q;")
+
+
+def test_ring_variables_resolve_before_the_shorthand():
+    assert run_source("ring r=0,(x1,x2),dp; x1^2+x2;") == "x1^2+x2\n"
+    assert run_source("ring r=0,(xy,z),dp; xy*z+z^2;") == "xy*z+z^2\n"
+    out = run_source("ring r=(0,ab),(x),dp; minpoly=ab^2+1; ab*ab; (x+ab)^2;")
+    assert out == "-1\nx^2+(2*ab)*x-1\n"
+    # single letters still build shorthand monomials from the variables
+    assert run_source("ring r=0,(x,y),dp; x2y;") == "x^2*y\n"
+
+
+@pytest.mark.parametrize(
+    "call, library",
+    [
+        ("jacob(x+y2)", lambda i: jacob(i.generators[0], "full")),
+        ("hilb(i,2)", hilbert_table),
+        ("lres(i,0)", lambda i: mingens_degrees(i, 2)),
+    ],
+)
+def test_library_value_errors_are_located_eval_errors(call, library):
+    ctx = RingContext(("x", "y"), order="dp")
+    x, y = ctx.gens()
+    with pytest.raises(ValueError) as lib:
+        library(Ideal(ctx, [x + y**2]))
+    with pytest.raises(DslEvalError) as err:
+        run_source("ring r=0,(x,y),dp;\nideal i=x+y2;\n  " + call + ";\n")
+    assert (err.value.message, err.value.line, err.value.col) == (str(lib.value), 3, 3)
 
 
 def test_unsupported_builtin_and_arity_errors():
@@ -375,7 +404,7 @@ def test_lres_betti_matches_mingens_degrees():
 
 
 def test_evaluation_is_deterministic():
-    src = open("src/chowlab/data/sessions/s6-session.sess").read()
+    src = (DATA / "sessions" / "s6-session.sess").read_text()
     first = evaluate(parse(src))
     second = evaluate(parse(src))
     assert first == second
@@ -384,7 +413,7 @@ def test_evaluation_is_deterministic():
 
 
 def test_session_transcript_structure():
-    src = open("src/chowlab/data/sessions/s6-session.sess").read()
+    src = (DATA / "sessions" / "s6-session.sess").read_text()
     out = evaluate(parse(src))
     lines = out.splitlines()
     assert lines[0] == "3"  # dim
@@ -404,7 +433,7 @@ def test_ideal_declaration_keeps_the_cached_basis(monkeypatch):
         return real(gens)
 
     monkeypatch.setattr(groebner, "buchberger", counting)
-    src = open("src/chowlab/data/sessions/s5-session2.sess").read()
-    with open("src/chowlab/data/goldens/s5-session2.transcript") as fh:
+    src = (DATA / "sessions" / "s5-session2.sess").read_text()
+    with (DATA / "goldens" / "s5-session2.transcript").open() as fh:
         assert evaluate(parse(src)) == fh.read()
     assert calls == [4, 5]

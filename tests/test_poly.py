@@ -97,6 +97,22 @@ def test_binomial_expansion():
         assert f.coeff_of(e) == comb(5, k)
 
 
+def test_powers_equal_repeated_products():
+    ctx = RingContext(["x", "y"], "dp", ExtField("a", [1, 0, 1]))
+    x, y = ctx.gens()
+    a = ctx.const(ctx.field.gen)
+    # monomials and zero take one step; a 3-term base multiplies n times
+    for base in (ctx.zero, ctx.one, 3 * x, F(-2, 3) * x**2 * y, a * y, x - 2 * a * y + 1):
+        product = ctx.one
+        for n in range(7):
+            assert base**n == product, (base, n)
+            product = product * base
+    assert (x**2 * y) ** 100000000 == ctx.monomial([200000000, 100000000])
+    assert ctx.zero ** 1000000000 == ctx.zero
+    with pytest.raises(ValueError):
+        x ** -1
+
+
 def test_diff_basic():
     ctx = wxyz()
     w, x, _, _ = ctx.gens()
