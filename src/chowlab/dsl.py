@@ -25,6 +25,7 @@ import operator
 import re
 from collections import namedtuple
 from fractions import Fraction
+from math import comb
 
 from .coeff import QQ, ExtElement, ExtField
 from .groebner import Ideal, intersect, krull_dim
@@ -580,6 +581,8 @@ class _QuitSignal(Exception):
 _LOOP_LIMIT = 100000
 # largest integer or rational power the interpreter builds, in bits
 _POWER_BITS_LIMIT = 1 << 20
+# largest bound on the terms of a polynomial power that it builds
+_POWER_TERMS_LIMIT = 1 << 13
 
 _SHORTHAND = re.compile(r"(\d*)((?:[A-Za-z]\d*)+)")
 
@@ -644,6 +647,12 @@ def _power(base, exponent, pos):
         if isinstance(base, Polynomial):
             if e < 0:
                 raise DslEvalError("negative exponent on a polynomial", *pos)
+            # base^e has at most C(t + e - 1, e) terms, t those of the base,
+            # and at most the C(n + e deg, n) monomials of degree <= e deg
+            t, n = len(base.terms), base.ctx.nvars
+            terms = t > 1 and min(comb(t + e - 1, e), comb(n + e * base.total_degree(), n))
+            if terms > _POWER_TERMS_LIMIT:
+                raise DslEvalError("power too large", *pos)
             return base ** e
         if isinstance(base, (int, Fraction)):
             q = Fraction(base)

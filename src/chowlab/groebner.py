@@ -68,20 +68,35 @@ generator of degree d is reduced after every pair of degree at most d and
 is minimal iff its remainder is nonzero, which is then inserted.  Its lead
 no basis lead divides, so its pairs lie above d and the basis stays a
 Groebner basis through degree d of the ideal of the generators so far.
-`run` inserts every generator before the first pair, because taking them
-in degree order made the s5 elimination of `intersect` twice as slow.  It
-ends in `_finalize`, shared by every run: the minimal basis
-(`_minimal_set`), its slots kept (`_keep`), each entry interreduced by the
-others, m first, then the smallest, and the output (`_output`) without m.
-Given a known Groebner basis of the ideal, the run is Hilbert-driven
-(Traverso, JSC 22, 1996): once every degree-d lead of the known basis is
-divisible by a lead of the run's basis, the remaining pairs of degree d
-are dropped and the remaining degree-d generators are not minimal.  This
-is exact.  Pairs and generators go in degree order, so the run's basis
-already matches the ideal I below degree d, and with the test its leads
-cover the degree-d part of LM(I).  A remainder in degree d lies in I and
-has no term divisible by a run lead; its lead would lie in LM(I) but not
-be covered, so it is zero.
+`run` inserts every generator before the first pair, unless it is
+Hilbert-driven: taking them in degree order made the plain s5 elimination
+of `intersect` twice as slow.  Every run reduces a term by the first basis
+entry whose lead divides it, in the order m, then by size, then by slot
+(`_reducer`), memoized per word: a word looked up again tests only the
+entries added since.  It ends in `_finalize`, shared by every run:
+the minimal basis (`_minimal_set`), its slots kept (`_keep`), each entry
+interreduced by the others, m first, then the smallest, and the output
+(`_output`) without m.
+
+A run is Hilbert-driven (Traverso, JSC 22, 1996) when the Hilbert function
+of LM(I) is known in the degrees it reaches.  Pairs and generators then go
+in degree order, through the loop of `minimal`, and once the run's leads
+cover the degree-d part of LM(I) the remaining pairs of degree d are
+dropped and the remaining degree-d generators are not minimal.  This is
+exact: a remainder in degree d lies in I and has no term divisible by a
+run lead, so its lead would lie in LM(I) but not be covered; it is zero.
+Two tests decide coverage.  `minimal_generators`, given a known Groebner
+basis, asks that every degree-d lead of it be divisible by a run lead (the
+lower degrees are covered already); it needs no numerator, which is a
+list as long as the largest lead degree and was slower on the quintic's
+minimal generators.  The mod-p
+trace of `intersect`, given the Hilbert numerator of LM(I), computes at the
+first item of degree d the deficit k = HF_run(d) - HF_I(d), HF_run from the
+numerator of the run's leads, and covers d after k more insertions: the
+run's leads lie in LM(I), and each insertion in degree d, its lead divisible
+by no run lead, lowers HF_run(d) by one.  Modulo p the Hilbert function of
+the ideal is at least the rational one, as no rank grows mod p, so an
+unlucky prime never drops a pair too early; it can only keep more.
 
 `intersect` on rational generators, in any field, computes its elimination
 basis modulo primes first (`modular`: monic reducers, one multiply and one
@@ -106,6 +121,21 @@ CRT: CRT and maximal-quotient rational reconstruction (Monagan 2004) of the
 replays lift the residues to a candidate C, and C is kept only if, made
 monic modulo the trace prime, it is the trace basis, a cheap check that a
 wrong lift rarely passes.
+
+For homogeneous I and J in n variables, the runs take the generators
+homogenized by one more variable h: t*f and (h - t)*g in Q[t, h, x], with
+the block order (t | h, x).  Their ideal L = tI + sJ, with s = h - t, is
+homogeneous.  With R = Q[x], the quotient Q[t, h, x]/L is, as a graded
+space, R + t R/I[t] + s R/J[s] + ts R/(I+J)[t, s], so its Hilbert numerator
+is N_L = (1-z)^2 + z(1-z)(N_I + N_J) + z^2 N_(I+J), over (1-z)^(n+2).  It
+is read from the bases of I, J and I+J, which the certificate below
+reuses, and the trace is Hilbert-driven by it.  The candidate C is the lift
+evaluated at h = 1.  That map sends the generators to t*f and (1 - t)*g and
+keeps the terms of a homogeneous element apart.  Since L cap Q[h, x] =
+h (I cap J)[h], the t-free slice of the reduced basis of L is h times the
+reduced basis of I cap J, with the same leads (grevlex on (h, x) compares
+h*u and h*v as it compares u and v).  So at h = 1 it is the slice the plain
+elimination gives.
 
 For homogeneous I and J, the t-free slice H of C, made monic, is certified
 with no exact elimination, by its Hilbert series (in the spirit of
@@ -139,10 +169,10 @@ failed lift or a failed check costs time, never a wrong answer.
 """
 
 import threading
-from bisect import insort
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import le
 
 from .coeff import ExtField
 from .poly import Polynomial, RingContext, is_homogeneous
@@ -244,13 +274,13 @@ class _Engine:
         self.ext = ext
         self.pk = _Packing(ctx.order, ctx.nvars, width, ext)
         self.G = []
-        # by size, stably: the first divisor is the smallest reducer, to limit fill-in
-        self.R = []
+        self.memo = {}  # word: (len(G) when last looked up, its reducer)
         self.live = {}
         self.heap = []
         self._seq = 0
         self.zeros = []
-        self.pruned = [0, 0]  # pairs and polys that `minimal` skipped
+        self.pruned = [0, 0]  # pairs and polys that the Hilbert-driven rule skipped
+        self.covered = None  # the Hilbert-driven rule, if the run has one
         if ext:
             m = ctx.field.minpoly
             zero = (0,) * ctx.nvars
@@ -364,6 +394,27 @@ class _Engine:
                 return ent
         return None
 
+    def _reducer(self, G, word):
+        """The reducer of the word in G, the basis: its first divisor by
+        `_rank`.  Memoized per word; only the entries added since its last
+        lookup are tested."""
+        n, best = self.memo.get(word, (0, None))
+        if n < len(G):
+            guard = self.pk.guard
+            top = word | guard
+            for ent in G[n:]:
+                if (top - ent[0]) & guard == guard and (
+                    best is None or self._rank(ent) < self._rank(best)
+                ):
+                    best = ent
+            self.memo[word] = len(G), best
+        return best
+
+    def _rank(self, ent):
+        """m first, which keeps every power of a below 2 deg m - 1, then by
+        size, as the smallest reducer limits fill-in, then by slot."""
+        return ent[4] > 0 or not self.ext, len(ent[2]), ent[4]
+
     def _step(self, f, i, red):
         """Cancel term i of f against the entry red: (new f, its factor on f)."""
         k, w, c = f[i]
@@ -425,8 +476,6 @@ class _Engine:
                     del live[(i, j)]
         ent = self._entry(terms)
         G.append(ent)
-        # with ext, m stays first: it keeps every power of a below 2 deg m - 1
-        insort(self.R, ent, 1 if self.ext and self.R else 0, key=lambda e: len(e[2]))
         for g_idx, big, key, coprime in kept:
             if coprime:
                 continue
@@ -435,18 +484,36 @@ class _Engine:
             # degree-first selection, order key as tie-break
             heappush(self.heap, (big >> pk.deg_shift, key, self._seq, g_idx, idx))
 
-    def _insert(self, terms):
-        """Install the remainder of terms by the basis if it is nonzero; return it."""
-        h = self.full_reduce(terms, self.R, self._first)[0]
+    def _insert(self, terms, src=None):
+        """Install the remainder of terms by the basis if it is nonzero; return
+        it.  src names the terms: a generator's index, or (i, j, lcm word) for
+        the S-pair of slots i and j."""
+        h = self.full_reduce(terms, self.G, self._reducer)[0]
         if h:
             self._add(h)
         return h
 
-    def _pairs_through(self, cap, covered=None):
+    def _hilbert_driven(self, target):
+        """Set self.covered to the Hilbert-driven rule (module docstring) for
+        rational homogeneous polys whose ideal's leading monomials have the
+        Hilbert numerator target: at the first item of degree d, the deficit
+        k of the run's leads against the target in degree d, and covered(d)
+        once k more entries are in."""
+        n, goal = self.ctx.nvars, {}
+
+        def covered(d):
+            if d not in goal:
+                num = hilbert_numerator([self.pk.unpack(g[0]) for g in self.G], n)
+                goal[d] = len(self.G) + hilbert_dim(num, n, d) - hilbert_dim(target, n, d)
+            return len(self.G) >= goal[d]
+
+        self.covered = covered
+
+    def _pairs_through(self, cap):
         """Reduce the live pairs of degree at most cap (None: all), lowest first;
-        pairs of a degree d with covered(d) true are dropped, and pairs that
-        reduce to zero go to self.zeros."""
-        heap = self.heap
+        pairs of a degree the rule covers are dropped, and pairs that reduce
+        to zero go to self.zeros."""
+        heap, covered = self.heap, self.covered
         while heap and (cap is None or heap[0][0] <= cap):
             deg, key, _, i, j = heappop(heap)
             big = self.live.pop((i, j), None)
@@ -454,13 +521,20 @@ class _Engine:
                 continue
             if covered and covered(deg):
                 self.pruned[0] += 1
-            elif not self._insert(self.spoly(self.G[i], self.G[j], key, big)):
+            elif not self._insert(self.spoly(self.G[i], self.G[j], key, big), (i, j, big)):
                 self.zeros.append((i, j))
 
-    def run(self, polys):
-        """Reduced basis of the polys, all inserted before the first pair."""
-        for p in polys:
-            self._insert(self._poly_in(p)[0])
+    def run(self, polys, target=None):
+        """Reduced basis of the polys.  With no target every generator goes in
+        before the first pair; with target, the Hilbert numerator of the
+        leading monomials of the ideal of the homogeneous polys, the run is
+        Hilbert-driven in degree order (`minimal`)."""
+        if target is None:
+            for k, p in enumerate(polys):
+                self._insert(self._poly_in(p)[0], k)
+        else:
+            self._hilbert_driven(target)
+            self.minimal(polys)
         self._pairs_through(None)
         return self._finalize()
 
@@ -472,7 +546,6 @@ class _Engine:
         of a degree all of whose leads the run's basis covers are skipped
         (module docstring), and self.pruned counts them.
         """
-        covered = None
         if leads is not None:
             # per degree: the words of the leads no run lead divides yet, and
             # len(G) when they were last checked
@@ -485,17 +558,18 @@ class _Engine:
                 left = pending.get(d)
                 if left and seen.get(d) != len(self.G):
                     seen[d] = len(self.G)
-                    left = pending[d] = [w for w in left if not self._first(self.R, w)]
+                    left = pending[d] = [w for w in left if not self._reducer(self.G, w)]
                 return not left
 
+            self.covered = covered
         out = []
-        for p in sorted(polys, key=Polynomial.total_degree):
-            d = p.total_degree()
-            self._pairs_through(d, covered=covered)
-            if covered and covered(d):
+        for k in sorted(range(len(polys)), key=lambda k: polys[k].total_degree()):
+            d = polys[k].total_degree()
+            self._pairs_through(d)
+            if self.covered and self.covered(d):
                 self.pruned[1] += 1
-            elif self._insert(self._poly_in(p)[0]):
-                out.append(p)
+            elif self._insert(self._poly_in(polys[k])[0], k):
+                out.append(polys[k])
         return out
 
     def _minimal_set(self):
@@ -516,7 +590,7 @@ class _Engine:
         for k in minimal:
             kept[k] = self.G[k]
         # from here each entry is dropped once replaced, to lower the peak
-        self.G = self.R = None
+        self.G = self.memo = None
         return kept
 
     def _output(self, kept):
@@ -800,17 +874,33 @@ def _eliminated(gens, k, ctx):
     ]
 
 
-_AUX = "@t"
+_AUX, _HOM = "@t", "@h"
 
 
-def _certified(cand, i_ideal, j_ideal):
-    """The t-free slice H of the candidate, monic, ported to the ring of I
-    and J and sorted as `_eliminated` sorts, if it passes the certificate
-    of the module docstring as the reduced basis of I cap J; else None."""
-    n = i_ideal.context.nvars
+def _numerators(i_ideal, j_ideal):
+    """The Hilbert numerators of I, J, I+J and L = tI + (h - t)J, the last in
+    two more variables, from the reduced bases; None unless I and J are
+    homogeneous."""
     pair = i_ideal.generators + j_ideal.generators
     if any(is_homogeneous(g) is None for g in pair):
         return None
+    n = i_ideal.context.nvars
+    bases = i_ideal.groebner_basis(), j_ideal.groebner_basis(), buchberger(list(pair))
+    ni, nj, nij = (hilbert_numerator([g.leading_monomial() for g in b], n) for b in bases)
+    # S/L = R + t R/I[t] + s R/J[s] + ts R/(I+J)[t, s] with s = h - t, so
+    # N_L = (1-z)^2 + z(1-z)(N_I + N_J) + z^2 N_I+J
+    s = _padd(ni, nj)
+    return ni, nj, nij, _padd([1, -2, 1], _padd(_padd(s, nij, 1), [-c for c in s], 1), 1)
+
+
+def _certified(cand, i_ideal, j_ideal, nums):
+    """The t-free slice H of the candidate, monic, ported to the ring of I
+    and J and sorted as `_eliminated` sorts, if it passes the certificate
+    of the module docstring as the reduced basis of I cap J; else None.
+    nums are those of `_numerators`."""
+    if nums is None:
+        return None
+    n = i_ideal.context.nvars
     key = cand[0].ctx.key
     hs = sorted(
         [g for g in cand if g and not any(e[0] for e, _ in g.terms)],
@@ -831,12 +921,7 @@ def _certified(cand, i_ideal, j_ideal):
             if sum((top - w) & pk.guard == pk.guard for w in words) != (k == 0):
                 return None
     # (b) HS(R/(H)) = HS(R/I) + HS(R/J) - HS(R/(I+J)), read from the leads
-    ni, nj, nij = (
-        hilbert_numerator([g.leading_monomial() for g in basis], n)
-        for basis in (
-            i_ideal.groebner_basis(), j_ideal.groebner_basis(), buchberger(list(pair))
-        )
-    )
+    ni, nj, nij, _ = nums
     gap = _padd(_padd(hilbert_numerator(leads, n), nij), [-c for c in _padd(ni, nj)])
     if any(gap):
         return None
@@ -847,27 +932,29 @@ def _certified(cand, i_ideal, j_ideal):
 
 def intersect(i_ideal, j_ideal):
     """I cap J via a fresh auxiliary variable.  When every coefficient is
-    rational the elimination basis is found modulo primes first; for
-    homogeneous I and J its t-free slice is certified by its Hilbert series
-    and containment, with no exact elimination.  Otherwise, or when that
+    rational the elimination basis is found modulo primes first, for
+    homogeneous I and J by a Hilbert-driven trace on the homogenized
+    generators, and its t-free slice certified by its Hilbert series and
+    containment, with no exact elimination.  Otherwise, or when that
     certificate fails, one exact elimination runs, seeded with the modular
     basis, then unseeded, each certified by containment in I and in J
     (module docstring)."""
     ctx = i_ideal.context
     if j_ideal.context != ctx:
         raise ValueError("mixed ring contexts")
-    if _AUX in ctx.variables:
+    if _AUX in ctx.variables or _HOM in ctx.variables:
         raise ValueError("auxiliary variable name collision")
     ctxa = RingContext((_AUX,) + ctx.variables, ("block", 1), ctx.field)
     t = ctxa.var(_AUX)
     gens = [t * _port(f, ctxa, pad=1) for f in i_ideal.generators]
     gens += [(ctxa.one - t) * _port(g, ctxa, pad=1) for g in j_ideal.generators]
-    cand = None
+    cand = nums = None
     if gens and not _irrational(ctx.field, gens):
         from . import modular  # here, so that the rank paths never load it
 
-        cand = modular._modular_basis(ctxa, gens)
-    res = _certified(cand, i_ideal, j_ideal) if cand else None
+        nums = _numerators(i_ideal, j_ideal)
+        cand = modular._modular_basis(ctxa, gens, nums and nums[3])
+    res = _certified(cand, i_ideal, j_ideal, nums) if cand else None
     if res is None:
         for seed in ([cand] if cand else []) + [[]]:
             res = _eliminated(seed + gens, 1, ctx)
@@ -909,6 +996,11 @@ def _padd(p, q, shift=0):
     return out
 
 
+def hilbert_dim(num, n, d):
+    """dim (R/M)_d for a monomial ideal M with HS(R/M) = num(t)/(1-t)^n."""
+    return sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(num[: d + 1]))
+
+
 def hilbert_numerator(leads, n):
     """[N_0, N_1, ...] with HS(R/(leads)) = N(t)/(1-t)^n, for exponent
     vectors in n variables, trailing zeros dropped ([] for the unit ideal).
@@ -922,7 +1014,7 @@ def hilbert_numerator(leads, n):
     """
     gens = []
     for m in sorted(set(leads), key=sum):
-        if not any(all(a <= b for a, b in zip(g, m)) for g in gens):
+        if not any(all(map(le, g, m)) for g in gens):
             gens.append(m)
     count = [sum(1 for g in gens if g[i]) for i in range(n)]
     split, rest = [], []

@@ -4,21 +4,25 @@
 generators from runs modulo the primes of `_PRIMES`: a full run at the
 first prime, which is `_Engine.run` with recording hooks, records its work
 as a straight-line program (the trace), each later prime replays that
-program, and CRT with rational reconstruction lifts the replays to Q.  The
-`groebner` module docstring gives the method and why a wrong candidate
-costs time, never a wrong answer.
+program, and CRT with rational reconstruction lifts the replays to Q.  For
+a homogeneous intersection the runs are on the homogenized generators and
+the trace is Hilbert-driven.  The `groebner` module docstring gives the
+method and why a wrong candidate costs time, never a wrong answer.
 
 A program is (ops, minimal, inter, shape):
 
-- ops, in order, are the generator insertions of the trace and its S-pairs
-  that did not reduce to zero, each as (source, steps, size).  The source
-  is a generator's index, or (i, j, lcm) for the S-pair of basis slots i and
-  j with lead lcm lcm (an exponent vector); steps holds the term position
-  and the reducer slot of each reduction step, flat in an int array (less
-  than half the memory of a list of pairs), and size is the remainder's
-  number of terms.  Each op with a remainder installs the next basis slot.
-  A generator that reduced to zero stays in, so that a replay whose
-  remainder is not zero leaves the program.
+- ops, in the order of the trace, are its generator insertions and its
+  S-pairs that did not reduce to zero, each as (source, steps, size).  The
+  source is a generator's index in the input, or (i, j, lcm) for the S-pair
+  of basis slots i and j with lead lcm lcm (an exponent vector); steps
+  holds the term position and the reducer slot of each reduction step, flat
+  in an int array (less than half the memory of a list of pairs), and size
+  is the remainder's number of terms.  Each op with a remainder installs the
+  next basis slot.  A plain run inserts every generator before the first
+  pair; a Hilbert-driven one interleaves them with the pairs, in degree
+  order, and leaves out the generators it skipped.  A generator that
+  reduced to zero stays in, so that a replay whose remainder is not zero
+  leaves the program.
 - minimal holds the slots of the minimal basis, inter the (steps, size) of
   the interreduction of each of them, and shape the monomials of the
   output, one list per polynomial.
@@ -28,8 +32,8 @@ from array import array
 from fractions import Fraction
 from math import gcd
 
-from .groebner import _Engine, _packed
-from .poly import Polynomial
+from .groebner import _HOM, _Engine, _packed
+from .poly import Polynomial, RingContext
 
 # literal, so that import does no work.  The first, below 2^30 so that its
 # residues are single-digit ints, runs the trace; two of the 350-bit ones lift
@@ -49,17 +53,17 @@ class _ModEngine(_Engine):
 
     Besides the arithmetic it has only recording hooks and the replay.
     `run` is `_Engine.run` with the hooks: `full_reduce` records the (steps,
-    size) of each reduction, `_insert` turns its record into an op, `spoly`
-    names the op's source, and the records left over after the pairs are
-    the interreduction, in the order of `_minimal_set`.  The program (module
-    docstring) ends in self.program; `replay` runs a program instead, with
-    the same `_keep` and `_output`.
+    size) of each reduction, `_insert` turns its record into an op whose
+    source is the generator index or S-pair the engine names, and the
+    records left over after the pairs are the interreduction, in the order
+    of `_minimal_set`.  The program (module docstring) ends in self.program;
+    `replay` runs a program instead, with the same `_keep` and `_output`.
     """
 
     def __init__(self, ctx, width, p):
         super().__init__(ctx, width)
         self.p = p
-        self.ops, self.records, self.src = [], [], None
+        self.ops, self.records = [], []
         self.program = None
 
     def _poly_in(self, f):
@@ -135,26 +139,22 @@ class _ModEngine(_Engine):
             raise _Astray
         return f
 
-    def spoly(self, ei, ej, key, word):
-        self.src = ei[4], ej[4], self.pk.unpack(word)
-        return super().spoly(ei, ej, key, word)
-
-    def _insert(self, terms):
+    def _insert(self, terms, src=None):
         h = super()._insert(terms)
         steps, size = self.records.pop()
-        # `run` inserts every generator before the first pair, each one an
-        # op even if it reduced to zero, so a generator's index is len(ops)
-        if h or self.src is None:
-            self.ops.append((self.src or len(self.ops), steps, size))
+        if type(src) is tuple:  # an S-pair: its lcm as exponents, for any width
+            src = src[0], src[1], self.pk.unpack(src[2])
+        if h or type(src) is int:  # a generator is an op even if it reduced to zero
+            self.ops.append((src, steps, size))
         return h
 
     def _minimal_set(self):
         self.minimal = super()._minimal_set()
         return self.minimal
 
-    def run(self, polys):
+    def run(self, polys, target=None):
         """The reduced basis of the polys mod p, recorded in self.program."""
-        basis = super().run(polys)
+        basis = super().run(polys, target)
         self.program = self.ops, self.minimal, self.records, _shape(basis)
         return basis
 
@@ -231,7 +231,7 @@ def _agrees(lifted, trace, q):
     return True
 
 
-def _modular_basis(ctx, gens):
+def _modular_basis(ctx, gens, target=None):
     """A candidate for the reduced basis of (gens) over Q, or None.
 
     The first prime that runs is the trace: it runs in full, records its
@@ -240,14 +240,31 @@ def _modular_basis(ctx, gens):
     the residues so far dropped; the others are combined by CRT, and a lift
     is returned once it reduces mod the trace prime to the trace basis.
     Only the program keeps the monomials; the rest are coefficient lists.
+
+    With a target, the gens are t*f and (1 - t)*g of `groebner.intersect`
+    for homogeneous I and J, and target is the Hilbert numerator of their
+    homogenization by h, first in the second block of ctx's order: t*f and
+    (h - t)*g.  The runs take the homogenized gens, the trace Hilbert-driven,
+    and the candidate is the lift at h = 1.  It lies in (gens), and when the
+    lift is right its t-free slice is that of the reduced basis of (gens)
+    (`groebner` module docstring).
     """
+    out, k = ctx, None
+    if target is not None:  # h goes in at k, first in the second block
+        k = ctx.order[1]
+        names = ctx.variables[:k] + (_HOM,) + ctx.variables[k:]
+        ctx = RingContext(names, ctx.order, ctx.field)
+        gens = [
+            ctx.from_dict({e[:k] + (d - sum(e),) + e[k:]: c for e, c in g.terms})
+            for g, d in zip(gens, map(Polynomial.total_degree, gens))
+        ]
     program = acc = None
     for p in _PRIMES:
         try:
             basis = _mod_run(ctx, gens, p, program)[0] if program else None
             traced = basis is None
             if traced:  # no trace yet, or the replay left its program
-                basis, program = _mod_run(ctx, gens, p)
+                basis, program = _mod_run(ctx, gens, p, target=target)
         except ZeroDivisionError:  # an unlucky prime
             continue
         residues = [[c for _, c in f] for f in basis]
@@ -264,21 +281,22 @@ def _modular_basis(ctx, gens):
             m *= p
             lifted = _lift(acc, m)
             if lifted is not None and _agrees(lifted, trace, q):
-                return [
-                    Polynomial(ctx, tuple(zip(es, map(ctx.field.coerce, cs))))
-                    for es, cs in zip(program[3], lifted)
-                ]
+                shape = program[3]
+                if k is not None:  # at h = 1
+                    shape = [[e[:k] + e[k + 1 :] for e in es] for es in shape]
+                return [out.from_dict(dict(zip(es, cs))) for es, cs in zip(shape, lifted)]
         basis = residues = None  # not held through the next run
     return None
 
 
-def _mod_run(ctx, gens, p, program=None):
+def _mod_run(ctx, gens, p, program=None, target=None):
     """(basis, program) mod p: the program's replay (basis None where it
-    leaves the program), or with no program a full run and its program."""
+    leaves the program), or with no program a full run and its program,
+    Hilbert-driven by the target if one is given."""
 
     def job(eng):
         if program is None:
-            return eng.run(gens), eng.program
+            return eng.run(gens, target), eng.program
         return eng.replay(gens, program), program
 
     return _packed(ctx, gens, job, lambda c, w, ext: _ModEngine(c, w, p))

@@ -13,9 +13,13 @@ generator and a monomial not predicted by a Koszul syzygy g_i*g_j = g_j*g_i,
 which the generators' leading monomials alone detect (see `_ideal_space`).
 """
 
-from math import comb
-
-from .groebner import Ideal, RowSpace, hilbert_numerator, minimal_generators
+from .groebner import (
+    Ideal,
+    RowSpace,
+    hilbert_dim,
+    hilbert_numerator,
+    minimal_generators,
+)
 from .poly import diff, graded_piece_basis, is_homogeneous
 
 
@@ -197,7 +201,7 @@ def hilbert_table(ideal, cap=40):
     num = hilbert_numerator([g.leading_monomial() for g in ideal.groebner_basis()], n)
     rows = []
     for d in range(cap + 1):
-        dim_d = sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(num[: d + 1]))
+        dim_d = hilbert_dim(num, n, d)
         rows.append((d, dim_d))
         if dim_d == 0:
             return rows, False

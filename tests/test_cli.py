@@ -184,6 +184,11 @@ HOSTILE = {
     "power-of-a-sum": (
         "ring r=0,(w,x,y,z),dp;\npoly f=(w+x+y+z+1)^16;\ndeg(f);\n", 0, "16\n", 5
     ),
+    # a power of a sum once had no size bound: this one would have 10^9 + 1
+    # terms
+    "huge-power-of-a-sum": (
+        "ring r=0,(x),dp;\npoly f=(x+1)^(10^9);\n", 4, "2:13: power too large", 1
+    ),
     "huge-minpoly-denominator": (
         "ring r=(0,a),(x,y),dp;\nminpoly=a^2-1/1" + "0" * 29 + "1;\n",
         4,

@@ -206,8 +206,8 @@ def test_rational_intersection_in_an_extension_ring(monkeypatch, field):
     calls = []
     real = modular._modular_basis
 
-    def recording(ctx, gens):
-        calls.append(real(ctx, gens))
+    def recording(ctx, gens, *args):
+        calls.append(real(ctx, gens, *args))
         return calls[-1]
 
     monkeypatch.setattr(modular, "_modular_basis", recording)

@@ -8,6 +8,7 @@ when hypothesis is installed.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from operator import add
@@ -17,7 +18,8 @@ import pytest
 import chowlab.groebner as groebner
 import chowlab.modular as modular
 from chowlab.groebner import Ideal, buchberger, ideal_member, intersect
-from chowlab.poly import RingContext, graded_piece_basis, is_homogeneous
+from chowlab.poly import RingContext, diff, graded_piece_basis, is_homogeneous
+from chowlab.rings import graded_dim
 
 VARS = ("x", "y", "z", "w")
 
@@ -110,8 +112,8 @@ def record_certificates(monkeypatch):
     results = []
     real = groebner._certified
 
-    def recording(cand, i, j):
-        results.append(real(cand, i, j))
+    def recording(cand, *args):
+        results.append(real(cand, *args))
         return results[-1]
 
     monkeypatch.setattr(groebner, "_certified", recording)
@@ -188,11 +190,11 @@ def record_mod_runs(monkeypatch):
 
         return counting
 
-    def recorded(real):
-        def recording(eng, polys, *program):
+    def recorded(real, replaying):
+        def recording(eng, polys, *args):
             counts[:] = [0, 0]
-            out = real(eng, polys, *program)
-            ran, replayed = (program[0], out) if program else (eng.program, False)
+            out = real(eng, polys, *args)
+            ran, replayed = (args[0], out) if replaying else (eng.program, False)
             runs.append((eng.p, ran, replayed, list(eng.zeros), *counts))
             return out
 
@@ -200,8 +202,8 @@ def record_mod_runs(monkeypatch):
 
     monkeypatch.setattr(mod, "_first", counted(0, mod._first))
     monkeypatch.setattr(mod, "_add", counted(1, mod._add))
-    monkeypatch.setattr(mod, "run", recorded(mod.run))
-    monkeypatch.setattr(mod, "replay", recorded(mod.replay))
+    monkeypatch.setattr(mod, "run", recorded(mod.run, False))
+    monkeypatch.setattr(mod, "replay", recorded(mod.replay, True))
     return runs
 
 
@@ -234,8 +236,8 @@ def test_unlucky_trace_prime_is_replaced(monkeypatch):
     unlucky, cands = [], []
     real = modular._modular_basis
 
-    def recording(ctx, gens):
-        cands.append(real(ctx, gens))
+    def recording(ctx, gens, *args):
+        cands.append(real(ctx, gens, *args))
         return cands[-1]
 
     for seed in range(64):
@@ -317,8 +319,8 @@ def test_a_corrupted_program_is_detected_and_the_prime_runs_in_full(
     real = modular._ModEngine.run
     corrupted = []
 
-    def corrupting(eng, polys):
-        out = real(eng, polys)
+    def corrupting(eng, polys, *args):
+        out = real(eng, polys, *args)
         if not corrupted:  # the first trace only
             ops = eng.program[0]
             # slots[t]: the slot op t installs, the number of earlier remainders
@@ -410,7 +412,7 @@ def test_perturbed_candidate_is_rejected(monkeypatch, t_part):
     want = [g.terms for g in reference_intersect(i, j)]
     real = modular._modular_basis
     monkeypatch.setattr(
-        modular, "_modular_basis", lambda ctx, gens: perturb(real(ctx, gens), t_part)
+        modular, "_modular_basis", lambda ctx, gens, *args: perturb(real(ctx, gens, *args), t_part)
     )
     calls = record_buchberger(monkeypatch, i, j)
     assert [g.terms for g in intersect(i, j).generators] == want
@@ -461,7 +463,7 @@ def test_every_seed_gives_the_exact_intersection(monkeypatch, kind):
             continue
         seed = make(candidate(i, j), candidate(*other))
         want = [g.terms for g in reference_intersect(i, j)]
-        monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens: seed)
+        monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens, *args: seed)
         calls = record_buchberger(monkeypatch, i, j)
         certs = record_certificates(monkeypatch)
         assert [g.terms for g in intersect(i, j).generators] == want
@@ -575,7 +577,7 @@ def test_certificate_rejects_a_dropped_t_free_element(monkeypatch, case):
     )
     assert whole != rest
     want = [g.terms for g in reference_intersect(i, j)]
-    monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens: seed)
+    monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens, *args: seed)
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
@@ -595,7 +597,7 @@ def test_certificate_rejects_a_perturbed_coefficient(monkeypatch, case):
     terms[e] *= 2
     seed = cand[:k] + [cand[k].ctx.from_dict(terms)] + cand[k + 1 :]
     want = [g.terms for g in reference_intersect(i, j)]
-    monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens: seed)
+    monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens, *args: seed)
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
@@ -620,8 +622,138 @@ def test_certificate_rejects_a_slice_that_is_not_interreduced(monkeypatch, case)
     k = cand.index(h)
     seed = cand[:k] + [h + mg] + cand[k + 1 :]
     want = [g.terms for g in reference_intersect(i, j)]
-    monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens: seed)
+    monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens, *args: seed)
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
     assert certs == [None] and calls[0] == seed + elimination_generators(i, j)
+
+
+
+def homogenized_generators(i, j):
+    """t*f for f in I and (h-t)*g for g in J, in Q[t, h, x] with the block
+    order (t | h, x)."""
+    ctx = i.context
+    ctxh = RingContext(("@t", "@h") + ctx.variables, ("block", 1), ctx.field)
+    t, h = ctxh.var("@t"), ctxh.var("@h")
+
+    def pad(g):
+        return ctxh.from_dict({(0, 0) + e: c for e, c in g.terms})
+
+    return [t * pad(f) for f in i.generators] + [(h - t) * pad(g) for g in j.generators]
+
+
+def quintic_pair():
+    """The two ideals of the s5-ideal experiment (u = v = 1)."""
+    ctx = RingContext(("w", "x", "y", "z"))
+    w, x, y, z = ctx.gens()
+    K = w**2 * x + w * x * y + w * y**2 + y**3 + w * x * z
+    i = Ideal(ctx, [
+        5 * w**5 + w * z * K + w**2 * z * diff(K, "w"),
+        y**4 + 4 * x**3 * y + 2 * x * y**3 + w * z * diff(K, "x"),
+        x**4 + 4 * x * y**3 + 3 * x**2 * y**2 + z * w * diff(K, "y"),
+        5 * z**5 + z * w * K + w * z**2 * diff(K, "z"),
+    ])
+    j = Ideal(ctx, [
+        y**3 * z * w * K, x * y**2 * z * w * K, x**2 * y * w * z * K,
+        w**2 * z * K, w * z**2 * K, x**2 * y**3 * w, x**2 * y**3 * z,
+    ])
+    return i, j
+
+
+def homogeneous_cases():
+    """homogeneous_pair, the homogeneous random pairs of seeds 0-63 with
+    generators, and both s6 pairs."""
+    pairs = [homogeneous_pair()] + [random_pair(seed) for seed in range(0, 64, 2)]
+    return [(i, j) for i, j in pairs if i.generators + j.generators] + s6_pairs()
+
+
+def test_hilbert_numerator_of_the_homogenized_elimination():
+    # N_L against the Hilbert function of Q[t,h,x]/L, counted from the
+    # standard monomials of its basis, through 3 degrees past the top
+    # generator
+    for i, j in homogeneous_cases()[:-2]:
+        gens = homogenized_generators(i, j)
+        target = groebner._numerators(i, j)[3]
+        ideal = Ideal(gens[0].ctx, gens)
+        n = ideal.context.nvars
+        for d in range(max(g.total_degree() for g in gens) + 4):
+            assert groebner.hilbert_dim(target, n, d) == graded_dim(ideal, d).dim_quotient
+
+
+def check_trace(i, j):
+    """The engine of the Hilbert-driven trace run of the pair, after checking
+    that its basis is that of a full run at the trace prime."""
+    gens = homogenized_generators(i, j)
+    ctxh, p = gens[0].ctx, modular._PRIMES[0]
+    target = groebner._numerators(i, j)[3]
+
+    def job(eng):
+        return eng.run(gens, target), eng
+
+    make = lambda c, w, ext: modular._ModEngine(c, w, p)  # noqa: E731
+    basis, eng = groebner._packed(ctxh, gens, job, make)
+    assert basis == modular._mod_run(ctxh, gens, p)[0]
+    return eng
+
+
+def test_hilbert_driven_trace_gives_the_full_run_basis():
+    pruned = 0
+    for i, j in homogeneous_cases():
+        eng = check_trace(i, j)
+        pruned += eng.pruned[0]
+    assert pruned > 0
+
+
+@pytest.mark.parametrize("case", ["homogeneous", "s6"])
+def test_a_deficit_one_too_small_fails_the_trace_check(monkeypatch, case):
+    i, j = homogeneous_pair() if case == "homogeneous" else s6_pairs()[0]
+    gens = homogenized_generators(i, j)
+    ctxh = gens[0].ctx
+    n = ctxh.nvars
+    d = max(sum(f[0][0]) for f in modular._mod_run(ctxh, gens, modular._PRIMES[0])[0])
+    real = groebner._numerators
+
+    def one_more(*args):
+        # the target's Hilbert function one larger in degree d, where the
+        # last element of the basis goes in: the deficit there one smaller
+        *nums, target = real(*args)
+        bump = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+        return (*nums, groebner._padd(target, bump, d))
+
+    monkeypatch.setattr(groebner, "_numerators", one_more)
+    with pytest.raises(AssertionError):
+        check_trace(i, j)
+    # the intersection is still exact: the certificate or the elimination decides
+    check_intersection(i, j)
+
+
+def test_candidate_at_h_1_has_the_t_free_slice_of_the_plain_candidate():
+    for i, j in homogeneous_cases():
+        gens = elimination_generators(i, j)
+        nums = groebner._numerators(i, j)
+        new = modular._modular_basis(gens[0].ctx, gens, nums[3])
+        old = modular._modular_basis(gens[0].ctx, gens)
+        assert new and old
+        monic = [
+            [(c[k] * (1 / c[k].leading_coeff())).terms for k in t_free(c)] for c in (new, old)
+        ]
+        assert monic[0] == monic[1]
+        # so the certificate takes it, and no elimination runs
+        assert groebner._certified(new, i, j, nums) is not None
+
+
+# (zero reductions, pairs skipped, generators skipped, ops) of the trace of
+# each pair; a lost pruning shows here
+TRACE_COUNTS = {
+    "s6": (lambda: s6_pairs()[0], (8, 20, 0, 16)),
+    "s6-second": (lambda: s6_pairs()[1], (1, 23, 0, 14)),
+    "quintic": (quintic_pair, (79, 188, 0, 118)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_COUNTS))
+def test_hilbert_driven_trace_counts_are_pinned(case):
+    pair, want = TRACE_COUNTS[case]
+    eng = check_trace(*pair())
+    assert (len(eng.zeros), *eng.pruned, len(eng.ops)) == want

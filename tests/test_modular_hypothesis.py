@@ -45,8 +45,8 @@ def test_perturbed_lift_never_changes_the_output(pair, data):
     want = [g.terms for g in reference_intersect(i, j)]
     real = modular._modular_basis
 
-    def perturbed(ctx, gens):
-        cand = real(ctx, gens)
+    def perturbed(ctx, gens, *args):
+        cand = real(ctx, gens, *args)
         if cand is None:
             return None
         k = data.draw(st.integers(0, len(cand) - 1))

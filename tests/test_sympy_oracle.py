@@ -5,7 +5,8 @@ The reduced Groebner basis of an ideal is unique, so the fraction-free
 mod-p engine of `chowlab.modular` the one it gives with `modulus=p`: a full
 run at the trace prime and at a 350-bit prime, and the replay at the
 350-bit prime of the trace prime's program wherever the replay does not
-leave that program.
+leave that program.  `rings.hilbert_table` of each seeded homogeneous ideal
+must be the table counted from the leading monomials of sympy's basis.
 
 The inputs are small on purpose: 3 variables, 2-3 generators of degree 2-3
 with 2-4 terms, coefficients n/d with |n| <= 9 and d <= 4, and
@@ -25,8 +26,9 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 import chowlab.modular as modular  # noqa: E402
-from chowlab.groebner import buchberger  # noqa: E402
+from chowlab.groebner import Ideal, buchberger  # noqa: E402
 from chowlab.poly import RingContext  # noqa: E402
+from chowlab.rings import hilbert_table  # noqa: E402
 
 VARS = ("x", "y", "z")
 SYMS = sympy.symbols(VARS)
@@ -52,6 +54,15 @@ def random_ideal(rng, ctx, homogeneous):
     return gens
 
 
+def sympy_groebner(gens, order, to_sympy, **opts):
+    """The polys of sympy's reduced basis of the gens, each coefficient
+    converted by to_sympy."""
+    polys = [
+        sympy.Poly.from_dict({e: to_sympy(c) for e, c in g.terms}, SYMS, **opts) for g in gens
+    ]
+    return sympy.groebner(polys, *SYMS, order=ORDERS[order], **opts).polys
+
+
 def sympy_basis(gens, order, p=None):
     """sympy's reduced basis of the gens, over QQ or, given p, over GF(p):
     each polynomial monic in the order, as a sorted tuple of (exponents,
@@ -68,11 +79,8 @@ def sympy_basis(gens, order, p=None):
             return Fraction(int(c.p), int(c.q)) / Fraction(int(lc.p), int(lc.q))
         return int(c) * pow(int(lc), -1, p) % p  # sympy gives symmetric residues
 
-    polys = [
-        sympy.Poly.from_dict({e: to_sympy(c) for e, c in g.terms}, SYMS, **opts) for g in gens
-    ]
     out = []
-    for poly in sympy.groebner(polys, *SYMS, order=ORDERS[order], **opts).polys:
+    for poly in sympy_groebner(gens, order, to_sympy, **opts):
         # not poly.monic(), which divides by the lex leading coefficient
         lc = poly.LC(order=ORDERS[order])
         out.append(tuple(sorted((e, monic(c, lc)) for e, c in poly.terms())))
@@ -102,3 +110,38 @@ def test_both_engines_match_sympy(kind):
             replays += 1
             assert canonical(replayed) == want[big]
     assert replays > 12
+
+
+def sympy_table(gens, order, cap):
+    """`hilbert_table(Ideal(gens), cap)` read from the leading monomials of
+    sympy's basis over QQ, by counting the monomials of each degree that no
+    lead divides."""
+    rational = lambda c: sympy.Rational(c.numerator, c.denominator)  # noqa: E731
+    leads = [
+        poly.monoms(order=ORDERS[order])[0]
+        for poly in sympy_groebner(gens, order, rational, domain="QQ")
+    ]
+    rows = []
+    for d in range(cap + 1):
+        standard = [
+            e
+            for e in itertools.product(range(d + 1), repeat=len(VARS))
+            if sum(e) == d and not any(all(a >= b for a, b in zip(e, m)) for m in leads)
+        ]
+        rows.append((d, len(standard)))
+        if not standard:
+            return rows, False
+    return rows, True
+
+
+@pytest.mark.parametrize("order", ["dp", "lp"])
+def test_hilbert_tables_match_sympy(order):
+    ctx = RingContext(VARS, order)
+    kind = KINDS.index((order, True))
+    finite = 0
+    for seed in range(24):
+        gens = random_ideal(random.Random(seed * len(KINDS) + kind), ctx, True)
+        want = sympy_table(gens, order, 12)
+        assert hilbert_table(Ideal(ctx, gens), 12) == want
+        finite += not want[1]
+    assert finite > 0
