@@ -124,20 +124,6 @@ def gcd(f, g):
     return monic(a)
 
 
-def mul_trunc(f, g, n):
-    if not f or not g:
-        return []
-    out = [0] * n
-    for i, a in enumerate(f):
-        if i >= n or a == 0:
-            continue
-        for j, b in enumerate(g):
-            if i + j >= n:
-                break
-            out[i + j] = out[i + j] + a * b
-    return trim(out)
-
-
 def series_inv(f, n):
     """First n coefficients of 1/f for f with f[0] != 0."""
     if not f or f[0] == 0:

@@ -215,7 +215,7 @@ def _residue_at_zero(num, den):
     n1 = num[s:]
     d1 = den[l:]
     inv = _uni.series_inv(d1, k)
-    ser = _uni.mul_trunc(n1, inv, k)
+    ser = _uni.trim(_uni.mul(n1, inv)[:k])
     if len(ser) < k:
         return Fraction(0)
     return ser[k - 1]

@@ -25,7 +25,7 @@ import operator
 import re
 from collections import namedtuple
 from fractions import Fraction
-from math import comb
+from math import comb, log2
 
 from .coeff import QQ, ExtElement, ExtField
 from .groebner import Ideal, intersect, krull_dim
@@ -583,6 +583,10 @@ _LOOP_LIMIT = 100000
 _POWER_BITS_LIMIT = 1 << 20
 # largest bound on the terms of a polynomial power that it builds
 _POWER_TERMS_LIMIT = 1 << 13
+# largest estimate of the work of a polynomial power that it builds: e
+# products with the base, each of at most the term bound, times the bits of
+# the result's coefficients; it admits (x+1)^202 but not (x+1)^203
+_POWER_WORK_LIMIT = 1 << 24
 
 _SHORTHAND = re.compile(r"(\d*)((?:[A-Za-z]\d*)+)")
 
@@ -641,22 +645,32 @@ def _resolve(ident, env, pos):
     raise DslEvalError(f"unknown identifier {ident!r}", *pos)
 
 
+def _bits(q):
+    """The bits of the larger of the numerator and denominator of q."""
+    q = Fraction(q)
+    return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+
 def _power(base, exponent, pos):
     e = _as_int(exponent, pos, "exponent")
     try:
         if isinstance(base, Polynomial):
             if e < 0:
                 raise DslEvalError("negative exponent on a polynomial", *pos)
-            # base^e has at most C(t + e - 1, e) terms, t those of the base,
-            # and at most the C(n + e deg, n) monomials of degree <= e deg
             t, n = len(base.terms), base.ctx.nvars
-            terms = t > 1 and min(comb(t + e - 1, e), comb(n + e * base.total_degree(), n))
-            if terms > _POWER_TERMS_LIMIT:
-                raise DslEvalError("power too large", *pos)
+            if t > 1:
+                # base^e has at most C(t + e - 1, e) terms, t those of the
+                # base, and at most the C(n + e deg, n) monomials of degree
+                # <= e deg, so e < terms; its coefficients have about
+                # e * (bits + log2 t) bits
+                terms = min(comb(t + e - 1, e), comb(n + e * base.total_degree(), n))
+                cs = [c.coeffs if isinstance(c, ExtElement) else [c] for _, c in base.terms]
+                bits = max(_bits(q) for qs in cs for q in qs) + log2(t)
+                if terms > _POWER_TERMS_LIMIT or e * terms * e * bits > _POWER_WORK_LIMIT:
+                    raise DslEvalError("power too large", *pos)
             return base ** e
         if isinstance(base, (int, Fraction)):
-            q = Fraction(base)
-            bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+            bits = _bits(base)
             # the power has at least (bits - 1) * |e| bits
             if bits > 1 and (bits - 1) * abs(e) > _POWER_BITS_LIMIT:
                 raise DslEvalError("power too large", *pos)

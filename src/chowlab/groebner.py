@@ -4,10 +4,12 @@ S-polynomial arithmetic runs fraction-free on integer coefficients, with
 periodic content stripping.  Public results are reduced Groebner bases
 (monic, interreduced, sorted descending by leading monomial), which makes
 every basis canonical for a given ideal and order.  On top of that: normal
-forms, ideal membership, elimination, pairwise intersection, Krull
-dimension, and the Hilbert-series numerator of a monomial ideal
-(`hilbert_numerator`, Bigatti's pivot algorithm), from which `rings` reads
-every Hilbert table.
+forms, ideal membership, elimination, pairwise intersection, and the
+Hilbert-series numerator of a monomial ideal (`hilbert_numerator`, Bigatti's
+pivot algorithm), kept sparse as {degree: coefficient}, which answers every
+dimension question: `rings` reads every Hilbert table from it, the
+intersection certificate and the trace below compare numerators, and
+`krull_dim` is the order of the pole of the Hilbert series at t = 1.
 
 Inside the engine a monomial is two Python ints made of W-bit fields
 (`_Packing`):
@@ -87,11 +89,12 @@ exact: a remainder in degree d lies in I and has no term divisible by a
 run lead, so its lead would lie in LM(I) but not be covered; it is zero.
 Two tests decide coverage.  `minimal_generators`, given a known Groebner
 basis, asks that every degree-d lead of it be divisible by a run lead (the
-lower degrees are covered already); it needs no numerator, which is a
-list as long as the largest lead degree and was slower on the quintic's
-minimal generators.  The mod-p
-trace of `intersect`, given the Hilbert numerator of LM(I), computes at the
-first item of degree d the deficit k = HF_run(d) - HF_I(d), HF_run from the
+lower degrees are covered already).  It reads no numerator, for two
+reasons: over Q[a] the run's leads carry a, and m's lead a^(deg m) has no
+x-part, so the numerator of their x-parts is 0; and the deficit rule below
+was slower on the quintic's minimal generators.  The mod-p trace of
+`intersect`, given the Hilbert numerator of LM(I), computes at the first
+item of degree d the deficit k = HF_run(d) - HF_I(d), HF_run from the
 numerator of the run's leads, and covers d after k more insertions: the
 run's leads lie in LM(I), and each insertion in degree d, its lead divisible
 by no run lead, lowers HF_run(d) by one.  Modulo p the Hilbert function of
@@ -890,7 +893,7 @@ def _numerators(i_ideal, j_ideal):
     # S/L = R + t R/I[t] + s R/J[s] + ts R/(I+J)[t, s] with s = h - t, so
     # N_L = (1-z)^2 + z(1-z)(N_I + N_J) + z^2 N_I+J
     s = _padd(ni, nj)
-    return ni, nj, nij, _padd([1, -2, 1], _padd(_padd(s, nij, 1), [-c for c in s], 1), 1)
+    return ni, nj, nij, _padd({0: 1, 1: -2, 2: 1}, _padd(_padd(s, nij, 1), s, 1, -1), 1)
 
 
 def _certified(cand, i_ideal, j_ideal, nums):
@@ -922,8 +925,7 @@ def _certified(cand, i_ideal, j_ideal, nums):
                 return None
     # (b) HS(R/(H)) = HS(R/I) + HS(R/J) - HS(R/(I+J)), read from the leads
     ni, nj, nij, _ = nums
-    gap = _padd(_padd(hilbert_numerator(leads, n), nij), [-c for c in _padd(ni, nj)])
-    if any(gap):
+    if _padd(hilbert_numerator(leads, n), nij) != _padd(ni, nj):
         return None
     # (a) containment
     res = [_port(g * (1 / g.leading_coeff()), i_ideal.context, drop=1) for g in hs]
@@ -970,40 +972,35 @@ def intersect(i_ideal, j_ideal):
 
 def krull_dim(ideal):
     """Affine Krull dimension of the quotient by the ideal (unit ideal: -1):
-    the number of variables minus the size of a smallest set of them that
-    meets the support of every leading monomial of its basis."""
-    supports = [
-        {i for i, x in enumerate(g.leading_monomial()) if x}
-        for g in ideal.groebner_basis()
-    ]
-
-    def cover(sets):  # branch on the variables of a smallest support
-        if not sets:
-            return 0
-        smallest = min(sets, key=len)
-        return 1 + min(cover([s for s in sets if v not in s]) for v in smallest)
-
-    if set() in supports:
+    n minus the order of the zero at t = 1 of the Hilbert numerator N of the
+    leading monomials of its basis, the least j with sum_k N_k C(k, j) != 0,
+    since HS(R/LM(I)) = N(t)/(1-t)^n has a pole of order dim R/LM(I) =
+    dim R/I there (Cox, Little, O'Shea, ch. 9 sec. 3)."""
+    n = ideal.context.nvars
+    num = hilbert_numerator([g.leading_monomial() for g in ideal.groebner_basis()], n)
+    if not num:
         return -1
-    return ideal.context.nvars - cover(supports)
+    return n - next(j for j in range(n + 1) if sum(c * comb(k, j) for k, c in num.items()))
 
 
-def _padd(p, q, shift=0):
-    """p + t^shift * q on coefficient lists, lowest degree first."""
-    out = p + [0] * max(0, len(q) + shift - len(p))
-    for k, c in enumerate(q):
-        out[k + shift] += c
+def _padd(p, q, shift=0, sign=1):
+    """p + sign * t^shift * q on {degree: coefficient} dicts without zeros."""
+    out = dict(p)
+    for k, c in q.items():
+        c = out.pop(k + shift, 0) + sign * c
+        if c:
+            out[k + shift] = c
     return out
 
 
 def hilbert_dim(num, n, d):
     """dim (R/M)_d for a monomial ideal M with HS(R/M) = num(t)/(1-t)^n."""
-    return sum(c * comb(d - k + n - 1, n - 1) for k, c in enumerate(num[: d + 1]))
+    return sum(c * comb(d - k + n - 1, n - 1) for k, c in num.items() if k <= d)
 
 
 def hilbert_numerator(leads, n):
-    """[N_0, N_1, ...] with HS(R/(leads)) = N(t)/(1-t)^n, for exponent
-    vectors in n variables, trailing zeros dropped ([] for the unit ideal).
+    """{k: N_k} with HS(R/(leads)) = N(t)/(1-t)^n, for exponent vectors in
+    n variables, without zero coefficients ({} for the unit ideal).
 
     Bigatti's pivot algorithm (JPAA 119, 1997): minimalize; a generator
     whose variables no other generator uses splits off as a factor
@@ -1020,7 +1017,7 @@ def hilbert_numerator(leads, n):
     split, rest = [], []
     for g in gens:
         (split if all(count[i] == 1 for i in range(n) if g[i]) else rest).append(g)
-    num = [1]
+    num = {0: 1}
     if rest:
         x = max(range(n), key=count.__getitem__)
         exps = sorted(g[x] for g in rest if g[x] and sum(g) > g[x])
@@ -1030,7 +1027,5 @@ def hilbert_numerator(leads, n):
         colon = [g[:x] + (max(g[x] - e, 0),) + g[x + 1 :] for g in rest]
         num = _padd(plus, hilbert_numerator(colon, n), e)
     for g in split:
-        num = _padd(num, [-c for c in num], sum(g))
-    while num and not num[-1]:
-        num.pop()
+        num = _padd(num, num, sum(g), -1)
     return num

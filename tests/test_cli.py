@@ -189,6 +189,25 @@ HOSTILE = {
     "huge-power-of-a-sum": (
         "ring r=0,(x),dp;\npoly f=(x+1)^(10^9);\n", 4, "2:13: power too large", 1
     ),
+    # an exponent too large for a float must fail the term bound first
+    "astronomical-power-of-a-sum": (
+        "ring r=0,(x),dp;\npoly f=(x+1)^(10^400);\n", 4, "2:13: power too large", 1
+    ),
+    # nor a bound on its work: this one has 1001 terms, within the term
+    # bound, but coefficients of up to 1000 bits
+    "slow-power-of-a-sum": (
+        "ring r=0,(x),dp;\npoly f=(x+1)^1000;\n", 4, "2:13: power too large", 1
+    ),
+    # the Hilbert numerator was once a dense list as long as its largest
+    # degree, here 10^9 + 1 entries
+    "hilb-of-a-huge-lead": (
+        "ring r=0,(x,y),dp; ideal J=x^1000000000,y; hilb(J,2); dim(J);\n",
+        0,
+        "".join(f"// {1:8d} t^{d}\n" for d in range(41))
+        + "// ** table truncated at the degree cap t^40; quotient is finite dimensional\n"
+        + "0\n",
+        1,
+    ),
     "huge-minpoly-denominator": (
         "ring r=(0,a),(x,y),dp;\nminpoly=a^2-1/1" + "0" * 29 + "1;\n",
         4,

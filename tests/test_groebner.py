@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from chowlab.groebner import (
     s_polynomial,
 )
 from chowlab.poly import RingContext, diff
+from chowlab.rings import mingens_degrees
 
 
 def wxyz(order="dp"):
@@ -243,6 +245,7 @@ def numerator_dim(num, n):
     HS = N(t)/(1-t)^n at t = 1."""
     if not num:
         return -1
+    num = [num.get(k, 0) for k in range(max(num) + 1)]
     while sum(num) == 0:  # divide by 1 - t: the quotient's coefficients are N's prefix sums
         num = list(itertools.accumulate(num))[:-1]
         n -= 1
@@ -308,6 +311,18 @@ def test_session_intersection_facts():
     assert krull_dim(inter) == 2
     assert min(g.total_degree() for g in inter.generators) == 9
     assert all(g.leading_coeff() == 1 for g in inter.generators)
+
+
+def test_intersection_with_a_lead_of_huge_degree():
+    # the Hilbert numerators of I, J and I+J have a term of degree 10^9
+    ctx = RingContext(["x", "y", "z"], "dp")
+    x, y, z = ctx.gens()
+    start = time.perf_counter()
+    inter = intersect(Ideal(ctx, [x**10**9, y]), Ideal(ctx, [y * z, z**2]))
+    assert [str(g) for g in inter.generators] == ["x^1000000000*z^2", "y*z"]
+    assert krull_dim(inter) == 2
+    assert mingens_degrees(inter, 10**9 + 1) == {2: [y * z]}
+    assert time.perf_counter() - start < 1
 
 
 def test_ext_field_gb():

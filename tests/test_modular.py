@@ -718,7 +718,7 @@ def test_a_deficit_one_too_small_fails_the_trace_check(monkeypatch, case):
         # the target's Hilbert function one larger in degree d, where the
         # last element of the basis goes in: the deficit there one smaller
         *nums, target = real(*args)
-        bump = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+        bump = {k: (-1) ** k * math.comb(n, k) for k in range(n + 1)}
         return (*nums, groebner._padd(target, bump, d))
 
     monkeypatch.setattr(groebner, "_numerators", one_more)
