@@ -3,10 +3,12 @@
 Two coefficient fields are supported: the rationals (plain Fraction values)
 and simple extensions Q[a]/(m(a)) for a monic irreducible m of degree 2..4.
 Every element is kept in canonical form (fully reduced mod the minimal
-polynomial), so equality is structural.  Also exact Gauss-Jordan solving
-over either field (`solve_linear`), which serves the residue linear systems
-and the minimal polynomials of elements, and root-of-unity detection via
-cyclotomic polynomial matching, which backs the torsion tests.
+polynomial), so equality is structural; the one reduction is `ext_reduce`,
+a division by the minimal polynomial with `_uni.divmod_`.  Also exact
+Gauss-Jordan solving over either field (`solve_linear`), which serves the
+residue linear systems and the minimal polynomials of elements, and
+root-of-unity detection via cyclotomic polynomial matching, which backs the
+torsion tests.
 """
 
 from fractions import Fraction
@@ -145,44 +147,28 @@ class ExtField:
         self.gen_name = gen_name
         self.minpoly = coeffs
         self.degree = len(coeffs) - 1
-        # a^degree = -(c0 + c1 a + ... + c_{d-1} a^{d-1})
-        self._pow = {self.degree: tuple(-c for c in coeffs[:-1])}
-        for k in range(self.degree + 1, 2 * self.degree - 1):
-            prev = self._pow[k - 1]
-            raised = (Fraction(0),) + prev[:-1]
-            top = prev[-1]
-            self._pow[k] = tuple(
-                raised[i] + top * self._pow[self.degree][i]
-                for i in range(self.degree)
-            )
 
     @property
     def zero(self):
-        return ExtElement(self, (Fraction(0),) * self.degree)
+        return self.element([])
 
     @property
     def one(self):
-        return ExtElement(self, (Fraction(1),) + (Fraction(0),) * (self.degree - 1))
+        return self.element([1])
 
     @property
     def gen(self):
-        c = [Fraction(0)] * self.degree
-        c[1] = Fraction(1)
-        return ExtElement(self, tuple(c))
+        return self.element([0, 1])
 
     def element(self, coeffs):
-        cs = [_frac(c) for c in coeffs]
-        if len(cs) > self.degree:
-            return ext_reduce(cs, self)
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return ExtElement(self, tuple(cs))
+        return ext_reduce(coeffs, self)
 
     def coerce(self, x):
         if isinstance(x, ExtElement):
             if x.field != self:
                 raise TypeError("element of a different extension field")
             return x
-        return self.element([_frac(x)])
+        return self.element([x])
 
     def render(self, x):
         return str(self.coerce(x))
@@ -202,7 +188,11 @@ class ExtField:
 
 
 class ExtElement:
-    """Element of an ExtField; coefficient tuple of length deg(minpoly)."""
+    """Element of an ExtField; coefficient tuple of length deg(minpoly).
+
+    Sums act on the coefficients; a product multiplies the two coefficient
+    lists (`_uni.mul`) and reduces the result with `ext_reduce`.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -247,22 +237,7 @@ class ExtElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        d = self.field.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b != 0:
-                    conv[i + j] += a * b
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            ck = conv[k]
-            if ck != 0:
-                row = self.field._pow[k]
-                for i in range(d):
-                    out[i] += ck * row[i]
-        return ExtElement(self.field, tuple(out))
+        return self.field.element(_uni.mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -359,10 +334,8 @@ def render_unipoly(coeffs, name):
 
 def ext_reduce(raw, field):
     """Reduce a raw coefficient list (powers of the generator) mod minpoly."""
-    cs = _uni.trim([_frac(c) for c in raw])
-    _, rem = _uni.divmod_(cs, list(field.minpoly))
-    rem = rem + [Fraction(0)] * (field.degree - len(rem))
-    return ExtElement(field, tuple(rem[: field.degree]))
+    _, rem = _uni.divmod_(_uni.trim([_frac(c) for c in raw]), field.minpoly)
+    return ExtElement(field, tuple(rem + [Fraction(0)] * (field.degree - len(rem))))
 
 
 def field_of(x):

@@ -5,7 +5,10 @@ rational functions, symbolic arithmetic with the roots of z^3 + u*z + 1, and
 torsion certificates for symbol values via minimal polynomials.  Univariate
 polynomials are ascending coefficient lists over an exact field (Fraction or
 ExtElement entries); rational functions carry an optional ramification index
-that scales divisor orders, for curves mapping onto the line.
+that scales divisor orders, for curves mapping onto the line.  Every
+reduction modulo a polynomial is `_uni.divmod_`: the power minimal
+polynomial of the cubic's roots is the characteristic polynomial of
+multiplication by z^k on Q[z]/(z^3 + u*z + 1), read from three remainders.
 """
 
 from fractions import Fraction
@@ -385,54 +388,23 @@ def root_derivative(u, roots=None):
     return out
 
 
-def _sylvester_resultant(f_desc, g_desc):
-    """Resultant of two polynomials whose coefficients are themselves
-    univariate polynomials (ascending Fraction lists), via fraction-free
-    Bareiss elimination; entries are given highest degree first."""
-    m = len(f_desc) - 1
-    n = len(g_desc) - 1
-    size = m + n
-    M = [[[] for _ in range(size)] for _ in range(size)]
-    for i in range(n):
-        for j, c in enumerate(f_desc):
-            M[i][i + j] = list(c)
-    for i in range(m):
-        for j, c in enumerate(g_desc):
-            M[n + i][i + j] = list(c)
-    sign = 1
-    prev = [Fraction(1)]
-    for k in range(size - 1):
-        if not M[k][k]:
-            pivot = next((i for i in range(k + 1, size) if M[i][k]), None)
-            if pivot is None:
-                return []
-            M[k], M[pivot] = M[pivot], M[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                top = _uni.sub(_uni.mul(M[k][k], M[i][j]), _uni.mul(M[i][k], M[k][j]))
-                if top:
-                    top, rem = _uni.divmod_(top, prev)
-                    assert not rem, "Bareiss division must be exact"
-                M[i][j] = top
-            M[i][k] = []
-        prev = M[k][k]
-    det = M[size - 1][size - 1]
-    return _uni.scale(det, sign)
-
-
 def minpoly_of_power(u, k):
     """Monic polynomial in w whose roots are r^k for the roots r of
-    z^3 + u*z + 1, as the resultant Res_z(z^3 + u*z + 1, w - z^k)."""
+    f = z^3 + u*z + 1: the characteristic polynomial of multiplication by
+    z^k on Q[z]/(f), whose eigenvalues are the r^k.  Column j of its matrix
+    is z^(k+j) mod f, the remainder of `_uni.divmod_`; the coefficients are
+    the trace, the sum of the principal 2x2 minors and the determinant."""
     u = Fraction(u)
     if discriminant(u) == 0:
         raise ValueError("the cubic has a repeated root")
     if not isinstance(k, int) or k < 1:
         raise ValueError("the exponent must be a positive integer")
-    one = [Fraction(1)]
-    w = [Fraction(0), Fraction(1)]
-    f_desc = [one, [], [u], one]
-    g_desc = [[Fraction(-1)]] + [[] for _ in range(k - 1)] + [w]
-    res = _sylvester_resultant(f_desc, g_desc)
-    assert _uni.deg(res) == 3, "resultant must be a cubic in w"
-    return tuple(_uni.monic(res))
+    cubic = [Fraction(1), u, Fraction(0), Fraction(1)]
+    cols = []
+    for j in range(3):
+        rem = _uni.divmod_([Fraction(0)] * (k + j) + [Fraction(1)], cubic)[1]
+        cols.append(rem + [Fraction(0)] * (3 - len(rem)))
+    (a, b, c), (d, e, f), (g, h, i) = zip(*cols)  # the rows
+    minors = a * e - b * d + a * i - c * g + e * i - f * h
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return (-det, minors, -(a + e + i), Fraction(1))

@@ -766,9 +766,7 @@ def _bi_jacob(env, args, pos):
 def _bi_std(env, args, pos):
     ideal = _as_ideal(args[0], pos, "std argument")
     gb = ideal.groebner_basis()
-    out = Ideal(ideal.context, list(gb))
-    out._set_gb(gb)
-    return out
+    return Ideal(ideal.context, gb, basis=gb)
 
 
 def _bi_intersect(env, args, pos):

@@ -9,7 +9,9 @@ Hilbert-series numerator of a monomial ideal (`hilbert_numerator`, Bigatti's
 pivot algorithm), kept sparse as {degree: coefficient}, which answers every
 dimension question: `rings` reads every Hilbert table from it, the
 intersection certificate and the trace below compare numerators, and
-`krull_dim` is the order of the pole of the Hilbert series at t = 1.
+`krull_dim` is the order of the pole of the Hilbert series at t = 1.  An
+`Ideal` computes its basis and the numerator of its leads once each; a
+certified homogeneous intersection is handed both.
 
 Inside the engine a monomial is two Python ints made of W-bit fields
 (`_Packing`):
@@ -793,9 +795,11 @@ def s_polynomial(f, g):
 
 
 class Ideal:
-    """Generators plus a lazily computed, cached reduced Groebner basis."""
+    """Generators plus a lazily computed, cached reduced Groebner basis
+    (`basis`, when given, must be that basis) and the Hilbert numerator of
+    its leading monomials, also computed once."""
 
-    def __init__(self, ctx, generators):
+    def __init__(self, ctx, generators, basis=None):
         gens = []
         for g in generators:
             if not isinstance(g, Polynomial):
@@ -806,7 +810,8 @@ class Ideal:
                 gens.append(g)
         self.context = ctx
         self.generators = tuple(gens)
-        self._gb = None
+        self._gb = None if basis is None else tuple(basis)
+        self._num = None
         self._lock = threading.Lock()
 
     def groebner_basis(self):
@@ -817,9 +822,13 @@ class Ideal:
                     self._gb = tuple(buchberger(list(self.generators)))
         return self._gb
 
-    def _set_gb(self, gb):
-        with self._lock:
-            self._gb = tuple(gb)
+    def numerator(self):
+        """`hilbert_numerator` of the leading monomials of the basis."""
+        # idempotent: a racing second computation stores the same value
+        if self._num is None:
+            leads = [g.leading_monomial() for g in self.groebner_basis()]
+            self._num = hilbert_numerator(leads, self.context.nvars)
+        return self._num
 
     def __repr__(self):
         return f"Ideal({len(self.generators)} gens over {self.context!r})"
@@ -853,18 +862,15 @@ def eliminate(ideal, k):
     elements of its reduced basis in a block order free of them."""
     ctx = ideal.context
     if k == 0:
-        out = Ideal(ctx, list(ideal.groebner_basis()))
-        out._set_gb(ideal.groebner_basis())
-        return out
+        gb = ideal.groebner_basis()
+        return Ideal(ctx, gb, basis=gb)
     if not 0 < k < ctx.nvars:
         raise ValueError("elimination count out of range")
     ctx_blk = RingContext(ctx.variables, ("block", k), ctx.field)
     ctx_rest = RingContext(ctx.variables[k:], "dp", ctx.field)
     res = _eliminated([_port(g, ctx_blk) for g in ideal.generators], k, ctx_rest)
-    out = Ideal(ctx_rest, res)
     # t-free slice of a reduced elimination basis is itself a reduced basis
-    out._set_gb(res)
-    return out
+    return Ideal(ctx_rest, res, basis=res)
 
 
 def _eliminated(gens, k, ctx):
@@ -887,9 +893,8 @@ def _numerators(i_ideal, j_ideal):
     pair = i_ideal.generators + j_ideal.generators
     if any(is_homogeneous(g) is None for g in pair):
         return None
-    n = i_ideal.context.nvars
-    bases = i_ideal.groebner_basis(), j_ideal.groebner_basis(), buchberger(list(pair))
-    ni, nj, nij = (hilbert_numerator([g.leading_monomial() for g in b], n) for b in bases)
+    ni, nj = i_ideal.numerator(), j_ideal.numerator()
+    nij = Ideal(i_ideal.context, pair).numerator()
     # S/L = R + t R/I[t] + s R/J[s] + ts R/(I+J)[t, s] with s = h - t, so
     # N_L = (1-z)^2 + z(1-z)(N_I + N_J) + z^2 N_I+J
     s = _padd(ni, nj)
@@ -958,15 +963,19 @@ def intersect(i_ideal, j_ideal):
         cand = modular._modular_basis(ctxa, gens, nums and nums[3])
     res = _certified(cand, i_ideal, j_ideal, nums) if cand else None
     if res is None:
+        num = None
         for seed in ([cand] if cand else []) + [[]]:
             res = _eliminated(seed + gens, 1, ctx)
             if contained(res, i_ideal, j_ideal):
                 break
         else:
             raise AssertionError("intersection generator failed containment check")
-    out = Ideal(ctx, res)
-    if ctx.order == "dp":
-        out._set_gb(res)
+    else:
+        # check (b) showed N(LM(H)) = N(I) + N(J) - N(I+J); a homogeneous
+        # ideal's Hilbert series does not depend on the monomial order
+        num = _padd(_padd(nums[0], nums[1]), nums[2], sign=-1)
+    out = Ideal(ctx, res, basis=res if ctx.order == "dp" else None)
+    out._num = num
     return out
 
 
@@ -976,8 +985,7 @@ def krull_dim(ideal):
     leading monomials of its basis, the least j with sum_k N_k C(k, j) != 0,
     since HS(R/LM(I)) = N(t)/(1-t)^n has a pole of order dim R/LM(I) =
     dim R/I there (Cox, Little, O'Shea, ch. 9 sec. 3)."""
-    n = ideal.context.nvars
-    num = hilbert_numerator([g.leading_monomial() for g in ideal.groebner_basis()], n)
+    n, num = ideal.context.nvars, ideal.numerator()
     if not num:
         return -1
     return n - next(j for j in range(n + 1) if sum(c * comb(k, j) for k, c in num.items()))

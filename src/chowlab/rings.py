@@ -2,7 +2,7 @@
 
 Jacobian-type ideals of a homogeneous form, Hilbert-function tables from
 the Hilbert-series numerator of the leading monomials
-(`groebner.hilbert_numerator`; `graded_dim` counts standard monomials, the
+(`groebner.Ideal.numerator`; `graded_dim` counts standard monomials, the
 enumerating reference), minimal-generator tables by degree from one
 degree-driven Groebner run (`groebner.minimal_generators`), basis checks
 for graded quotient spaces, and a dense rank oracle that never touches
@@ -13,13 +13,7 @@ generator and a monomial not predicted by a Koszul syzygy g_i*g_j = g_j*g_i,
 which the generators' leading monomials alone detect (see `_ideal_space`).
 """
 
-from .groebner import (
-    Ideal,
-    RowSpace,
-    hilbert_dim,
-    hilbert_numerator,
-    minimal_generators,
-)
+from .groebner import Ideal, RowSpace, hilbert_dim, minimal_generators
 from .poly import diff, graded_piece_basis, is_homogeneous
 
 
@@ -197,8 +191,7 @@ def hilbert_table(ideal, cap=40):
     monomial is enumerated.
     """
     _require_homogeneous(ideal)
-    n = ideal.context.nvars
-    num = hilbert_numerator([g.leading_monomial() for g in ideal.groebner_basis()], n)
+    n, num = ideal.context.nvars, ideal.numerator()
     rows = []
     for d in range(cap + 1):
         dim_d = hilbert_dim(num, n, d)

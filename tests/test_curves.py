@@ -1,6 +1,7 @@
 """Projective-line calculus: orders, residues, tame symbols, torsion tests."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -373,15 +374,23 @@ def test_minpoly_of_power_frozen():
 
 def test_minpoly_of_power_newton_oracle():
     # independent route: elementary symmetric functions of the k-th powers
-    # from Newton power sums of the cubic
+    # from Newton power sums of the cubic; k = 400 bounds a high power's cost
+    slow = 0.0
     for u in (F(0), F(1), F(2), F(-1), F(1, 2)):
-        for k in (1, 2, 3, 5, 7):
+        for k in (1, 2, 3, 5, 7, 400):
             ps = CubicRoots(u).power_sums(3 * k)
             q1, q2, q3 = ps[k], ps[2 * k], ps[3 * k]
             e1 = q1
             e2 = (q1 * q1 - q2) / 2
             e3 = (q1**3 - 3 * q1 * q2 + 2 * q3) / 6
-            assert minpoly_of_power(u, k) == (-e3, e2, -e1, 1), (u, k)
+            start = time.perf_counter()
+            got = minpoly_of_power(u, k)
+            if k == 400:
+                slow += time.perf_counter() - start
+            assert got == (-e3, e2, -e1, 1), (u, k)
+            # the golden entries render a Fraction, not an int
+            assert all(isinstance(c, Fraction) for c in got), (u, k)
+    assert slow < 2
 
 
 def test_minpoly_of_power_splitting_oracle():

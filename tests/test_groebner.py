@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from chowlab import groebner
 from chowlab.coeff import ExtField
 from chowlab.groebner import (
     Ideal,
@@ -20,7 +21,7 @@ from chowlab.groebner import (
     s_polynomial,
 )
 from chowlab.poly import RingContext, diff
-from chowlab.rings import mingens_degrees
+from chowlab.rings import graded_dim, hilbert_table, mingens_degrees
 
 
 def wxyz(order="dp"):
@@ -323,6 +324,49 @@ def test_intersection_with_a_lead_of_huge_degree():
     assert krull_dim(inter) == 2
     assert mingens_degrees(inter, 10**9 + 1) == {2: [y * z]}
     assert time.perf_counter() - start < 1
+
+
+def count_numerators(monkeypatch):
+    """Patch `groebner.hilbert_numerator` to record its outermost calls;
+    the pivot recursion goes through the patched name as well."""
+    real, calls, depth = groebner.hilbert_numerator, [], [0]
+
+    def counting(leads, n):
+        if not depth[0]:
+            calls.append(n)
+        depth[0] += 1
+        try:
+            return real(leads, n)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(groebner, "hilbert_numerator", counting)
+    return calls
+
+
+@pytest.mark.parametrize("order", ["dp", "lp"])
+def test_the_numerator_of_an_ideal_is_computed_once(order, monkeypatch):
+    ctx = RingContext(["x", "y", "z"], order)
+    x, y, z = ctx.gens()
+    i, j = Ideal(ctx, [x * y - z**2, x**2]), Ideal(ctx, [y**3, x * z])
+    calls = count_numerators(monkeypatch)
+    inter = intersect(i, j)
+    # a certified intersection is handed N(I) + N(J) - N(I+J)
+    calls.clear()
+    assert krull_dim(inter) == 1
+    rows, truncated = hilbert_table(inter, 8)
+    assert calls == []
+    # an ideal from generators computes it once for both
+    k = Ideal(ctx, [x * y - z**2, x**2])
+    assert krull_dim(k) == 1
+    rows_k, _ = hilbert_table(k, 8)
+    assert calls == [3]
+    # the handed numerator is the one of the result's own basis
+    leads = [g.leading_monomial() for g in inter.groebner_basis()]
+    assert inter.numerator() == hilbert_numerator(leads, 3)
+    for ideal, table in ((inter, rows), (k, rows_k)):
+        assert table == [(d, graded_dim(ideal, d).dim_quotient) for d in range(9)]
+    assert truncated
 
 
 def test_ext_field_gb():
