@@ -3,8 +3,8 @@
 A polynomial is a list of coefficients in ascending power order with no
 trailing zeros; the zero polynomial is the empty list.  Coefficients may be
 Fraction, ExtElement or plain int (the coefficient types coerce each other
-through the arithmetic operators), but every nonzero list must end in a
-nonzero coefficient.
+through the arithmetic operators, and `divmod_` and `monic` divide by an int
+as a Fraction), but every nonzero list must end in a nonzero coefficient.
 """
 
 from fractions import Fraction
@@ -69,21 +69,20 @@ def deriv(f):
 
 
 def divmod_(f, g):
-    """Exact field division: f = q*g + r with deg r < deg g."""
+    """Exact field division: f = q*g + r with deg r < deg g, one pass from
+    the top quotient degree down; int coefficients divide as Fraction."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    r = list(f)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    dg = len(g) - 1
-    lc = g[-1]
-    while len(r) - 1 >= dg and r:
-        c = r[-1] / lc
-        k = len(r) - 1 - dg
-        q[k] = c
-        for i in range(len(g)):
-            r[k + i] = r[k + i] - c * g[i]
-        r = trim(r[: len(r) - 1])
-    return trim(q), r
+    # no inverse when there is no quotient or the divisor is monic
+    dg, inv = len(g) - 1, None if len(f) < len(g) or g[-1] == 1 else _inv(g[-1])
+    r, q = list(f), [0] * max(0, len(f) - dg)
+    for k in reversed(range(len(q))):
+        c = r[k + dg]
+        if c:
+            q[k] = c = c if inv is None else c * inv
+            for i in range(dg):
+                r[k + i] -= c * g[i]
+    return trim(q), trim(r[:dg])
 
 
 def div_linear(f, a):
@@ -109,11 +108,14 @@ def shift(f, a):
     return trim(out)
 
 
+def _inv(c):
+    """1/c, a Fraction for an int c."""
+    return Fraction(1, c) if isinstance(c, int) else 1 / c
+
+
 def monic(f):
-    if not f:
-        return []
-    lc = f[-1]
-    return [c / lc for c in f]
+    inv = _inv(f[-1]) if f else 1
+    return [c * inv for c in f]
 
 
 def gcd(f, g):

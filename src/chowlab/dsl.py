@@ -583,9 +583,9 @@ _LOOP_LIMIT = 100000
 _POWER_BITS_LIMIT = 1 << 20
 # largest bound on the terms of a polynomial power that it builds
 _POWER_TERMS_LIMIT = 1 << 13
-# largest estimate of the work of a polynomial power that it builds: e
-# products with the base, each of at most the term bound, times the bits of
-# the result's coefficients; it admits (x+1)^202 but not (x+1)^203
+# largest estimate of the work of a polynomial power that it builds (see
+# `_power`); it admits (x+1)^202 but not (x+1)^203, and no power of
+# (w+x+y+z+1) above the 13th
 _POWER_WORK_LIMIT = 1 << 24
 
 _SHORTHAND = re.compile(r"(\d*)((?:[A-Za-z]\d*)+)")
@@ -662,11 +662,19 @@ def _power(base, exponent, pos):
                 # base^e has at most C(t + e - 1, e) terms, t those of the
                 # base, and at most the C(n + e deg, n) monomials of degree
                 # <= e deg, so e < terms; its coefficients have about
-                # e * (bits + log2 t) bits
+                # e * bits bits, bits = (those of the base) + log2 t.  Its
+                # e - 1 products with the base make at most e * terms * t
+                # term products, each costing about 200 + e * bits
+                # (measured on a 2-core x86-64 host, CPython 3.11: this puts
+                # (x+1)^202 and (w+x+y+z+1)^18 within 2% of their time
+                # ratio).  The work is the larger of that cost, over 3 so
+                # that (x+1)^202 stays admitted, and e * terms * e * bits,
+                # so that nothing the coefficient estimate alone refuses is
+                # admitted
                 terms = min(comb(t + e - 1, e), comb(n + e * base.total_degree(), n))
                 cs = [c.coeffs if isinstance(c, ExtElement) else [c] for _, c in base.terms]
                 bits = max(_bits(q) for qs in cs for q in qs) + log2(t)
-                if terms > _POWER_TERMS_LIMIT or e * terms * e * bits > _POWER_WORK_LIMIT:
+                if terms > _POWER_TERMS_LIMIT or e * terms * max(e * bits, t * (e * bits + 200) / 3) > _POWER_WORK_LIMIT:
                     raise DslEvalError("power too large", *pos)
             return base ** e
         if isinstance(base, (int, Fraction)):

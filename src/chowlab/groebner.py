@@ -103,10 +103,12 @@ by no run lead, lowers HF_run(d) by one.  Modulo p the Hilbert function of
 the ideal is at least the rational one, as no rank grows mod p, so an
 unlucky prime never drops a pair too early; it can only keep more.
 
-`intersect` on rational generators, in any field, computes its elimination
-basis modulo primes first (`modular`: monic reducers, one multiply and one
-`% p` per term).  The first prime of `_PRIMES`, below 2^30 so that its
-residues are single-digit ints, runs `_Engine.run` in full, its hooks
+`intersect` on rational homogeneous generators, in any field, computes its
+elimination basis modulo primes first (`modular`: monic reducers, one
+multiply and one `% p` per term); rational generators that are not
+homogeneous are first replaced by their closures, below.  The first prime
+of `_PRIMES`, below 2^30 so that its residues are single-digit ints, runs
+`_Engine.run` in full, its hooks
 recording the run as a straight-line program (Traverso, "Groebner trace
 algorithms", ISSAC 1988): each generator insertion and each S-pair that did
 not reduce to zero, with the term position and the reducer of every
@@ -127,8 +129,8 @@ replays lift the residues to a candidate C, and C is kept only if, made
 monic modulo the trace prime, it is the trace basis, a cheap check that a
 wrong lift rarely passes.
 
-For homogeneous I and J in n variables, the runs take the generators
-homogenized by one more variable h: t*f and (h - t)*g in Q[t, h, x], with
+For I and J in n variables, the runs take the generators homogenized by one
+more variable h: t*f and (h - t)*g in Q[t, h, x], with
 the block order (t | h, x).  Their ideal L = tI + sJ, with s = h - t, is
 homogeneous.  With R = Q[x], the quotient Q[t, h, x]/L is, as a graded
 space, R + t R/I[t] + s R/J[s] + ts R/(I+J)[t, s], so its Hilbert numerator
@@ -139,38 +141,54 @@ evaluated at h = 1.  That map sends the generators to t*f and (1 - t)*g and
 keeps the terms of a homogeneous element apart.  Since L cap Q[h, x] =
 h (I cap J)[h], the t-free slice of the reduced basis of L is h times the
 reduced basis of I cap J, with the same leads (grevlex on (h, x) compares
-h*u and h*v as it compares u and v).  So at h = 1 it is the slice the plain
+h*u and h*v as it compares u and v).  So at h = 1 it is the slice the
 elimination gives.
 
-For homogeneous I and J, the t-free slice H of C, made monic, is certified
-with no exact elimination, by its Hilbert series (in the spirit of
-Traverso's Hilbert-driven bases).  The exact sequence 0 -> R/(I cap J) ->
-R/I + R/J -> R/(I+J) -> 0 gives HS(R/(I cap J)) = HS(R/I) + HS(R/J) -
-HS(R/(I+J)), and for a homogeneous ideal HS(R/I) = N(t)/(1-t)^n, with N the
-numerator of the leading monomials of any Groebner basis of I.  H is
-accepted iff (a) every element lies in I and in J; (b) N(LM(H)) =
-N(LM(I)) + N(LM(J)) - N(LM(I+J)), the basis of I+J being one more run in n
-variables; and (c) no term of one element is divisible by the lead of
-another.  Leads of H are taken in C's block order, which is grevlex on the
-x block whatever the ring's order.  By (a), (H) lies in I cap J, so
-(LM(H)) lies in LM((H)), which lies in LM(I cap J).  By (b) the two
-monomial ideals at the ends have the same Hilbert function, so they are
-equal.  So H is a Groebner basis of I cap J, and with (c) its reduced
-basis: the one the elimination below would output, byte for byte.
+The t-free slice H of C, made monic, is certified with no exact
+elimination, by its Hilbert series (in the spirit of Traverso's
+Hilbert-driven bases).  The exact sequence 0 -> R/(I cap J) -> R/I + R/J ->
+R/(I+J) -> 0 gives HS(R/(I cap J)) = HS(R/I) + HS(R/J) - HS(R/(I+J)), and
+for a homogeneous ideal HS(R/I) = N(t)/(1-t)^n, with N the numerator of the
+leading monomials of any Groebner basis of I.  H is accepted iff (a) every
+element lies in I and in J; (b) N(LM(H)) = N(LM(I)) + N(LM(J)) -
+N(LM(I+J)), the basis of I+J being one more run in n variables; and (c) no
+term of one element is divisible by the lead of another.  Leads of H are
+taken in C's block order, which is grevlex on the x block whatever the
+ring's order.  By (a), (H) lies in I cap J, so (LM(H)) lies in LM((H)),
+which lies in LM(I cap J).  By (b) the two monomial ideals at the ends have
+the same Hilbert function, so they are equal.  So H is a Groebner basis of
+I cap J, and with (c) its reduced basis: the one the elimination below
+would output, byte for byte.
 
-Otherwise, or when the certificate fails, C seeds the one exact
-elimination: the fraction-free reduced basis of C together with the
-generators, in the block order.  Its t-free slice H is certified by
-containment alone, whatever the seed (Cox, Little, O'Shea, ch. 3 sec. 1).
-The generators are t*f for f in I and (1 - t)*g for g in J, so (gens) cap
-Q[x] = I cap J.  (C, gens) contains (gens), so H, which generates (C, gens)
-cap Q[x], generates an ideal containing I cap J; once H lies in I and in J,
-(H) = I cap J, and since the reduced basis is unique the output does not
-depend on the seed.  A wrong seed can only fail containment, and the
-elimination then runs unseeded; an incomplete one is completed by the
-generators.  When C is right, each generator reduces to zero as it is
-inserted and adds no basis element and no pair.  So an unlucky prime, a
-failed lift or a failed check costs time, never a wrong answer.
+For rational I and J with a non-homogeneous generator, `intersect` takes
+that path on their closures (`modular._dehomogenized`).  Let I^h be
+generated by the homogenizations g^h = p^(deg g) g(x/p) of the reduced dp
+basis of I, by one more variable p, last in a dp ring; in an lp or block
+ring that basis comes from a dp copy of I, so no basis in the ring's order
+is computed.  Since grevlex with p last takes each lead from the top-degree
+part, the g^h are the reduced basis of the ideal of all f^h, f in I, with
+the same leads (Cox, Little, O'Shea, ch. 8 sec. 4).  Then (I cap J)^h = I^h
+cap J^h (Kreuzer and Robbiano, Computational Commutative Algebra 2, sec.
+4.3), a homogeneous intersection, which the path above certifies.  Its
+reduced basis H has leads free of p: in grevlex with p last, p divides the
+lead of a homogeneous element only if it divides the whole element, and (I
+cap J)^h is saturated in p, so such an element would be p times an element
+whose lead another lead of H divides, against the minimality of H.  Setting
+p = 1 keeps each lead, since every other term either loses a power of p,
+and so has lower degree, or compares as before; and each f in I cap J has
+f^h in (I cap J)^h, with LM(f^h) = LM(f) divisible by a lead of H.  So H at
+p = 1 is a minimal dp Groebner basis of I cap J.  It is also reduced, with
+no further step: no lead divides a tail term x^e p^k of H, and since the
+leads are free of p, none divides x^e.  So it is the reduced basis, the one
+the elimination below outputs, byte for byte.
+
+Otherwise, when a certificate fails or a coefficient is irrational, one
+exact elimination runs: the fraction-free reduced basis of the generators
+t*f for f in I and (1 - t)*g for g in J in the block order, whose ideal
+meets Q[x] in I cap J (Cox, Little, O'Shea, ch. 3 sec. 1), so its t-free
+slice is the reduced basis of I cap J.  That slice is checked by
+containment in I and in J.  So an unlucky prime, a failed lift or a
+failed check costs time, never a wrong answer.
 """
 
 import threading
@@ -850,11 +868,8 @@ def contained(polys, *ideals):
 
 
 def _port(g, ctx2, pad=0, drop=0):
-    d = {}
-    for e, c in g.terms:
-        e2 = (0,) * pad + tuple(e[drop:])
-        d[e2] = c
-    return ctx2.from_dict(d)
+    """g in ctx2, its exponents with pad zeros in front and drop dropped."""
+    return ctx2.from_dict({(0,) * pad + e[drop:]: c for e, c in g.terms})
 
 
 def eliminate(ideal, k):
@@ -883,18 +898,25 @@ def _eliminated(gens, k, ctx):
     ]
 
 
-_AUX, _HOM = "@t", "@h"
+_AUX, _HOM, _PROJ = "@t", "@h", "@p"
+
+
+def _tagged(i_ideal, j_ideal):
+    """The generators t*f of I and (1 - t)*g of J, whose ideal meets Q[x] in
+    I cap J, in Q[t, x] with the block order (t | x)."""
+    ctx = i_ideal.context
+    ctxa = RingContext((_AUX,) + ctx.variables, ("block", 1), ctx.field)
+    t = ctxa.var(_AUX)
+    gens = [t * _port(f, ctxa, pad=1) for f in i_ideal.generators]
+    return gens + [(ctxa.one - t) * _port(g, ctxa, pad=1) for g in j_ideal.generators]
 
 
 def _numerators(i_ideal, j_ideal):
-    """The Hilbert numerators of I, J, I+J and L = tI + (h - t)J, the last in
-    two more variables, from the reduced bases; None unless I and J are
-    homogeneous."""
-    pair = i_ideal.generators + j_ideal.generators
-    if any(is_homogeneous(g) is None for g in pair):
-        return None
+    """The Hilbert numerators of homogeneous I and J, of I+J and of
+    L = tI + (h - t)J, the last in two more variables, from the reduced
+    bases."""
     ni, nj = i_ideal.numerator(), j_ideal.numerator()
-    nij = Ideal(i_ideal.context, pair).numerator()
+    nij = Ideal(i_ideal.context, i_ideal.generators + j_ideal.generators).numerator()
     # S/L = R + t R/I[t] + s R/J[s] + ts R/(I+J)[t, s] with s = h - t, so
     # N_L = (1-z)^2 + z(1-z)(N_I + N_J) + z^2 N_I+J
     s = _padd(ni, nj)
@@ -906,8 +928,6 @@ def _certified(cand, i_ideal, j_ideal, nums):
     and J and sorted as `_eliminated` sorts, if it passes the certificate
     of the module docstring as the reduced basis of I cap J; else None.
     nums are those of `_numerators`."""
-    if nums is None:
-        return None
     n = i_ideal.context.nvars
     key = cand[0].ctx.key
     hs = sorted(
@@ -937,43 +957,48 @@ def _certified(cand, i_ideal, j_ideal, nums):
     return res if contained(res, i_ideal, j_ideal) else None
 
 
+def _traced(i_ideal, j_ideal):
+    """(basis, numerator) of I cap J for homogeneous rational I and J: the
+    certified slice of the candidate of the Hilbert-driven mod-p runs, None
+    where the certificate fails, and N(I) + N(J) - N(I+J)."""
+    from . import modular  # here, so that the rank paths never load it
+
+    gens = _tagged(i_ideal, j_ideal)
+    nums = _numerators(i_ideal, j_ideal)
+    cand = modular._modular_basis(gens[0].ctx, gens, nums[3])
+    res = _certified(cand, i_ideal, j_ideal, nums) if cand else None
+    # HS(R/(I cap J)) = HS(R/I) + HS(R/J) - HS(R/(I+J)), and a homogeneous
+    # ideal's Hilbert series does not depend on the monomial order
+    return res, _padd(_padd(nums[0], nums[1]), nums[2], sign=-1)
+
+
 def intersect(i_ideal, j_ideal):
-    """I cap J via a fresh auxiliary variable.  When every coefficient is
-    rational the elimination basis is found modulo primes first, for
-    homogeneous I and J by a Hilbert-driven trace on the homogenized
-    generators, and its t-free slice certified by its Hilbert series and
-    containment, with no exact elimination.  Otherwise, or when that
-    certificate fails, one exact elimination runs, seeded with the modular
-    basis, then unseeded, each certified by containment in I and in J
+    """I cap J via a fresh auxiliary variable.  For rational homogeneous I
+    and J its elimination basis is found by a Hilbert-driven trace modulo
+    primes on the homogenized generators, and its t-free slice certified by
+    its Hilbert series and containment, with no exact elimination; rational
+    I and J with a non-homogeneous generator take that path on the
+    homogenizations of their dp bases.  Otherwise, or when the certificate
+    fails, one exact elimination runs, checked by containment in I and in J
     (module docstring)."""
     ctx = i_ideal.context
     if j_ideal.context != ctx:
         raise ValueError("mixed ring contexts")
-    if _AUX in ctx.variables or _HOM in ctx.variables:
+    if {_AUX, _HOM, _PROJ} & set(ctx.variables):
         raise ValueError("auxiliary variable name collision")
-    ctxa = RingContext((_AUX,) + ctx.variables, ("block", 1), ctx.field)
-    t = ctxa.var(_AUX)
-    gens = [t * _port(f, ctxa, pad=1) for f in i_ideal.generators]
-    gens += [(ctxa.one - t) * _port(g, ctxa, pad=1) for g in j_ideal.generators]
-    cand = nums = None
-    if gens and not _irrational(ctx.field, gens):
-        from . import modular  # here, so that the rank paths never load it
-
-        nums = _numerators(i_ideal, j_ideal)
-        cand = modular._modular_basis(ctxa, gens, nums and nums[3])
-    res = _certified(cand, i_ideal, j_ideal, nums) if cand else None
-    if res is None:
-        num = None
-        for seed in ([cand] if cand else []) + [[]]:
-            res = _eliminated(seed + gens, 1, ctx)
-            if contained(res, i_ideal, j_ideal):
-                break
+    pair = i_ideal.generators + j_ideal.generators
+    res = num = None
+    if pair and not _irrational(ctx.field, pair):
+        if all(is_homogeneous(g) is not None for g in pair):
+            res, num = _traced(i_ideal, j_ideal)
         else:
+            from . import modular  # here, so that the rank paths never load it
+
+            res = modular._dehomogenized(i_ideal, j_ideal)
+    if res is None:
+        res = _eliminated(_tagged(i_ideal, j_ideal), 1, ctx)
+        if not contained(res, i_ideal, j_ideal):
             raise AssertionError("intersection generator failed containment check")
-    else:
-        # check (b) showed N(LM(H)) = N(I) + N(J) - N(I+J); a homogeneous
-        # ideal's Hilbert series does not depend on the monomial order
-        num = _padd(_padd(nums[0], nums[1]), nums[2], sign=-1)
     out = Ideal(ctx, res, basis=res if ctx.order == "dp" else None)
     out._num = num
     return out

@@ -1,13 +1,17 @@
 """The mod-p Groebner runs behind `groebner.intersect` over Q.
 
-`_modular_basis` computes a candidate for the reduced basis of rational
-generators from runs modulo the primes of `_PRIMES`: a full run at the
-first prime, which is `_Engine.run` with recording hooks, records its work
-as a straight-line program (the trace), each later prime replays that
-program, and CRT with rational reconstruction lifts the replays to Q.  For
-a homogeneous intersection the runs are on the homogenized generators and
-the trace is Hilbert-driven.  The `groebner` module docstring gives the
-method and why a wrong candidate costs time, never a wrong answer.
+`_modular_basis` computes a candidate for the reduced elimination basis of
+a rational intersection from runs modulo the primes of `_PRIMES`: a full
+run at the first prime, which is `_Engine.run` with recording hooks,
+records its work as a straight-line program (the trace), each later prime
+replays that program, and CRT with rational reconstruction lifts the
+replays to Q.  Every intersection it serves is homogeneous: a pair with a
+non-homogeneous generator is first replaced by its closures, the
+homogenizations of its dp bases (`_dehomogenized`, which sets the new
+variable back to 1 in the result).  So the runs are on the homogenized
+generators and the trace is Hilbert-driven.  The `groebner` module
+docstring gives the method and why a wrong candidate costs time, never a
+wrong answer.
 
 A program is (ops, minimal, inter, shape):
 
@@ -18,9 +22,10 @@ A program is (ops, minimal, inter, shape):
   holds the term position and the reducer slot of each reduction step, flat
   in an int array (less than half the memory of a list of pairs), and size
   is the remainder's number of terms.  Each op with a remainder installs the
-  next basis slot.  A plain run inserts every generator before the first
-  pair; a Hilbert-driven one interleaves them with the pairs, in degree
-  order, and leaves out the generators it skipped.  A generator that
+  next basis slot.  A Hilbert-driven run interleaves the generators with
+  the pairs, in degree order, and leaves out the ones it skipped; a run
+  without a target (`_mod_run` allows one) inserts every generator before
+  the first pair.  A generator that
   reduced to zero stays in, so that a replay whose remainder is not zero
   leaves the program.
 - minimal holds the slots of the minimal basis, inter the (steps, size) of
@@ -32,8 +37,8 @@ from array import array
 from fractions import Fraction
 from math import gcd
 
-from .groebner import _HOM, _Engine, _packed
-from .poly import Polynomial, RingContext
+from .groebner import _HOM, _PROJ, Ideal, _Engine, _packed, _port, _traced
+from .poly import RingContext
 
 # literal, so that import does no work.  The first, below 2^30 so that its
 # residues are single-digit ints, runs the trace; two of the 350-bit ones lift
@@ -185,6 +190,33 @@ class _ModEngine(_Engine):
         return basis if _shape(basis) == shape else None
 
 
+def _homogenized(g, ctx, k):
+    """g homogenized by the variable k of ctx, the others g's in order."""
+    d = g.total_degree()
+    return ctx.from_dict({e[:k] + (d - sum(e),) + e[k:]: c for e, c in g.terms})
+
+
+def _dehomogenized(i_ideal, j_ideal):
+    """The reduced dp basis of I cap J for rational I and J, in their ring,
+    from the intersection of the homogenizations of their dp bases by one
+    more variable p, the last (`groebner` module docstring); None where its
+    certificate fails."""
+    ctx = i_ideal.context
+    dp = RingContext(ctx.variables, "dp", ctx.field)
+    ctxp = RingContext(ctx.variables + (_PROJ,), "dp", ctx.field)
+
+    def closure(ideal):
+        if ctx != dp:
+            ideal = Ideal(dp, [_port(g, dp) for g in ideal.generators])
+        # the reduced basis of the homogenization of the ideal
+        hs = [_homogenized(g, ctxp, ctx.nvars) for g in ideal.groebner_basis()]
+        return Ideal(ctxp, hs, basis=hs)
+
+    res = _traced(closure(i_ideal), closure(j_ideal))[0]
+    # at p = 1 it is the reduced dp basis of I cap J
+    return None if res is None else [ctx.from_dict({e[:-1]: c for e, c in g.terms}) for g in res]
+
+
 def _ratrec(u, m):
     """n/d = u mod m by maximal-quotient rational reconstruction (Monagan,
     ISSAC 2004), or None when no quotient of the Euclidean run on (m, u)
@@ -231,33 +263,28 @@ def _agrees(lifted, trace, q):
     return True
 
 
-def _modular_basis(ctx, gens, target=None):
+def _modular_basis(ctx, gens, target):
     """A candidate for the reduced basis of (gens) over Q, or None.
 
-    The first prime that runs is the trace: it runs in full, records its
-    program and stays out of the CRT.  Each later prime replays the program.
-    A replay that leaves it runs again in full and becomes the new trace,
-    the residues so far dropped; the others are combined by CRT, and a lift
-    is returned once it reduces mod the trace prime to the trace basis.
-    Only the program keeps the monomials; the rest are coefficient lists.
+    The gens are t*f and (1 - t)*g of `groebner.intersect` for homogeneous
+    I and J, and target is the Hilbert numerator of their homogenization by
+    h, first in the second block of ctx's order: t*f and (h - t)*g.  The
+    runs take the homogenized gens, and the candidate is the lift at h = 1.
+    It lies in (gens), and when the lift is right its t-free slice is that
+    of the reduced basis of (gens) (`groebner` module docstring).
 
-    With a target, the gens are t*f and (1 - t)*g of `groebner.intersect`
-    for homogeneous I and J, and target is the Hilbert numerator of their
-    homogenization by h, first in the second block of ctx's order: t*f and
-    (h - t)*g.  The runs take the homogenized gens, the trace Hilbert-driven,
-    and the candidate is the lift at h = 1.  It lies in (gens), and when the
-    lift is right its t-free slice is that of the reduced basis of (gens)
-    (`groebner` module docstring).
+    The first prime that runs is the trace: it runs in full, Hilbert-driven
+    by the target, records its program and stays out of the CRT.  Each
+    later prime replays the program.  A replay that leaves it runs again in
+    full and becomes the new trace, the residues so far dropped; the others
+    are combined by CRT, and a lift is returned once it reduces mod the
+    trace prime to the trace basis.  Only the program keeps the monomials;
+    the rest are coefficient lists.
     """
-    out, k = ctx, None
-    if target is not None:  # h goes in at k, first in the second block
-        k = ctx.order[1]
-        names = ctx.variables[:k] + (_HOM,) + ctx.variables[k:]
-        ctx = RingContext(names, ctx.order, ctx.field)
-        gens = [
-            ctx.from_dict({e[:k] + (d - sum(e),) + e[k:]: c for e, c in g.terms})
-            for g, d in zip(gens, map(Polynomial.total_degree, gens))
-        ]
+    out, k = ctx, ctx.order[1]  # h goes in at k, first in the second block
+    names = ctx.variables[:k] + (_HOM,) + ctx.variables[k:]
+    ctx = RingContext(names, ctx.order, ctx.field)
+    gens = [_homogenized(g, ctx, k) for g in gens]
     program = acc = None
     for p in _PRIMES:
         try:
@@ -281,9 +308,7 @@ def _modular_basis(ctx, gens, target=None):
             m *= p
             lifted = _lift(acc, m)
             if lifted is not None and _agrees(lifted, trace, q):
-                shape = program[3]
-                if k is not None:  # at h = 1
-                    shape = [[e[:k] + e[k + 1 :] for e in es] for es in shape]
+                shape = [[e[:k] + e[k + 1 :] for e in es] for es in program[3]]  # h = 1
                 return [out.from_dict(dict(zip(es, cs))) for es, cs in zip(shape, lifted)]
         basis = residues = None  # not held through the next run
     return None

@@ -286,3 +286,26 @@ def test_qq_coerce():
     K = eisenstein()
     with pytest.raises(TypeError):
         QQ.coerce(K.gen)
+
+
+def test_univariate_division_is_exact_on_int_coefficients():
+    from chowlab import _uni
+
+    q, r = _uni.divmod_([1, 2, 3], [1, 2])
+    assert (q, r) == ([F(1, 4), F(3, 2)], [F(3, 4)])
+    assert _uni.gcd([1, 2, 1], [1, 1]) == [1, 1]
+    assert _uni.monic([2, 4]) == [F(1, 2), 1]
+    for cs in (q, r, _uni.gcd([1, 2, 1], [1, 1]), _uni.monic([2, 4])):
+        assert all(type(c) is F for c in cs)
+    # a monic int divisor divides with no Fraction at all
+    assert _uni.divmod_([1, 0, 0, 1], [1, 1]) == ([1, -1, 1], [])
+    # f = q*g + r with deg r < deg g, over Q and over Q[a]
+    rng = random.Random(5)
+    a = eisenstein().gen
+    for _ in range(50):
+        f = _uni.trim([F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(0, 6))])
+        g = _uni.trim([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]) or [3]
+        for unit in (1, a):
+            fu = [c * unit for c in f]
+            q, r = _uni.divmod_(fu, g)
+            assert _uni.add(_uni.mul(q, g), r) == _uni.trim(fu) and len(r) < len(g)

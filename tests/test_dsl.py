@@ -216,6 +216,18 @@ def test_huge_integers_are_located_errors():
     assert run_source("int n = 2^20000; print(n - n); print(2^(-3));") == "0\n1/8\n"
 
 
+def test_polynomial_power_work_bound():
+    # the bound counts term products: (w+x+y+z+1)^18 costs about three
+    # times (x+1)^202, the largest power of x+1 it admits
+    for base, e in (("x+1", 202), ("w+x+y+z+1", 13)):
+        src = f"ring r=0,(w,x,y,z),dp; poly f=({base})^{e}; deg(f);"
+        assert run_source(src) == f"{e}\n"
+    for base, e in (("x+1", 203), ("w+x+y+z+1", 14), ("w+x+y+z+1", 18)):
+        with pytest.raises(DslEvalError) as err:
+            run_source(f"ring r=0,(w,x,y,z),dp; poly f=({base})^{e};")
+        assert err.value.message == "power too large"
+
+
 def test_huge_shorthand_digits_are_located_errors():
     nines = "9" * 5000
     for ident in ("x" + nines, nines + "x", "x2y" + nines, nines + "x" + nines):

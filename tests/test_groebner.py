@@ -200,6 +200,21 @@ def test_intersect_monomials():
     assert [str(g) for g in got2.generators] == ["x^2*y^3*z"]
 
 
+@pytest.mark.parametrize("name", ["@t", "@h", "@p"])
+def test_intersect_refuses_an_auxiliary_variable_name(monkeypatch, name):
+    ctx = RingContext(["x", name], "dp")
+    x, v = ctx.gens()
+    i, j = Ideal(ctx, [x * v + 1]), Ideal(ctx, [x**2])
+
+    def no_work(*args):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr(groebner, "_packed", no_work)
+    with pytest.raises(ValueError, match="auxiliary variable name collision"):
+        intersect(i, j)
+    assert i._gb is None and j._gb is None
+
+
 def test_intersect_contains_product_random():
     ctx = RingContext(["x", "y", "z"], "dp")
     rng = random.Random(321)

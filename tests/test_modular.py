@@ -2,14 +2,18 @@
 
 `reference_intersect` is the elimination `intersect` ran before it had a
 modular path: one fraction-free `buchberger` on t*f and (1-t)*g, the t-free
-slice, and the containment check.  The seeded cases here always run;
+slice, and the containment check.  A non-homogeneous pair takes the
+modular path through the closures of I and J, the homogenizations of their
+dp bases (`closure`).  The seeded cases here always run;
 `test_modular_hypothesis.py` drives the same checks from generated inputs
 when hypothesis is installed.
 """
 
+import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from operator import add
 
@@ -17,7 +21,7 @@ import pytest
 
 import chowlab.groebner as groebner
 import chowlab.modular as modular
-from chowlab.groebner import Ideal, buchberger, ideal_member, intersect
+from chowlab.groebner import Ideal, buchberger, contained, ideal_member, intersect
 from chowlab.poly import RingContext, diff, graded_piece_basis, is_homogeneous
 from chowlab.rings import graded_dim
 
@@ -90,8 +94,8 @@ def random_pair(seed):
 
 
 def record_buchberger(monkeypatch, *ideals):
-    """Record the eliminations, the calls in the ring with @t: each is its
-    seed followed by the generators t*f and (1-t)*g."""
+    """Record the eliminations, the calls in the ring with @t: each is the
+    generators t*f and (1-t)*g."""
     for ideal in ideals:
         ideal.groebner_basis()
     calls = []
@@ -120,8 +124,40 @@ def record_certificates(monkeypatch):
     return results
 
 
+def record_candidates(monkeypatch):
+    """The result of every `_modular_basis` call: a candidate, or None."""
+    cands = []
+    real = modular._modular_basis
+
+    def recording(ctx, gens, target):
+        cands.append(real(ctx, gens, target))
+        return cands[-1]
+
+    monkeypatch.setattr(modular, "_modular_basis", recording)
+    return cands
+
+
 def homogeneous(i, j):
     return all(is_homogeneous(g) is not None for g in i.generators + j.generators)
+
+
+def closure(ideal):
+    """The ideal of the homogenizations, by a last variable @p, of the
+    elements of the reduced dp basis of the ideal, in a dp ring."""
+    ctx = ideal.context
+    dp = RingContext(ctx.variables, "dp", ctx.field)
+    ctxp = RingContext(ctx.variables + ("@p",), "dp", ctx.field)
+    gens = []
+    for g in buchberger([dp.from_dict(dict(f.terms)) for f in ideal.generators]):
+        d = g.total_degree()
+        gens.append(ctxp.from_dict({e + (d - sum(e),): c for e, c in g.terms}))
+    return Ideal(ctxp, gens)
+
+
+def certified_pair(i, j):
+    """The pair whose elimination candidate `intersect` certifies: I and J
+    if homogeneous, else their closures."""
+    return (i, j) if homogeneous(i, j) else (closure(i), closure(j))
 
 
 def is_prime(n):
@@ -233,36 +269,26 @@ def test_unlucky_trace_prime_is_replaced(monkeypatch):
     # 13 is unlucky for these pairs: its full run takes another path than
     # the 350-bit primes', so the first replay leaves the program, runs
     # again in full and traces
-    unlucky, cands = [], []
-    real = modular._modular_basis
-
-    def recording(ctx, gens, *args):
-        cands.append(real(ctx, gens, *args))
-        return cands[-1]
-
+    unlucky = []
     for seed in range(64):
         i, j = random_pair(seed)
         calls = record_buchberger(monkeypatch, i, j)
         monkeypatch.setattr(modular, "_PRIMES", (13,) + modular._PRIMES[1:])
-        monkeypatch.setattr(modular, "_modular_basis", recording)
+        cands = record_candidates(monkeypatch)
         runs = record_mod_runs(monkeypatch)
         certs = record_certificates(monkeypatch)
         check_intersection(i, j)
         monkeypatch.undo()
-        # never the fallback: a homogeneous pair's slice is certified with no
-        # elimination, any other pair runs one, seeded by a candidate
-        assert None not in cands and len(certs) == 1
-        if homogeneous(i, j):
-            assert certs[0] is not None and calls == []
-        else:
-            assert certs == [None] and len(calls) == 1
-            assert len(calls[0]) > len(i.generators + j.generators)
+        # never the fallback: every slice is certified with no elimination,
+        # that of a non-homogeneous pair through its closures
+        assert len(cands) == len(certs) == 1 and None not in cands + certs
+        assert calls == []
         fulls = [q for q, _, replayed, *_ in runs if replayed is False]
         if fulls[1:]:
             unlucky.append(seed)
             assert fulls == [13, runs[1][0]] and len(runs) == 5
             assert runs[1][2] is None  # the replay that left the program
-    assert unlucky == [9, 13, 16, 19, 38]
+    assert unlucky == [9, 16, 19, 38]
 
 
 def test_replay_equals_a_full_run_at_each_prime():
@@ -341,9 +367,76 @@ def test_a_corrupted_program_is_detected_and_the_prime_runs_in_full(
     assert len(rest) >= 2 and all(replayed for _, _, replayed, *_ in rest)
 
 
-def test_modular_intersection_matches_fraction_free_elimination():
+def record_eliminations(monkeypatch):
+    """The arguments of every `_eliminated` call: the fallback of
+    `intersect`."""
+    calls = []
+    real = groebner._eliminated
+    monkeypatch.setattr(groebner, "_eliminated", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_modular_intersection_matches_fraction_free_elimination(monkeypatch):
+    eliminated = record_eliminations(monkeypatch)
     for seed in range(64):
         check_intersection(*random_pair(seed))
+    # every pair is certified, a non-homogeneous one through its closures
+    assert eliminated == []
+
+
+def regression_pair(order):
+    """Non-homogeneous pairs in Q[x, y, z] whose elimination in the block
+    order (t | x, y, z) blows up: seeded by the modular candidate it took
+    about 16 s for the dp pair and about three minutes for the lp pair, on
+    a 2-core x86-64 host under CPython 3.11.  Their closures intersect in
+    well under a second."""
+    ctx = RingContext(("x", "y", "z"), order)
+    x, y, z = ctx.gens()
+    q = Fraction
+    if order == "dp":
+        return (
+            Ideal(ctx, [-q(1, 2) * x**2 * z**2 + q(8, 5) * x * y**2 + 7 * y * z**2,
+                        q(1, 2) * x**2 * y * z**2 - 5 * z**2]),
+            Ideal(ctx, [-q(7, 5) * x**2 * y**2 + q(2, 3) * x**2 * z**2 + q(3, 5) * x * y * z,
+                        q(1, 2) * x**2 * y**2 * z**2 + q(3, 2) * x * y**2 * z - q(1, 5) * x * z]),
+        )
+    return (
+        Ideal(ctx, [-x**2 - q(7, 4) * x * y * z**2 - 4 * y**2 * z,
+                    -q(2, 5) * x**2 * y**2 - 9 * x * z]),
+        Ideal(ctx, [-3 * x**2 * y * z - q(9, 4) * y**2 + z,
+                    -q(7, 2) * x**2 * y**2 * z**2 - q(1, 6) * x * y + 2 * y]),
+    )
+
+
+def test_dp_regression_pair_matches_the_exact_elimination(monkeypatch):
+    # the unseeded reference elimination of this pair ran past 20 minutes,
+    # so the digest pins the output of the exact elimination seeded by the
+    # modular candidate and checked by containment, which took about 16 s
+    i, j = regression_pair("dp")
+    eliminated = record_eliminations(monkeypatch)
+    start = time.perf_counter()
+    got = intersect(i, j)
+    assert time.perf_counter() - start < 10 and eliminated == []
+    terms = repr([g.terms for g in got.generators]).encode()
+    assert hashlib.sha256(terms).hexdigest() == (
+        "e5f5667d21012984ee4af998c713960bc10dcb7d155244e52528ca4ac5e9585b"
+    )
+    assert len(got.generators) == 15 and contained(list(got.generators), i, j)
+
+
+def test_lp_regression_pair_computes_no_lp_or_block_basis(monkeypatch):
+    # its seeded elimination took about three minutes, too slow for a
+    # reference here; the output is checked by containment
+    i, j = regression_pair("lp")
+    rings = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda gens: rings.append(gens[0].ctx) or real(gens))
+    eliminated = record_eliminations(monkeypatch)
+    start = time.perf_counter()
+    got = intersect(i, j)
+    assert time.perf_counter() - start < 10 and eliminated == []
+    assert rings and {ctx.order for ctx in rings} == {"dp"}
+    assert len(got.generators) == 20 and contained(list(got.generators), i, j)
 
 
 def test_unit_and_zero_ideals():
@@ -357,33 +450,43 @@ def test_unit_and_zero_ideals():
     assert check_intersection(Ideal(ctx, []), i).generators == ()
 
 
-def test_lucky_path_runs_one_elimination_seeded_by_the_candidate(monkeypatch):
+def test_non_homogeneous_pair_is_certified_through_its_closures(monkeypatch):
     i, j = small_pair()
     want = [g.terms for g in reference_intersect(i, j)]
+    cand = candidate(closure(i), closure(j))
     calls = record_buchberger(monkeypatch, i, j)
-    assert [g.terms for g in intersect(i, j).generators] == want
-    (call,) = calls
-    cand = call[:-3]  # the seed, then the 3 generators
-    assert call[-3:] == elimination_generators(i, j)
-    # the lift is already the reduced basis of the elimination, up to scalars
-    monic = [g * (1 / g.leading_coeff()) for g in cand]
-    assert [g.terms for g in monic] == [g.terms for g in buchberger(cand)]
+    cands = record_candidates(monkeypatch)
+    certs = record_certificates(monkeypatch)
+    got = intersect(i, j)
+    assert [g.terms for g in got.generators] == want
+    # no elimination: one candidate, that of the closures of I and J, whose
+    # certified slice has p-free leads, the output's
+    assert calls == [] and cands == [cand]
+    (cert,) = certs
+    assert [g.leading_monomial() for g in cert] == [
+        g.leading_monomial() + (0,) for g in got.generators
+    ]
 
 
 def test_unlucky_primes_are_skipped(monkeypatch):
     ctx = RingContext(("x", "y"), "dp")
     x, y = ctx.gens()
-    # 7 divides a denominator, 5 kills the leading coefficient 5
-    i = Ideal(ctx, [5 * x**2 + Fraction(1, 7) * y])
-    j = Ideal(ctx, [x * y - 2])
-    want = [g.terms for g in reference_intersect(i, j)]
-    for bad in (7, 5):
+    # the dp basis of the first I is x^2 + 1/35*y, so 7 and 5 divide a
+    # denominator of its closure; 5 kills the leading coefficient 5 of the
+    # homogeneous second I
+    first = Ideal(ctx, [5 * x**2 + Fraction(1, 7) * y]), Ideal(ctx, [x * y - 2])
+    second = Ideal(ctx, [5 * x**2 + y**2]), Ideal(ctx, [x * y])
+    for (i, j), bad in ((first, 7), (first, 5), (second, 5)):
+        want = [g.terms for g in reference_intersect(i, j)]
         calls = record_buchberger(monkeypatch, i, j)
         monkeypatch.setattr(modular, "_PRIMES", (bad,) + modular._PRIMES)
+        runs = record_mod_runs(monkeypatch)
+        certs = record_certificates(monkeypatch)
         assert [g.terms for g in intersect(i, j).generators] == want
-        # one elimination, seeded by a candidate (the pair has 2 generators):
-        # the table's real primes ran
-        assert len(calls) == 1 and len(calls[0]) > 2
+        # no run at the bad prime ended; the table's real primes gave the
+        # certified slice, with no elimination
+        assert runs and bad not in [p for p, *_ in runs]
+        assert len(certs) == 1 and certs[0] is not None and calls == []
         monkeypatch.undo()
 
 
@@ -407,7 +510,7 @@ def test_tiny_primes_never_change_the_result(monkeypatch):
 
 
 @pytest.mark.parametrize("t_part", [True, False])
-def test_perturbed_candidate_is_rejected(monkeypatch, t_part):
+def test_perturbed_candidate_never_changes_the_output(monkeypatch, t_part):
     i, j = small_pair()
     want = [g.terms for g in reference_intersect(i, j)]
     real = modular._modular_basis
@@ -415,37 +518,37 @@ def test_perturbed_candidate_is_rejected(monkeypatch, t_part):
         modular, "_modular_basis", lambda ctx, gens, *args: perturb(real(ctx, gens, *args), t_part)
     )
     calls = record_buchberger(monkeypatch, i, j)
+    certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
-    # the perturbed candidate, then the generators
-    assert len(calls) == 2 and len(calls[1]) == 3
+    if t_part:  # outside the slice: it is certified all the same
+        assert certs[0] is not None and calls == []
+    else:  # rejected: one unseeded elimination
+        assert certs == [None] and calls == [elimination_generators(i, j)]
 
 
 def candidate(i, j):
-    """The lifted candidate of the pair, which the elimination is seeded with."""
+    """The lifted candidate of the homogeneous pair, whose t-free slice the
+    certificate takes or rejects."""
     gens = elimination_generators(i, j)
-    return modular._modular_basis(gens[0].ctx, gens)
+    return modular._modular_basis(gens[0].ctx, gens, groebner._numerators(i, j)[3])
 
 
 # each seed for the pairs (small_pair, random_pair(0), ..., random_pair(7)),
-# and the eliminations it runs: 0 when its t-free slice passes the
-# Hilbert-series certificate (the pairs of even seeds are homogeneous), 2
-# when the seeded slice fails containment and the unseeded pass follows,
-# None when perturb finds no element to change
+# made from the candidate of the pair's closures when it is not homogeneous
+# (the pairs of odd seeds), and the eliminations it runs: 0 when its t-free
+# slice passes the certificate, 1 when it is rejected and the unseeded
+# elimination runs, None when perturb finds no element to change
 SEEDS = {
-    "unit": (lambda cand, other: [cand[0].ctx.one], [2] * 9),
-    # the second element dropped: the generators complete the rest, so the
-    # slice is already exact; on a homogeneous pair that element has t in
-    # three cases, and the slice is left whole
-    "dropped": (lambda cand, other: cand[:1] + cand[2:], [1, 0, 1, 0, 1, 1, 1, 0, 1]),
-    "other-pair": (lambda cand, other: other, [2] * 9),
+    "unit": (lambda cand, other: [cand[0].ctx.one], [1] * 9),
+    # the second element dropped: it has t in seven cases, and the slice is
+    # left whole
+    "dropped": (lambda cand, other: cand[:1] + cand[2:], [0, 0, 0, 0, 0, 1, 0, 0, 1]),
+    "other-pair": (lambda cand, other: other, [1] * 9),
     # the slice is left whole
-    "perturbed-t": (
-        lambda cand, other: perturb(cand, True),
-        [2, 0, 2, 0, 2, 0, 1, 0, None],
-    ),
+    "perturbed-t": (lambda cand, other: perturb(cand, True), [0] * 8 + [None]),
     "perturbed-t-free": (
         lambda cand, other: perturb(cand, False),
-        [2, 2, 2, 2, 2, None, None, 2, 2],
+        [1, 1, 1, 1, 1, None, None, 1, 1],
     ),
 }
 
@@ -453,22 +556,23 @@ SEEDS = {
 @pytest.mark.parametrize("kind", sorted(SEEDS))
 def test_every_seed_gives_the_exact_intersection(monkeypatch, kind):
     make, counts = SEEDS[kind]
-    # the other pair has the same variables, so its candidate's ring is the same
+    # the other pair has the same variables and homogeneity, so its
+    # candidate's ring is the same
     cases = [(small_pair(), random_pair(3))]
-    cases += [(random_pair(seed), random_pair(seed + 3)) for seed in range(8)]
+    cases += [(random_pair(seed), random_pair(seed + 6)) for seed in range(8)]
     for ((i, j), other), count in zip(cases, counts):
+        cand = candidate(*certified_pair(i, j))
         if count is None:
             with pytest.raises(AssertionError, match="no element to perturb"):
-                make(candidate(i, j), None)
+                make(cand, None)
             continue
-        seed = make(candidate(i, j), candidate(*other))
+        seed = make(cand, candidate(*certified_pair(*other)))
         want = [g.terms for g in reference_intersect(i, j)]
         monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens, *args: seed)
         calls = record_buchberger(monkeypatch, i, j)
         certs = record_certificates(monkeypatch)
         assert [g.terms for g in intersect(i, j).generators] == want
-        gens = elimination_generators(i, j)
-        assert calls == [seed + gens, gens][:count]
+        assert calls == [elimination_generators(i, j)][:count]
         assert [c is not None for c in certs] == [count == 0]
         monkeypatch.undo()
 
@@ -489,14 +593,15 @@ def test_lift_failing_the_trace_check_never_reaches_buchberger(monkeypatch, ever
 
     monkeypatch.setattr(modular, "_lift", perturbed)
     calls = record_buchberger(monkeypatch, i, j)
+    cands = record_candidates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
-    (call,) = calls
-    cand = call[:-3]  # the seed, then the 3 generators
-    if every:  # each prime's lift failed the check: no seed
-        assert len(lifts) == len(modular._PRIMES) - 2 and cand == []
-    else:  # the next prime's lift passed it
-        assert len(lifts) == 2
-        assert [[c for _, c in g.terms] for g in cand] == lifts[1]
+    if every:  # each prime's lift failed the check: no candidate, and the
+        # one unseeded elimination
+        assert len(lifts) == len(modular._PRIMES) - 2 and cands == [None]
+        assert calls == [elimination_generators(i, j)]
+    else:  # the next prime's lift passed it and was certified
+        assert len(lifts) == 2 and calls == []
+        assert [[c for _, c in g.terms] for g in cands[0]] == lifts[1]
 
 
 def t_free(cand):
@@ -557,9 +662,10 @@ def test_certificate_accepts_the_shipped_and_seeded_homogeneous_pairs(monkeypatc
         assert calls == [] and len(certs) == 1 and certs[0] is not None
 
 
-# homogeneous pairs whose candidates have at least two t-free elements; the
-# last one is in an lp ring
-REJECTED = [homogeneous_pair(), s6_pairs()[0], random_pair(2), random_pair(14)]
+# pairs whose candidates have at least two t-free elements: homogeneous ones,
+# the last of them in an lp ring, then a pair whose candidate is that of its
+# closures
+REJECTED = [homogeneous_pair(), s6_pairs()[0], random_pair(2), random_pair(14), small_pair()]
 
 
 @pytest.mark.parametrize("case", range(len(REJECTED)))
@@ -567,10 +673,10 @@ def test_certificate_rejects_a_dropped_t_free_element(monkeypatch, case):
     # the slice still lies in I cap J and is interreduced, so only its
     # Hilbert-series numerator can tell
     i, j = REJECTED[case]
-    cand = candidate(i, j)
+    cand = candidate(*certified_pair(i, j))
     k = t_free(cand)[0]
     seed = cand[:k] + cand[k + 1 :]
-    n = i.context.nvars
+    n = cand[0].ctx.nvars - 1
     whole, rest = (
         groebner.hilbert_numerator([c[k].leading_monomial()[1:] for k in t_free(c)], n)
         for c in (cand, seed)
@@ -581,8 +687,8 @@ def test_certificate_rejects_a_dropped_t_free_element(monkeypatch, case):
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
-    # rejected; the seeded elimination completes the slice
-    assert certs == [None] and calls == [seed + elimination_generators(i, j)]
+    # rejected; the one unseeded elimination gives the intersection
+    assert certs == [None] and calls == [elimination_generators(i, j)]
 
 
 @pytest.mark.parametrize("case", range(len(REJECTED)))
@@ -590,7 +696,7 @@ def test_certificate_rejects_a_perturbed_coefficient(monkeypatch, case):
     # the monomials are unchanged, so the numerator and the interreduction
     # hold, and containment must reject it
     i, j = REJECTED[case]
-    cand = candidate(i, j)
+    cand = candidate(*certified_pair(i, j))
     k = [k for k in t_free(cand) if len(cand[k].terms) > 1][0]
     terms = dict(cand[k].terms)
     e = cand[k].terms[-1][0]
@@ -601,7 +707,7 @@ def test_certificate_rejects_a_perturbed_coefficient(monkeypatch, case):
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
-    assert certs == [None] and calls[0] == seed + elimination_generators(i, j)
+    assert certs == [None] and calls == [elimination_generators(i, j)]
 
 
 @pytest.mark.parametrize("case", range(len(REJECTED)))
@@ -609,7 +715,7 @@ def test_certificate_rejects_a_slice_that_is_not_interreduced(monkeypatch, case)
     # h + m*g for two t-free elements g, h, with m*LM(g) below LM(h): still
     # in I cap J with the same leads, so only the interreduction test tells
     i, j = REJECTED[case]
-    cand = candidate(i, j)
+    cand = candidate(*certified_pair(i, j))
     ctxa = cand[0].ctx
     h, mg = [
         (h, ctxa.monomial(m) * g)
@@ -626,7 +732,7 @@ def test_certificate_rejects_a_slice_that_is_not_interreduced(monkeypatch, case)
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
-    assert certs == [None] and calls[0] == seed + elimination_generators(i, j)
+    assert certs == [None] and calls == [elimination_generators(i, j)]
 
 
 
@@ -728,19 +834,17 @@ def test_a_deficit_one_too_small_fails_the_trace_check(monkeypatch, case):
     check_intersection(i, j)
 
 
-def test_candidate_at_h_1_has_the_t_free_slice_of_the_plain_candidate():
+def test_candidate_at_h_1_has_the_t_free_slice_of_the_reference():
     for i, j in homogeneous_cases():
-        gens = elimination_generators(i, j)
         nums = groebner._numerators(i, j)
-        new = modular._modular_basis(gens[0].ctx, gens, nums[3])
-        old = modular._modular_basis(gens[0].ctx, gens)
-        assert new and old
-        monic = [
-            [(c[k] * (1 / c[k].leading_coeff())).terms for k in t_free(c)] for c in (new, old)
+        cand = candidate(i, j)
+        monic = [cand[k] * (1 / cand[k].leading_coeff()) for k in t_free(cand)]
+        ctx = i.context
+        assert [ctx.from_dict({e[1:]: c for e, c in g.terms}).terms for g in monic] == [
+            g.terms for g in reference_intersect(i, j)
         ]
-        assert monic[0] == monic[1]
         # so the certificate takes it, and no elimination runs
-        assert groebner._certified(new, i, j, nums) is not None
+        assert groebner._certified(cand, i, j, nums) is not None
 
 
 # (zero reductions, pairs skipped, generators skipped, ops) of the trace of

@@ -10,13 +10,19 @@ from hypothesis import strategies as st  # noqa: E402
 import chowlab.modular as modular  # noqa: E402
 from chowlab.groebner import Ideal, intersect  # noqa: E402
 from chowlab.poly import RingContext  # noqa: E402
-from test_modular import VARS, check_intersection, reference_intersect  # noqa: E402
+from test_modular import (  # noqa: E402
+    VARS,
+    check_intersection,
+    record_eliminations,
+    reference_intersect,
+)
 
 
 def ideals(ctx):
     coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
     # in three variables higher exponents can make the fraction-free
-    # reference (or the basis of a perturbed candidate) run for minutes
+    # reference (or the fallback elimination after a perturbed candidate)
+    # run for minutes
     top = 2 if ctx.nvars == 2 else 1
     mono = st.lists(st.integers(0, top), min_size=ctx.nvars, max_size=ctx.nvars)
     poly = st.dictionaries(mono.map(tuple), coeff, min_size=1, max_size=3)
@@ -35,7 +41,11 @@ def pairs(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(pairs())
 def test_random_pairs_match_fraction_free_elimination(pair):
-    check_intersection(*pair)
+    with pytest.MonkeyPatch.context() as mp:
+        eliminated = record_eliminations(mp)
+        check_intersection(*pair)
+    # every pair is certified, a non-homogeneous one through its closures
+    assert eliminated == []
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
