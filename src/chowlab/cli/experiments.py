@@ -398,7 +398,8 @@ def _exp_s5_hilbert():
     rows1, truncated1 = hilbert_table(i)
     N = z * w * K
     P = ctx.const(a + 1) * y**3 + ctx.const(a * (a + 1)) * x**2 * y
-    k = Ideal(ctx, list(i.generators) + [N * P * K])
+    # i's basis is cached by now, so k's grows from it
+    k = Ideal(ctx, list(i.generators) + [N * P * K], base=i)
     rows2, truncated2 = hilbert_table(k)
     dims1 = dict(rows1)
     dims2 = dict(rows2)

@@ -572,6 +572,13 @@ class Environment:
         self.names = {}
         self.pending = None  # a parametric RingDecl waiting for its minpoly
         self.lines = []
+        self.ideals = {}  # (ring, generators): the first such ideal (`_intern`)
+
+
+def _intern(env, ideal):
+    """The session's first ideal with these generators in this ring, whose
+    basis may be cached already."""
+    return env.ideals.setdefault((ideal.context, ideal.generators), ideal)
 
 
 class _QuitSignal(Exception):
@@ -891,9 +898,10 @@ def _call(expr, env):
     if count not in (None, len(args)):
         raise DslEvalError(f"{expr.func} expects {count} argument(s), got {len(args)}", *expr.pos)
     try:
-        return handler(env, args, expr.pos)
+        value = handler(env, args, expr.pos)
     except ValueError as exc:  # the library refuses the input
         raise DslEvalError(str(exc), *expr.pos)
+    return _intern(env, value) if isinstance(value, Ideal) else value
 
 
 def _format_value(value, pos):
@@ -1002,7 +1010,7 @@ def _exec_decl(stmt, env):
         env.names[stmt.name] = _as_poly(value, _require_ctx(env, pos), pos)
     elif stmt.kind == "ideal":
         ctx = _require_ctx(env, pos)
-        gens = []
+        gens, base = [], None
         for e in stmt.exprs:
             value = _eval(e, env)
             if isinstance(value, Ideal):
@@ -1010,10 +1018,12 @@ def _exec_decl(stmt, env):
                     # ideals are immutable: bind the value, its cached basis too
                     env.names[stmt.name] = value
                     return
+                if e is stmt.exprs[0]:
+                    base = value  # the declared ideal grows it
                 gens.extend(value.generators)
             else:
                 gens.append(_as_poly(value, ctx, e.pos))
-        env.names[stmt.name] = Ideal(ctx, gens)
+        env.names[stmt.name] = _intern(env, Ideal(ctx, gens, base=base))
     else:  # list
         env.names[stmt.name] = _eval(stmt.exprs[0], env)
 

@@ -82,6 +82,19 @@ the minimal basis (`_minimal_set`), its slots kept (`_keep`), each entry
 interreduced by the others, m first, then the smallest, and the output
 (`_output`) without m.
 
+A run is grown (`Ideal` with a base) when its first polys are the reduced
+basis G of an ideal I and the rest are new generators.  Once G is in, `run`
+drops the pairs queued among its entries, over Q[a] with m too.  This is
+exact: G is a Groebner basis, and so is G plus m in Q[x, a] (above), so
+each of those S-polynomials reduces to zero by them, a standard
+representation by entries that every later basis of the run contains.
+Buchberger's criterion (Cox, Little, O'Shea, ch. 2 secs. 6 and 9) and the
+Gebauer-Moeller updates need no more of those pairs, and the reduced basis
+is unique, so the output is that of a run from all the generators.  An
+`Ideal` grows only from a base whose basis is cached by then.
+`_numerators` builds I+J from the generators: on the quintic that took
+0.04 s, and grown from I's 60-element basis 0.09 s.
+
 A run is Hilbert-driven (Traverso, JSC 22, 1996) when the Hilbert function
 of LM(I) is known in the degrees it reaches.  Pairs and generators then go
 in degree order, through the loop of `minimal`, and once the run's leads
@@ -547,14 +560,19 @@ class _Engine:
             elif not self._insert(self.spoly(self.G[i], self.G[j], key, big), (i, j, big)):
                 self.zeros.append((i, j))
 
-    def run(self, polys, target=None):
+    def run(self, polys, target=None, known=None):
         """Reduced basis of the polys.  With no target every generator goes in
-        before the first pair; with target, the Hilbert numerator of the
+        before the first pair, and if the first known polys are a reduced
+        basis, the pairs among them are dropped once they are in (a grown
+        run, module docstring); with target, the Hilbert numerator of the
         leading monomials of the ideal of the homogeneous polys, the run is
         Hilbert-driven in degree order (`minimal`)."""
         if target is None:
             for k, p in enumerate(polys):
                 self._insert(self._poly_in(p)[0], k)
+                if k + 1 == known:
+                    self.live.clear()
+                    self.heap.clear()
         else:
             self._hilbert_driven(target)
             self.minimal(polys)
@@ -815,9 +833,15 @@ def s_polynomial(f, g):
 class Ideal:
     """Generators plus a lazily computed, cached reduced Groebner basis
     (`basis`, when given, must be that basis) and the Hilbert numerator of
-    its leading monomials, also computed once."""
+    its leading monomials, also computed once.
 
-    def __init__(self, ctx, generators, basis=None):
+    base, when given, is an `Ideal` whose generators lead these: this ideal
+    grows it.  It keeps its own generators, but if the base's basis is
+    cached by the time this basis is asked for, the basis is one grown run
+    over the base's basis followed by the other generators (module
+    docstring); otherwise it runs from the generators."""
+
+    def __init__(self, ctx, generators, basis=None, base=None):
         gens = []
         for g in generators:
             if not isinstance(g, Polynomial):
@@ -828,6 +852,9 @@ class Ideal:
                 gens.append(g)
         self.context = ctx
         self.generators = tuple(gens)
+        if base is not None and self.generators[: len(base.generators)] != base.generators:
+            raise ValueError("the base's generators must lead the ideal's")
+        self._base = base
         self._gb = None if basis is None else tuple(basis)
         self._num = None
         self._lock = threading.Lock()
@@ -837,7 +864,13 @@ class Ideal:
         if self._gb is None:
             with self._lock:
                 if self._gb is None:
-                    self._gb = tuple(buchberger(list(self.generators)))
+                    base, self._base = self._base, None
+                    if base is None or base._gb is None:
+                        gb = buchberger(list(self.generators))
+                    else:
+                        n, gens = len(base._gb), base._gb + self.generators[len(base.generators) :]
+                        gb = _on_engine(lambda eng, gs: eng.run(gs, None, n), gens)
+                    self._gb = tuple(gb)
         return self._gb
 
     def numerator(self):

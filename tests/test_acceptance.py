@@ -28,7 +28,14 @@ from chowlab.curves import (
 from chowlab.dsl import run_source
 from chowlab.groebner import Ideal, buchberger, intersect, normal_form, krull_dim
 from chowlab.poly import RingContext, render_poly
-from chowlab.rings import graded_dim, hilbert_table, jacob, linalg_oracle
+from chowlab.rings import (
+    graded_dim,
+    graded_intersection_dim,
+    hilbert_table,
+    jacob,
+    linalg_oracle,
+)
+from test_groebner import session_ideals
 
 F = Fraction
 INF = PointOnLine.infinity()
@@ -214,7 +221,17 @@ def test_criterion_10_oracle_suite():
         dims = dict(rows)
         assert dims[6] == 44 and dims[11] == 4
         assert all(dims[d] == dims[12 - d] for d in range(13))
-    _passed(10, "graded ranks agree with the dense oracle; Fermat series exact")
+
+        # a second route for the quintic intersection in the degrees 11-15
+        # that only its own basis backs in the s5-ideal golden: dim I_d +
+        # dim J_d - dim (I+J)_d, from ranks, with no basis of I cap J.  The
+        # pinned values are C(d+3, 3) minus the Hilbert function of the
+        # leads of intersect(i, j)'s basis
+        i, j = session_ideals(RingContext(("w", "x", "y", "z")))
+        ranks = [graded_intersection_dim(i, j, d) for d in range(11, 16)]
+        assert ranks == [136, 211, 296, 393, 504]
+    _passed(10, "graded ranks agree with the dense oracle; Fermat series exact; "
+            "quintic intersection ranks in degrees 11-15")
 
 
 def test_criterion_11_property_suite():

@@ -437,15 +437,56 @@ def test_session_transcript_structure():
 def test_ideal_declaration_keeps_the_cached_basis(monkeypatch):
     # `ideal l = std(k);` binds the value itself, so `hilb(l,2)` reuses its
     # basis instead of running Buchberger on it again
-    calls = []
-    real = groebner.buchberger
+    calls, grown = [], []
+    real, real_run = groebner.buchberger, groebner._Engine.run
 
     def counting(gens):
         calls.append(len(gens))
         return real(gens)
 
+    def recording(eng, polys, target=None, known=None):
+        if known is not None:
+            grown.append((len(polys), known))
+        return real_run(eng, polys, target, known)
+
     monkeypatch.setattr(groebner, "buchberger", counting)
+    monkeypatch.setattr(groebner._Engine, "run", recording)
     src = (DATA / "sessions" / "s5-session2.sess").read_text()
     with (DATA / "goldens" / "s5-session2.transcript").open() as fh:
         assert evaluate(parse(src)) == fh.read()
-    assert calls == [4, 5]
+    # only std(j) runs from generators: the second jacob(f) is j itself,
+    # so `ideal k = jacob(f),N*P*K;` grows j's 55-element basis by N*P*K
+    assert calls == [4]
+    assert grown == [(56, 55)]
+
+
+def test_session_interns_ideals_and_grows_declarations(monkeypatch):
+    envs = []
+
+    class Recording(dsl.Environment):
+        def __init__(self):
+            super().__init__()
+            envs.append(self)
+
+    monkeypatch.setattr(dsl, "Environment", Recording)
+    src = (
+        "ring r=0,(x,y,z),dp; poly f=x3+y3+z3+xyz;\n"
+        "ideal j = jacob(f); ideal i = std(j); ideal j2 = jacob(f);\n"
+        "ideal k = jacob(f),xyz; k; ideal l = std(k); l;\n"
+    )
+    out = run_source(src)
+    assert run_source(src) == out
+    # without std(j), k's basis runs from its generators: the same output
+    assert run_source(src.replace("ideal i = std(j);", "")) == out
+    first, second = envs[:2]
+    # one session: jacob(f) twice is the same Ideal, whose basis std(j) cached
+    assert first.names["j2"] is first.names["j"]
+    assert first.names["j"]._gb is not None
+    # two sessions share nothing
+    assert second.names["j"] is not first.names["j"]
+    assert not set(map(id, first.ideals.values())) & set(map(id, second.ideals.values()))
+    # k prints its declared generators, not the basis it grew from
+    x, y, z = first.ctx.gens()
+    want = [3 * x**2 + y * z, 3 * y**2 + x * z, 3 * z**2 + x * y, x * y * z]
+    assert out.splitlines()[:4] == [f"_[{n}]={render_poly(g)}" for n, g in enumerate(want, 1)]
+    assert first.names["k"].generators == tuple(want)
