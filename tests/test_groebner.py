@@ -342,9 +342,12 @@ def test_intersection_with_a_lead_of_huge_degree():
 
 
 def count_numerators(monkeypatch):
-    """Patch `groebner.hilbert_numerator` to record its outermost calls;
-    the pivot recursion goes through the patched name as well."""
+    """Patch `groebner.hilbert_numerator` to record its outermost calls
+    outside the engine's runs; the pivot recursion goes through the patched
+    name as well, and so does the deficit rule of a Hilbert-driven run,
+    whose numerators are those of the run's leads, not of an ideal."""
     real, calls, depth = groebner.hilbert_numerator, [], [0]
+    run = groebner._Engine.run
 
     def counting(leads, n):
         if not depth[0]:
@@ -355,7 +358,15 @@ def count_numerators(monkeypatch):
         finally:
             depth[0] -= 1
 
+    def running(eng, *args):
+        depth[0] += 1
+        try:
+            return run(eng, *args)
+        finally:
+            depth[0] -= 1
+
     monkeypatch.setattr(groebner, "hilbert_numerator", counting)
+    monkeypatch.setattr(groebner._Engine, "run", running)
     return calls
 
 

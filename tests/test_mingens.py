@@ -61,19 +61,28 @@ def check(ideal, up_to):
 @pytest.fixture
 def pruned(monkeypatch):
     """[skipped pairs, skipped generators, zero reductions] summed over
-    every minimal-generator run, leaving out the mod-p trace runs of
-    `intersect`, which go through the same degree loop."""
-    total = [0, 0, 0]
-    real = groebner._Engine.minimal
+    every minimal-generator run, leaving out the basis runs (`_Engine.run`):
+    the Hilbert-driven bases of complete intersections and the mod-p trace
+    runs of `intersect` go through the same degree loop."""
+    total, depth = [0, 0, 0], [0]
+    minimal, run = groebner._Engine.minimal, groebner._Engine.run
 
     def recording(eng, *args):
-        out = real(eng, *args)
-        if type(eng) is groebner._Engine:
+        out = minimal(eng, *args)
+        if not depth[0]:
             for k, n in enumerate([*eng.pruned, len(eng.zeros)]):
                 total[k] += n
         return out
 
+    def running(eng, *args):
+        depth[0] += 1
+        try:
+            return run(eng, *args)
+        finally:
+            depth[0] -= 1
+
     monkeypatch.setattr(groebner._Engine, "minimal", recording)
+    monkeypatch.setattr(groebner._Engine, "run", running)
     return total
 
 

@@ -6,7 +6,11 @@ mod-p engine of `chowlab.modular` the one it gives with `modulus=p`: a full
 run at the trace prime and at a 350-bit prime, and the replay at the
 350-bit prime of the trace prime's program wherever the replay does not
 leave that program.  `rings.hilbert_table` of each seeded homogeneous ideal
-must be the table counted from the leading monomials of sympy's basis.
+must be the table counted from the leading monomials of sympy's basis.  On
+seeded sequences of forms, regular and not, `buchberger`'s
+complete-intersection path must give sympy's basis and accept exactly the
+sequences whose sympy leads have the numerator prod(1 - t^d_i): 3
+variables, 2-3 forms of degree 1-3, dense or with a common linear factor.
 
 The inputs are small on purpose: 3 variables, 2-3 generators of degree 2-3
 with 2-4 terms, coefficients n/d with |n| <= 9 and d <= 4, and
@@ -26,7 +30,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 import chowlab.modular as modular  # noqa: E402
-from chowlab.groebner import Ideal, buchberger  # noqa: E402
+from chowlab.groebner import Ideal, _padd, buchberger, hilbert_numerator  # noqa: E402
 from chowlab.poly import RingContext  # noqa: E402
 from chowlab.rings import hilbert_table  # noqa: E402
 
@@ -112,15 +116,20 @@ def test_both_engines_match_sympy(kind):
     assert replays > 12
 
 
+def sympy_leads(gens, order):
+    """The leading monomials of sympy's basis of the gens over QQ."""
+    rational = lambda c: sympy.Rational(c.numerator, c.denominator)  # noqa: E731
+    return [
+        poly.monoms(order=ORDERS[order])[0]
+        for poly in sympy_groebner(gens, order, rational, domain="QQ")
+    ]
+
+
 def sympy_table(gens, order, cap):
     """`hilbert_table(Ideal(gens), cap)` read from the leading monomials of
     sympy's basis over QQ, by counting the monomials of each degree that no
     lead divides."""
-    rational = lambda c: sympy.Rational(c.numerator, c.denominator)  # noqa: E731
-    leads = [
-        poly.monoms(order=ORDERS[order])[0]
-        for poly in sympy_groebner(gens, order, rational, domain="QQ")
-    ]
+    leads = sympy_leads(gens, order)
     rows = []
     for d in range(cap + 1):
         standard = [
@@ -145,3 +154,38 @@ def test_hilbert_tables_match_sympy(order):
         assert hilbert_table(Ideal(ctx, gens), 12) == want
         finite += not want[1]
     assert finite > 0
+
+
+def form_sequence(rng, ctx, regular):
+    """2-3 forms of degree 1-3 in x, y, z, coefficients n/d with |n| <= 9
+    and d <= 4: dense ones, almost always a regular sequence, or else ones
+    with a common linear factor, never one."""
+    degrees = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+
+    def dense(d):
+        return ctx.from_dict({
+            e: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+            for e in itertools.product(range(d + 1), repeat=len(VARS))
+            if sum(e) == d
+        })
+
+    if regular:
+        return [dense(d) for d in degrees]
+    common = dense(1)
+    return [common * dense(d - 1) for d in degrees]
+
+
+@pytest.mark.parametrize("order", ["dp", "lp"])
+def test_form_sequences_match_sympy(order):
+    ctx = RingContext(VARS, order)
+    for seed in range(16):
+        regular = seed % 2 == 0
+        gens = form_sequence(random.Random(f"{order}-{seed}"), ctx, regular)
+        basis = buchberger(gens)
+        assert canonical(g.terms for g in basis) == sympy_basis(gens, order)
+        target = {0: 1}
+        for g in gens:
+            target = _padd(target, target, g.total_degree(), -1)
+        # the dense forms of these seeds are regular sequences
+        assert (hilbert_numerator(sympy_leads(gens, order), len(VARS)) == target) == regular
+        assert basis.num == (target if regular else None)
