@@ -8,7 +8,7 @@ forms, ideal membership, elimination, pairwise intersection, and the
 Hilbert-series numerator of a monomial ideal (`hilbert_numerator`, Bigatti's
 pivot algorithm), kept sparse as {degree: coefficient}, which answers every
 dimension question: `rings` reads every Hilbert table from it, the
-intersection certificate and the trace below compare numerators, and
+driven runs and the certificates below compare numerators, and
 `krull_dim` is the order of the pole of the Hilbert series at t = 1.  An
 `Ideal` computes its basis and the numerator of its leads once each; a
 certified homogeneous intersection is handed both, and a certified complete
@@ -42,30 +42,30 @@ top-reduced, by `comb` against the pivot with its leading word, the
 content stripped every 8 steps as in `full_reduce`.  Every graded rank of
 `rings` is computed this way, over Q and over Q[a] alike.
 
-Every engine coefficient is a Python int (a residue in a mod-p run).  A
-job (the polynomials handed to `_packed`) whose coefficients are all
-rational runs over Q even in a Q[a] ring, its output coerced back into the
-field: a reduced Groebner basis, a normal form and a rank are the same over
-Q and over any extension of Q (Cox, Little, O'Shea, Ideals, Varieties, and
-Algorithms, ch. 2 sec. 7).  A job with an irrational coefficient carries the
-generator a of K = Q[a]/(m) as one more engine variable, and m, cleared of
-denominators, as one more generator that goes in first, since K[x]/I is
-Q[x,a]/(I + (m)).  a is the least significant block of the order (in "lp"
-the last variable), so the order eliminates a and puts it below every x,
-and the reduced basis of I + (m) is m plus the reduced basis of I over K,
-each coefficient written as a polynomial in a of degree below deg m (ch. 3
-sec. 1).  A coefficient c_0 + ... + c_{d-1} a^(d-1) goes in as its nonzero
-terms c_j a^j, the higher powers of a first; the output drops m and folds
-each run of terms with one x-part back into a field element.  a has weight
-0 in the degree field, which orders the pairs and drives `minimal`: an
-irrational leading coefficient puts a into an engine lead, and the pair
-with m that takes it out must fall in the lead's own degree.
-`normal_forms` makes each reducer monic over K, so that its engine lead has
-a^0 and the first divisor in basis order is the one over K, and puts m
-first; it packs the basis once for the whole batch into one reducer list,
-searched by the engine's `_first`.  As m reduces first, every power of a
-stays below 2 deg m - 1, far inside its field.  `RowSpace` starts without
-a and takes it on at its first irrational row.
+Every engine coefficient is a Python int.  A job (the polynomials handed to
+`_packed`) whose coefficients are all rational runs over Q even in a Q[a]
+ring, its output coerced back into the field: a reduced Groebner basis, a
+normal form and a rank are the same over Q and over any extension of Q
+(Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, ch. 2 sec. 7).  A
+job with an irrational coefficient carries the generator a of K = Q[a]/(m)
+as one more engine variable, and m, cleared of denominators, as one more
+generator that goes in first, since K[x]/I is Q[x,a]/(I + (m)).  a is the
+least significant block of the order (in "lp" the last variable), so the
+order eliminates a and puts it below every x, and the reduced basis of I +
+(m) is m plus the reduced basis of I over K, each coefficient written as a
+polynomial in a of degree below deg m (ch. 3 sec. 1).  A coefficient c_0 +
+... + c_{d-1} a^(d-1) goes in as its nonzero terms c_j a^j, the higher
+powers of a first; the output drops m and folds each run of terms with one
+x-part back into a field element.  a has weight 0 in the degree field,
+which orders the pairs and drives `minimal`: an irrational leading
+coefficient puts a into an engine lead, and the pair with m that takes it
+out must fall in the lead's own degree.  `normal_forms` makes each reducer
+monic over K, so that its engine lead has a^0 and the first divisor in
+basis order is the one over K, and puts m first; it packs the basis once
+for the whole batch into one reducer list, searched by the engine's
+`_first`.  As m reduces first, every power of a stays below 2 deg m - 1,
+far inside its field.  `RowSpace` starts without a and takes it on at its
+first irrational row.
 
 `minimal_generators` is one engine run in degree order (`_Engine.minimal`;
 Kreuzer and Robbiano, Computational Commutative Algebra 2, sec. 4.6): a
@@ -108,15 +108,15 @@ basis, asks that every degree-d lead of it be divisible by a run lead (the
 lower degrees are covered already).  It reads no numerator, for two
 reasons: over Q[a] the run's leads carry a, and m's lead a^(deg m) has no
 x-part, so the numerator of their x-parts is 0; and the deficit rule below
-was slower on the quintic's minimal generators.  The mod-p trace of
+was slower on the quintic's minimal generators.  The elimination run of
 `intersect` and the complete-intersection runs below, given the Hilbert
 numerator of LM(I), compute at the first item of degree d the deficit k =
 HF_run(d) - HF_I(d), HF_run from the numerator of the run's leads, and
 cover d after k more insertions: the run's leads lie in LM(I), and each
 insertion in degree d, its lead divisible by no run lead, lowers HF_run(d)
-by one.  Modulo p the Hilbert function of
-the ideal is at least the rational one, as no rank grows mod p, so an
-unlucky prime never drops a pair too early; it can only keep more.
+by one.  A wrong numerator can make a run drop a pair it needs; each run
+that takes one is certified, so that costs a refused output, never a wrong
+answer.
 
 `buchberger` first runs rational homogeneous generators f_1..f_r of degrees
 d_i >= 1, r at most n, Hilbert-driven with the target T = prod (1 - t^d_i),
@@ -140,47 +140,30 @@ No input tried made (a) fail once (b) held; it stays, as the argument needs
 (G) = I.
 
 `intersect` on rational homogeneous generators, in any field, computes its
-elimination basis modulo primes first (`modular`: monic reducers, one
-multiply and one `% p` per term); rational generators that are not
-homogeneous are first replaced by their closures, below.  The first prime
-of `_PRIMES`, below 2^30 so that its residues are single-digit ints, runs
-`_Engine.run` in full, its hooks
-recording the run as a straight-line program (Traverso, "Groebner trace
-algorithms", ISSAC 1988): each generator insertion and each S-pair that did
-not reduce to zero, with the term position and the reducer of every
-reduction step and the size of the remainder, then the minimal basis and
-the steps of its interreduction.  The 350-bit primes run only that program,
-with no pair queue, no Gebauer-Moeller update and no divisor search.
-Before each step a replay checks that the reducer's lead divides the term
-at the recorded position.  A failed check, a remainder of another size (a
-zero where the trace had a remainder, or a remainder of a generator the
-trace reduced to zero) or an output with other monomials sends the prime to
-a full run, which becomes the trace, as a small trace prime is far likelier
-to be unlucky than the prime it is checked against.  The checks only save
-time: a candidate from a replay that passed them on another path is still
-only a candidate, and the exact certificate or elimination below decides,
-so it costs time, never a wrong answer.  The trace prime stays out of the
-CRT: CRT and maximal-quotient rational reconstruction (Monagan 2004) of the
-replays lift the residues to a candidate C, and C is kept only if, made
-monic modulo the trace prime, it is the trace basis, a cheap check that a
-wrong lift rarely passes.
+elimination basis by one exact run, Hilbert-driven by the numerator N_L
+below; rational generators that are not homogeneous are first replaced by
+their closures, below.  A pair whose generators become rational once each
+is divided by its leading coefficient, a unit, is replaced by that monic
+pair, which generates the same ideals.
 
-For I and J in n variables, the runs take the generators homogenized by one
-more variable h: t*f and (h - t)*g in Q[t, h, x], with
-the block order (t | h, x).  Their ideal L = tI + sJ, with s = h - t, is
+For I and J in n variables, the run takes the generators homogenized by
+one more variable h: t*f and (h - t)*g in Q[t, h, x], with the block order
+(t | h, x).  Their ideal L = tI + sJ, with s = h - t, is
 homogeneous.  With R = Q[x], the quotient Q[t, h, x]/L is, as a graded
 space, R + t R/I[t] + s R/J[s] + ts R/(I+J)[t, s], so its Hilbert numerator
 is N_L = (1-z)^2 + z(1-z)(N_I + N_J) + z^2 N_(I+J), over (1-z)^(n+2).  It
 is read from the bases of I, J and I+J, which the certificate below
-reuses, and the trace is Hilbert-driven by it.  The candidate C is the lift
-evaluated at h = 1.  That map sends the generators to t*f and (1 - t)*g and
-keeps the terms of a homogeneous element apart.  Since L cap Q[h, x] =
-h (I cap J)[h], the t-free slice of the reduced basis of L is h times the
-reduced basis of I cap J, with the same leads (grevlex on (h, x) compares
+reuses, and the run is Hilbert-driven by it.  Given N_L the run is exact
+over Q: the deficit rule drops only pairs whose remainder is zero.  The
+candidate C is its output, the reduced basis of L, evaluated at h = 1.
+That map sends the generators to t*f and (1 - t)*g and keeps the terms of
+a homogeneous element apart.  Since L cap Q[h, x] = h (I cap J)[h], the
+t-free slice of the reduced basis of L is h times the reduced basis of I
+cap J, with the same leads (grevlex on (h, x) compares
 h*u and h*v as it compares u and v).  So at h = 1 it is the slice the
 elimination gives.
 
-The t-free slice H of C, made monic, is certified with no exact
+The t-free slice H of C, made monic, is certified with no second
 elimination, by its Hilbert series (in the spirit of Traverso's
 Hilbert-driven bases).  The exact sequence 0 -> R/(I cap J) -> R/I + R/J ->
 R/(I+J) -> 0 gives HS(R/(I cap J)) = HS(R/I) + HS(R/J) - HS(R/(I+J)), and
@@ -197,7 +180,7 @@ I cap J, and with (c) its reduced basis: the one the elimination below
 would output, byte for byte.
 
 For rational I and J with a non-homogeneous generator, `intersect` takes
-that path on their closures (`modular._dehomogenized`).  Let I^h be
+that path on their closures (`_dehomogenized`).  Let I^h be
 generated by the homogenizations g^h = p^(deg g) g(x/p) of the reduced dp
 basis of I, by one more variable p, last in a dp ring; in an lp or block
 ring that basis comes from a dp copy of I, so no basis in the ring's order
@@ -223,8 +206,10 @@ exact elimination runs: the fraction-free reduced basis of the generators
 t*f for f in I and (1 - t)*g for g in J in the block order, whose ideal
 meets Q[x] in I cap J (Cox, Little, O'Shea, ch. 3 sec. 1), so its t-free
 slice is the reduced basis of I cap J.  That slice is checked by
-containment in I and in J.  So an unlucky prime, a failed lift or a
-failed check costs time, never a wrong answer.
+containment in I and in J.  The certificate decides: were N_L wrong, the
+run could drop a pair it needs, and the candidate it gives would be
+refused.  So a wrong target or a failed check costs time, never a wrong
+answer.
 """
 
 import threading
@@ -234,7 +219,7 @@ from math import comb, gcd, lcm
 from operator import le
 
 from .coeff import ExtField
-from .poly import Polynomial, RingContext, is_homogeneous
+from .poly import Polynomial, RingContext, dehomogenized, homogenized, is_homogeneous
 
 
 class _Overflow(Exception):
@@ -298,15 +283,15 @@ def _irrational(field, polys):
     )
 
 
-def _packed(ctx, polys, job, make=None):
-    """job(make(ctx, width, ext)), make defaulting to _Engine, with fields
-    wide enough for every degree the run reaches, and ext true iff some
-    coefficient of the polys is irrational."""
+def _packed(ctx, polys, job):
+    """job(_Engine(ctx, width, ext)), with fields wide enough for every
+    degree the run reaches, and ext true iff some coefficient of the polys
+    is irrational."""
     width = max(8, (2 * max(p.total_degree() for p in polys)).bit_length() + 1)
     ext = _irrational(ctx.field, polys)
     while True:
         try:
-            return job((make or _Engine)(ctx, width, ext))
+            return job(_Engine(ctx, width, ext))
         except _Overflow:
             width *= 2
 
@@ -543,10 +528,9 @@ class _Engine:
             # degree-first selection, order key as tie-break
             heappush(self.heap, (big >> pk.deg_shift, key, self._seq, g_idx, idx))
 
-    def _insert(self, terms, src=None):
+    def _insert(self, terms):
         """Install the remainder of terms by the basis if it is nonzero; return
-        it.  src names the terms: a generator's index, or (i, j, lcm word) for
-        the S-pair of slots i and j."""
+        it."""
         h = self.full_reduce(terms, self.G, self._reducer)[0]
         if h:
             self._add(h)
@@ -580,7 +564,7 @@ class _Engine:
                 continue
             if covered and covered(deg):
                 self.pruned[0] += 1
-            elif not self._insert(self.spoly(self.G[i], self.G[j], key, big), (i, j, big)):
+            elif not self._insert(self.spoly(self.G[i], self.G[j], key, big)):
                 self.zeros.append((i, j))
 
     def run(self, polys, target=None, known=None):
@@ -592,7 +576,7 @@ class _Engine:
         Hilbert-driven in degree order (`minimal`)."""
         if target is None:
             for k, p in enumerate(polys):
-                self._insert(self._poly_in(p)[0], k)
+                self._insert(self._poly_in(p)[0])
                 if k + 1 == known:
                     self.live.clear()
                     self.heap.clear()
@@ -632,7 +616,7 @@ class _Engine:
             self._pairs_through(d)
             if self.covered and self.covered(d):
                 self.pruned[1] += 1
-            elif self._insert(self._poly_in(polys[k])[0], k):
+            elif self._insert(self._poly_in(polys[k])[0]):
                 out.append(polys[k])
         return out
 
@@ -1050,42 +1034,71 @@ def _certified(cand, i_ideal, j_ideal, nums):
 
 def _traced(i_ideal, j_ideal):
     """(basis, numerator) of I cap J for homogeneous rational I and J: the
-    certified slice of the candidate of the Hilbert-driven mod-p runs, None
-    where the certificate fails, and N(I) + N(J) - N(I+J)."""
-    from . import modular  # here, so that the rank paths never load it
-
+    certified t-free slice of the candidate, the reduced basis of L from one
+    exact run Hilbert-driven by N_L and set at h = 1, None where the
+    certificate fails; and N(I) + N(J) - N(I+J)."""
     gens = _tagged(i_ideal, j_ideal)
     nums = _numerators(i_ideal, j_ideal)
-    cand = modular._modular_basis(gens[0].ctx, gens, nums[3])
-    res = _certified(cand, i_ideal, j_ideal, nums) if cand else None
+    ctx = gens[0].ctx
+    # h goes in first in the second block: t*f and (h - t)*g
+    ctxh = RingContext(ctx.variables[:1] + (_HOM,) + ctx.variables[1:], ctx.order, ctx.field)
+    hgens = [homogenized(g, ctxh, 1) for g in gens]
+    cand = _packed(ctxh, hgens, lambda eng: eng.run(hgens, nums[3]))
+    cand = [dehomogenized(g, ctx, 1) for g in cand]
+    res = _certified(cand, i_ideal, j_ideal, nums)
     # HS(R/(I cap J)) = HS(R/I) + HS(R/J) - HS(R/(I+J)), and a homogeneous
     # ideal's Hilbert series does not depend on the monomial order
     return res, _padd(_padd(nums[0], nums[1]), nums[2], sign=-1)
 
 
+def _dehomogenized(i_ideal, j_ideal):
+    """The reduced dp basis of I cap J for rational I and J, in their ring,
+    from the intersection of the homogenizations of their dp bases by one
+    more variable p, the last (module docstring); None where its
+    certificate fails."""
+    ctx = i_ideal.context
+    dp = RingContext(ctx.variables, "dp", ctx.field)
+    ctxp = RingContext(ctx.variables + (_PROJ,), "dp", ctx.field)
+
+    def closure(ideal):
+        if ctx != dp:
+            ideal = Ideal(dp, [_port(g, dp) for g in ideal.generators])
+        # the reduced basis of the homogenization of the ideal
+        hs = [homogenized(g, ctxp, ctx.nvars) for g in ideal.groebner_basis()]
+        return Ideal(ctxp, hs, basis=hs)
+
+    res = _traced(closure(i_ideal), closure(j_ideal))[0]
+    # at p = 1 it is the reduced dp basis of I cap J
+    return None if res is None else [dehomogenized(g, ctx, ctx.nvars) for g in res]
+
+
 def intersect(i_ideal, j_ideal):
     """I cap J via a fresh auxiliary variable.  For rational homogeneous I
-    and J its elimination basis is found by a Hilbert-driven trace modulo
-    primes on the homogenized generators, and its t-free slice certified by
-    its Hilbert series and containment, with no exact elimination; rational
-    I and J with a non-homogeneous generator take that path on the
-    homogenizations of their dp bases.  Otherwise, or when the certificate
-    fails, one exact elimination runs, checked by containment in I and in J
-    (module docstring)."""
+    and J its elimination basis is found by one exact run on the
+    homogenized generators, Hilbert-driven by N_L, and its t-free slice
+    certified by its Hilbert series and containment, with no second
+    elimination; rational I and J with a non-homogeneous generator take
+    that path on the homogenizations of their dp bases, and a pair that is
+    rational once monic takes it as that monic pair.  Otherwise, or when
+    the certificate fails, one exact elimination runs, checked by
+    containment in I and in J (module docstring)."""
     ctx = i_ideal.context
     if j_ideal.context != ctx:
         raise ValueError("mixed ring contexts")
     if {_AUX, _HOM, _PROJ} & set(ctx.variables):
         raise ValueError("auxiliary variable name collision")
     pair = i_ideal.generators + j_ideal.generators
+    if _irrational(ctx.field, pair):  # perhaps only through units
+        monic = [g * (1 / g.leading_coeff()) for g in pair]
+        if not _irrational(ctx.field, monic):
+            n = len(i_ideal.generators)
+            i_ideal, j_ideal, pair = Ideal(ctx, monic[:n]), Ideal(ctx, monic[n:]), monic
     res = num = None
     if pair and not _irrational(ctx.field, pair):
         if all(is_homogeneous(g) is not None for g in pair):
             res, num = _traced(i_ideal, j_ideal)
         else:
-            from . import modular  # here, so that the rank paths never load it
-
-            res = modular._dehomogenized(i_ideal, j_ideal)
+            res = _dehomogenized(i_ideal, j_ideal)
     if res is None:
         res = _eliminated(_tagged(i_ideal, j_ideal), 1, ctx)
         if not contained(res, i_ideal, j_ideal):

@@ -16,7 +16,6 @@ from fractions import Fraction
 import pytest
 
 import chowlab.groebner as groebner
-import chowlab.modular as modular
 from chowlab.coeff import QQ, ExtField
 from chowlab.groebner import (
     Ideal,
@@ -30,7 +29,7 @@ from chowlab.groebner import (
     s_polynomial,
 )
 from chowlab.poly import RingContext, graded_piece_basis
-from test_modular import random_pair
+from test_modular import random_pair, record_certificates, record_eliminations
 from test_packed import reference_normal_form
 from test_rowspace import FIELDS, ORDERS, check_rank, dependent_rows, random_form
 
@@ -203,14 +202,9 @@ def test_extension_variable_is_chosen_from_the_coefficients():
 
 @pytest.mark.parametrize("field", EXT_FIELDS, ids=str)
 def test_rational_intersection_in_an_extension_ring(monkeypatch, field):
-    calls = []
-    real = modular._modular_basis
-
-    def recording(ctx, gens, *args):
-        calls.append(real(ctx, gens, *args))
-        return calls[-1]
-
-    monkeypatch.setattr(modular, "_modular_basis", recording)
+    certs = record_certificates(monkeypatch)
+    eliminated = record_eliminations(monkeypatch)
+    a = field.gen
     for seed in range(24):
         i, j = random_pair(seed)
         qctx = i.context
@@ -218,13 +212,19 @@ def test_rational_intersection_in_an_extension_ring(monkeypatch, field):
         ie = Ideal(ctx, [embed(g, ctx) for g in i.generators])
         je = Ideal(ctx, [embed(g, ctx) for g in j.generators])
         want = [embed(g, ctx) for g in intersect(i, j).generators]
-        calls.clear()
-        assert list(intersect(ie, je).generators) == want, seed
-        assert calls and calls[0] is not None  # the modular path ran and lifted
-        # a multiple by a is irrational, so the fraction-free run with a
-        a = field.gen
-        ia = Ideal(ctx, [a * g for g in ie.generators])
-        ja = Ideal(ctx, [a * g for g in je.generators])
-        calls.clear()
-        assert list(intersect(ia, ja).generators) == want, seed
-        assert not calls
+        # the rational pair, and its multiple by the unit a, which is the
+        # rational pair once monic: both certified, with no elimination
+        for scale in (1, a):
+            certs.clear()
+            got = intersect(*(Ideal(ctx, [scale * g for g in k.generators]) for k in (ie, je)))
+            assert list(got.generators) == want, seed
+            assert certs and None not in certs and not eliminated, seed
+        if seed < 8:
+            # irrational in a non-leading coefficient: the block elimination
+            # with a, and (f I) cap (f J) = f (I cap J) in a domain
+            x, y = ctx.gens()[:2]
+            f = x + a * y
+            got = intersect(*(Ideal(ctx, [f * g for g in k.generators]) for k in (ie, je)))
+            assert len(eliminated) == 1, seed
+            assert buchberger(list(got.generators)) == buchberger([f * g for g in want]), seed
+            eliminated.clear()

@@ -62,8 +62,8 @@ def check(ideal, up_to):
 def pruned(monkeypatch):
     """[skipped pairs, skipped generators, zero reductions] summed over
     every minimal-generator run, leaving out the basis runs (`_Engine.run`):
-    the Hilbert-driven bases of complete intersections and the mod-p trace
-    runs of `intersect` go through the same degree loop."""
+    the Hilbert-driven bases of complete intersections and the driven
+    elimination run of `intersect` go through the same degree loop."""
     total, depth = [0, 0, 0], [0]
     minimal, run = groebner._Engine.minimal, groebner._Engine.run
 

@@ -1,12 +1,16 @@
-"""The modular path of `intersect` over Q.
+"""The certified path of `intersect` over Q.
 
+A rational homogeneous pair gets one exact run on its homogenized
+elimination, Hilbert-driven by N_L, and the t-free slice of that candidate
+is certified by its Hilbert series, its interreduction and containment.
 `reference_intersect` is the elimination `intersect` ran before it had a
-modular path: one fraction-free `buchberger` on t*f and (1-t)*g, the t-free
-slice, and the containment check.  A non-homogeneous pair takes the
-modular path through the closures of I and J, the homogenizations of their
-dp bases (`closure`).  The seeded cases here always run;
-`test_modular_hypothesis.py` drives the same checks from generated inputs
-when hypothesis is installed.
+certified path: one fraction-free `buchberger` on t*f and (1-t)*g, the
+t-free slice, and the containment check.  A non-homogeneous pair takes the
+certified path through the closures of I and J, the homogenizations of
+their dp bases (`closure`).  The tests that hand the certificate another
+candidate replace the one `_traced` passes to `_certified`.  The seeded
+cases here always run; `test_modular_hypothesis.py` drives the same checks
+from generated inputs when hypothesis is installed.
 """
 
 import hashlib
@@ -20,7 +24,7 @@ from operator import add
 import pytest
 
 import chowlab.groebner as groebner
-import chowlab.modular as modular
+from chowlab.coeff import ExtField
 from chowlab.groebner import Ideal, buchberger, contained, ideal_member, intersect
 from chowlab.poly import RingContext, diff, graded_piece_basis, is_homogeneous
 from chowlab.rings import graded_dim
@@ -125,16 +129,19 @@ def record_certificates(monkeypatch):
 
 
 def record_candidates(monkeypatch):
-    """The result of every `_modular_basis` call: a candidate, or None."""
+    """Every candidate `_traced` hands to the certificate."""
     cands = []
-    real = modular._modular_basis
-
-    def recording(ctx, gens, target):
-        cands.append(real(ctx, gens, target))
-        return cands[-1]
-
-    monkeypatch.setattr(modular, "_modular_basis", recording)
+    real = groebner._certified
+    monkeypatch.setattr(
+        groebner, "_certified", lambda cand, *args: cands.append(cand) or real(cand, *args)
+    )
     return cands
+
+
+def replace_candidate(monkeypatch, make):
+    """Hand the certificate make(cand) in place of each exact candidate."""
+    real = groebner._certified
+    monkeypatch.setattr(groebner, "_certified", lambda cand, *args: real(make(cand), *args))
 
 
 def homogeneous(i, j):
@@ -160,29 +167,6 @@ def certified_pair(i, j):
     return (i, j) if homogeneous(i, j) else (closure(i), closure(j))
 
 
-def is_prime(n):
-    """Miller-Rabin with the first twenty prime bases."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
-    if n in bases:
-        return True
-    if n < 2 or any(n % b == 0 for b in bases):
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def perturb(cand, t_part):
     """cand with one coefficient of its first t-free (or t) element raised by 1."""
     for k, g in enumerate(cand):
@@ -198,173 +182,6 @@ def small_pair():
     ctx = RingContext(("x", "y"), "dp")
     x, y = ctx.gens()
     return Ideal(ctx, [x**2 + y**2 - 1]), Ideal(ctx, [x - y, y**3 + Fraction(1, 3)])
-
-
-def test_prime_table_entries_are_prime():
-    assert len(set(modular._PRIMES)) == len(modular._PRIMES) >= 2
-    assert all(is_prime(p) for p in modular._PRIMES)
-    assert not is_prime(modular._PRIMES[0] + 2)
-
-
-def test_trace_prime_is_word_size():
-    assert modular._PRIMES[0] < 2**30 <= min(modular._PRIMES[1:])
-
-
-def record_mod_runs(monkeypatch):
-    """(prime, program, replayed, zeros, searches, updates) of every mod-p
-    run, in order.  program is the one a full run recorded or a replay ran;
-    replayed is the replay's basis (None where it left the program) or, for
-    a full run, False; zeros holds the pairs the run reduced to zero, and
-    searches and updates count its `_first` and `_add` calls."""
-    runs, counts = [], [0, 0]
-    mod = modular._ModEngine
-
-    def counted(k, real):
-        def counting(*args):
-            counts[k] += 1
-            return real(*args)
-
-        return counting
-
-    def recorded(real, replaying):
-        def recording(eng, polys, *args):
-            counts[:] = [0, 0]
-            out = real(eng, polys, *args)
-            ran, replayed = (args[0], out) if replaying else (eng.program, False)
-            runs.append((eng.p, ran, replayed, list(eng.zeros), *counts))
-            return out
-
-        return recording
-
-    monkeypatch.setattr(mod, "_first", counted(0, mod._first))
-    monkeypatch.setattr(mod, "_add", counted(1, mod._add))
-    monkeypatch.setattr(mod, "run", recorded(mod.run, False))
-    monkeypatch.setattr(mod, "replay", recorded(mod.replay, True))
-    return runs
-
-
-def test_first_prime_traces_and_later_primes_replay(monkeypatch):
-    zeros_seen = 0
-    for seed in range(16):
-        i, j = random_pair(seed)
-        runs = record_mod_runs(monkeypatch)
-        check_intersection(i, j)
-        monkeypatch.undo()
-        if not runs:  # no generators, so no modular path
-            continue
-        (p, program, replayed, zeros, _, _), *replays = runs
-        assert p == modular._PRIMES[0] and replayed is False
-        # the program holds no S-pair that reduced to zero: no replay reduces one
-        assert all(size for src, _, size in program[0] if type(src) is not int)
-        assert len(replays) >= 2  # the trace prime stays out of the CRT
-        for q, ran, replayed, more, searches, updates in replays:
-            assert q > p and ran is program and replayed and more == []
-            # straight-line: no divisor search and no pair update
-            assert searches == updates == 0
-        zeros_seen += len(zeros)
-    assert zeros_seen > 0
-
-
-def test_unlucky_trace_prime_is_replaced(monkeypatch):
-    # 13 is unlucky for these pairs: its full run takes another path than
-    # the 350-bit primes', so the first replay leaves the program, runs
-    # again in full and traces
-    unlucky = []
-    for seed in range(64):
-        i, j = random_pair(seed)
-        calls = record_buchberger(monkeypatch, i, j)
-        monkeypatch.setattr(modular, "_PRIMES", (13,) + modular._PRIMES[1:])
-        cands = record_candidates(monkeypatch)
-        runs = record_mod_runs(monkeypatch)
-        certs = record_certificates(monkeypatch)
-        check_intersection(i, j)
-        monkeypatch.undo()
-        # never the fallback: every slice is certified with no elimination,
-        # that of a non-homogeneous pair through its closures
-        assert len(cands) == len(certs) == 1 and None not in cands + certs
-        assert calls == []
-        fulls = [q for q, _, replayed, *_ in runs if replayed is False]
-        if fulls[1:]:
-            unlucky.append(seed)
-            assert fulls == [13, runs[1][0]] and len(runs) == 5
-            assert runs[1][2] is None  # the replay that left the program
-    assert unlucky == [9, 16, 19, 38]
-
-
-def test_replay_equals_a_full_run_at_each_prime():
-    for i, j in [random_pair(seed) for seed in range(64)] + s6_pairs():
-        gens = elimination_generators(i, j)
-        if not gens:
-            continue
-        ctx = gens[0].ctx
-        _, program = modular._mod_run(ctx, gens, modular._PRIMES[0])
-        for p in modular._PRIMES:
-            replayed, ran = modular._mod_run(ctx, gens, p, program)
-            assert ran is program
-            assert replayed == modular._mod_run(ctx, gens, p)[0]
-
-
-def test_each_replay_step_and_remainder_is_checked(monkeypatch):
-    ctx = RingContext(("x", "y"), "dp")
-    x, y = ctx.gens()
-    eng = modular._ModEngine(ctx, 8, modular._PRIMES[1])
-    f = eng._poly_in(x * y + 1)[0]
-    G = [eng._entry(eng._poly_in(y**2 - x)[0])]
-    assert eng._follow(f, G, [], 2) == f  # steps: position, slot, position, ...
-    for size in (0, 1, 3):  # a remainder of another size, zero included
-        with pytest.raises(modular._Astray):
-            eng._follow(f, G, [], size)
-    combs = []
-    monkeypatch.setattr(modular._ModEngine, "comb", lambda *args: combs.append(args))
-    for steps in ([0, 0], [2, 0]):  # y^2 does not divide x*y; f has 2 terms
-        with pytest.raises(modular._Astray):
-            eng._follow(f, G, steps, 2)
-    assert combs == []
-
-
-def corrupt(kind, steps, slot):
-    """A copy of the flat steps (position, slot, ...) of the op that
-    installs slot, its first step corrupted."""
-    steps = steps[:]
-    if kind == "wrong-slot":  # another earlier reducer
-        steps[1] = (steps[1] + 1) % slot
-    elif kind == "shifted-position":
-        steps[0] += 1
-    else:
-        del steps[:2]
-    return steps
-
-
-@pytest.mark.parametrize("kind", ["dropped-step", "shifted-position", "wrong-slot"])
-@pytest.mark.parametrize("case", ["small", "homogeneous", "s6"])
-def test_a_corrupted_program_is_detected_and_the_prime_runs_in_full(
-    monkeypatch, kind, case
-):
-    pair = {"small": small_pair, "homogeneous": homogeneous_pair, "s6": s6_pairs}[case]()
-    i, j = pair[0] if case == "s6" else pair
-    real = modular._ModEngine.run
-    corrupted = []
-
-    def corrupting(eng, polys, *args):
-        out = real(eng, polys, *args)
-        if not corrupted:  # the first trace only
-            ops = eng.program[0]
-            # slots[t]: the slot op t installs, the number of earlier remainders
-            slots = [sum(1 for op in ops[:t] if op[2]) for t in range(len(ops))]
-            # the last op with steps and two earlier slots to choose from
-            t = max(t for t, op in enumerate(ops) if op[1] and slots[t] > 1)
-            src, steps, size = ops[t]
-            ops[t] = src, corrupt(kind, steps, slots[t]), size
-            corrupted.append(t)
-        return out
-
-    monkeypatch.setattr(modular._ModEngine, "run", corrupting)
-    runs = record_mod_runs(monkeypatch)
-    check_intersection(i, j)
-    (p, _, _, _, _, _), (q, _, replayed, _, _, _), (r, _, full, _, _, _), *rest = runs
-    # the first replay leaves the program; its prime runs in full and traces
-    assert p == modular._PRIMES[0] and replayed is None and r == q and full is False
-    assert len(rest) >= 2 and all(replayed for _, _, replayed, *_ in rest)
 
 
 def record_eliminations(monkeypatch):
@@ -386,10 +203,10 @@ def test_modular_intersection_matches_fraction_free_elimination(monkeypatch):
 
 def regression_pair(order):
     """Non-homogeneous pairs in Q[x, y, z] whose elimination in the block
-    order (t | x, y, z) blows up: seeded by the modular candidate it took
-    about 16 s for the dp pair and about three minutes for the lp pair, on
-    a 2-core x86-64 host under CPython 3.11.  Their closures intersect in
-    well under a second."""
+    order (t | x, y, z) blows up: seeded by the modular candidate of an
+    earlier version it took about 16 s for the dp pair and about three
+    minutes for the lp pair, on a 2-core x86-64 host under CPython 3.11.
+    Their closures intersect in well under a second."""
     ctx = RingContext(("x", "y", "z"), order)
     x, y, z = ctx.gens()
     q = Fraction
@@ -411,7 +228,8 @@ def regression_pair(order):
 def test_dp_regression_pair_matches_the_exact_elimination(monkeypatch):
     # the unseeded reference elimination of this pair ran past 20 minutes,
     # so the digest pins the output of the exact elimination seeded by the
-    # modular candidate and checked by containment, which took about 16 s
+    # modular candidate of an earlier version and checked by containment,
+    # which took about 16 s
     i, j = regression_pair("dp")
     eliminated = record_eliminations(monkeypatch)
     start = time.perf_counter()
@@ -422,6 +240,25 @@ def test_dp_regression_pair_matches_the_exact_elimination(monkeypatch):
         "e5f5667d21012984ee4af998c713960bc10dcb7d155244e52528ca4ac5e9585b"
     )
     assert len(got.generators) == 15 and contained(list(got.generators), i, j)
+
+
+def test_unit_scaled_dp_regression_pair_is_certified_as_the_rational_one(monkeypatch):
+    # every generator times the unit a is irrational, but monic it is the
+    # rational pair again: the certified path, within the rational pair's
+    # bound, where the block elimination with a did not finish in 60 s
+    field = ExtField("a", [1, -1, 1])
+    i, j = regression_pair("dp")
+    ctx = RingContext(i.context.variables, "dp", field)
+    a = field.gen
+    ia, ja = (Ideal(ctx, [a * ctx.from_dict(dict(g.terms)) for g in k.generators]) for k in (i, j))
+    eliminated = record_eliminations(monkeypatch)
+    certs = record_certificates(monkeypatch)
+    start = time.perf_counter()
+    got = intersect(ia, ja)
+    assert time.perf_counter() - start < 10 and eliminated == []
+    assert len(certs) == 1 and certs[0] is not None
+    want = [ctx.from_dict(dict(g.terms)) for g in intersect(i, j).generators]
+    assert list(got.generators) == want
 
 
 def test_lp_regression_pair_computes_no_lp_or_block_basis(monkeypatch):
@@ -468,55 +305,11 @@ def test_non_homogeneous_pair_is_certified_through_its_closures(monkeypatch):
     ]
 
 
-def test_unlucky_primes_are_skipped(monkeypatch):
-    ctx = RingContext(("x", "y"), "dp")
-    x, y = ctx.gens()
-    # the dp basis of the first I is x^2 + 1/35*y, so 7 and 5 divide a
-    # denominator of its closure; 5 kills the leading coefficient 5 of the
-    # homogeneous second I
-    first = Ideal(ctx, [5 * x**2 + Fraction(1, 7) * y]), Ideal(ctx, [x * y - 2])
-    second = Ideal(ctx, [5 * x**2 + y**2]), Ideal(ctx, [x * y])
-    for (i, j), bad in ((first, 7), (first, 5), (second, 5)):
-        want = [g.terms for g in reference_intersect(i, j)]
-        calls = record_buchberger(monkeypatch, i, j)
-        monkeypatch.setattr(modular, "_PRIMES", (bad,) + modular._PRIMES)
-        runs = record_mod_runs(monkeypatch)
-        certs = record_certificates(monkeypatch)
-        assert [g.terms for g in intersect(i, j).generators] == want
-        # no run at the bad prime ended; the table's real primes gave the
-        # certified slice, with no elimination
-        assert runs and bad not in [p for p, *_ in runs]
-        assert len(certs) == 1 and certs[0] is not None and calls == []
-        monkeypatch.undo()
-
-
-def test_fallback_when_every_prime_fails(monkeypatch):
-    i, j = small_pair()
-    want = [g.terms for g in reference_intersect(i, j)]
-    calls = record_buchberger(monkeypatch, i, j)
-    monkeypatch.setattr(modular, "_PRIMES", (3,))  # divides the denominator 3
-    assert [g.terms for g in intersect(i, j).generators] == want
-    assert len(calls) == 1
-    ctxa = calls[0][0].ctx
-    assert ctxa.variables[0] == "@t" and len(calls[0]) == 3  # the generators
-
-
-def test_tiny_primes_never_change_the_result(monkeypatch):
-    # primes this small are often unlucky, or lift only after several of
-    # them: about 35 of these 64 pairs get a candidate, the rest fall back
-    monkeypatch.setattr(modular, "_PRIMES", (5, 7, 11, 101, 103, 107, 109))
-    for seed in range(64):
-        check_intersection(*random_pair(seed))
-
-
 @pytest.mark.parametrize("t_part", [True, False])
 def test_perturbed_candidate_never_changes_the_output(monkeypatch, t_part):
     i, j = small_pair()
     want = [g.terms for g in reference_intersect(i, j)]
-    real = modular._modular_basis
-    monkeypatch.setattr(
-        modular, "_modular_basis", lambda ctx, gens, *args: perturb(real(ctx, gens, *args), t_part)
-    )
+    replace_candidate(monkeypatch, lambda cand: perturb(cand, t_part))
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
@@ -527,10 +320,12 @@ def test_perturbed_candidate_never_changes_the_output(monkeypatch, t_part):
 
 
 def candidate(i, j):
-    """The lifted candidate of the homogeneous pair, whose t-free slice the
+    """The exact candidate of the homogeneous pair, whose t-free slice the
     certificate takes or rejects."""
-    gens = elimination_generators(i, j)
-    return modular._modular_basis(gens[0].ctx, gens, groebner._numerators(i, j)[3])
+    with pytest.MonkeyPatch.context() as mp:
+        cands = record_candidates(mp)
+        groebner._traced(i, j)
+    return cands[0]
 
 
 # each seed for the pairs (small_pair, random_pair(0), ..., random_pair(7)),
@@ -568,40 +363,13 @@ def test_every_seed_gives_the_exact_intersection(monkeypatch, kind):
             continue
         seed = make(cand, candidate(*certified_pair(*other)))
         want = [g.terms for g in reference_intersect(i, j)]
-        monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens, *args: seed)
+        replace_candidate(monkeypatch, lambda cand: seed)
         calls = record_buchberger(monkeypatch, i, j)
         certs = record_certificates(monkeypatch)
         assert [g.terms for g in intersect(i, j).generators] == want
         assert calls == [elimination_generators(i, j)][:count]
         assert [c is not None for c in certs] == [count == 0]
         monkeypatch.undo()
-
-
-@pytest.mark.parametrize("every", [True, False])
-def test_lift_failing_the_trace_check_never_reaches_buchberger(monkeypatch, every):
-    i, j = small_pair()
-    want = [g.terms for g in reference_intersect(i, j)]
-    real = modular._lift
-    lifts = []
-
-    def perturbed(basis, m):
-        out = real(basis, m)
-        lifts.append(out)
-        if every or len(lifts) == 1:  # raise the lead of the last polynomial
-            out[-1] = [out[-1][0] + 1] + out[-1][1:]
-        return out
-
-    monkeypatch.setattr(modular, "_lift", perturbed)
-    calls = record_buchberger(monkeypatch, i, j)
-    cands = record_candidates(monkeypatch)
-    assert [g.terms for g in intersect(i, j).generators] == want
-    if every:  # each prime's lift failed the check: no candidate, and the
-        # one unseeded elimination
-        assert len(lifts) == len(modular._PRIMES) - 2 and cands == [None]
-        assert calls == [elimination_generators(i, j)]
-    else:  # the next prime's lift passed it and was certified
-        assert len(lifts) == 2 and calls == []
-        assert [[c for _, c in g.terms] for g in cands[0]] == lifts[1]
 
 
 def t_free(cand):
@@ -683,7 +451,7 @@ def test_certificate_rejects_a_dropped_t_free_element(monkeypatch, case):
     )
     assert whole != rest
     want = [g.terms for g in reference_intersect(i, j)]
-    monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens, *args: seed)
+    replace_candidate(monkeypatch, lambda cand: seed)
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
@@ -703,7 +471,7 @@ def test_certificate_rejects_a_perturbed_coefficient(monkeypatch, case):
     terms[e] *= 2
     seed = cand[:k] + [cand[k].ctx.from_dict(terms)] + cand[k + 1 :]
     want = [g.terms for g in reference_intersect(i, j)]
-    monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens, *args: seed)
+    replace_candidate(monkeypatch, lambda cand: seed)
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
@@ -728,7 +496,7 @@ def test_certificate_rejects_a_slice_that_is_not_interreduced(monkeypatch, case)
     k = cand.index(h)
     seed = cand[:k] + [h + mg] + cand[k + 1 :]
     want = [g.terms for g in reference_intersect(i, j)]
-    monkeypatch.setattr(modular, "_modular_basis", lambda ctx, gens, *args: seed)
+    replace_candidate(monkeypatch, lambda cand: seed)
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
@@ -787,37 +555,32 @@ def test_hilbert_numerator_of_the_homogenized_elimination():
             assert groebner.hilbert_dim(target, n, d) == graded_dim(ideal, d).dim_quotient
 
 
-def check_trace(i, j):
-    """The engine of the Hilbert-driven trace run of the pair, after checking
-    that its basis is that of a full run at the trace prime."""
+def driven_run(i, j, target=None):
+    """(basis, engine) of the exact run on the pair's homogenized elimination,
+    Hilbert-driven by target, N_L by default, as `_traced` runs it."""
     gens = homogenized_generators(i, j)
-    ctxh, p = gens[0].ctx, modular._PRIMES[0]
-    target = groebner._numerators(i, j)[3]
-
-    def job(eng):
-        return eng.run(gens, target), eng
-
-    make = lambda c, w, ext: modular._ModEngine(c, w, p)  # noqa: E731
-    basis, eng = groebner._packed(ctxh, gens, job, make)
-    assert basis == modular._mod_run(ctxh, gens, p)[0]
-    return eng
+    if target is None:
+        target = groebner._numerators(i, j)[3]
+    return groebner._packed(gens[0].ctx, gens, lambda eng: (eng.run(gens, target), eng))
 
 
-def test_hilbert_driven_trace_gives_the_full_run_basis():
+def test_hilbert_driven_run_gives_the_plain_run_basis():
     pruned = 0
     for i, j in homogeneous_cases():
-        eng = check_trace(i, j)
+        basis, eng = driven_run(i, j)
+        assert basis == buchberger(homogenized_generators(i, j))
         pruned += eng.pruned[0]
     assert pruned > 0
 
 
 @pytest.mark.parametrize("case", ["homogeneous", "s6"])
-def test_a_deficit_one_too_small_fails_the_trace_check(monkeypatch, case):
+def test_a_deficit_one_too_small_is_refused_by_the_certificate(monkeypatch, case):
+    # a wrong target drops a pair whose remainder the basis needs; the
+    # certificate is the one guard between the target and the output
     i, j = homogeneous_pair() if case == "homogeneous" else s6_pairs()[0]
-    gens = homogenized_generators(i, j)
-    ctxh = gens[0].ctx
-    n = ctxh.nvars
-    d = max(sum(f[0][0]) for f in modular._mod_run(ctxh, gens, modular._PRIMES[0])[0])
+    basis, _ = driven_run(i, j)
+    n = basis[0].ctx.nvars
+    d = max(g.total_degree() for g in basis)
     real = groebner._numerators
 
     def one_more(*args):
@@ -828,10 +591,13 @@ def test_a_deficit_one_too_small_fails_the_trace_check(monkeypatch, case):
         return (*nums, groebner._padd(target, bump, d))
 
     monkeypatch.setattr(groebner, "_numerators", one_more)
-    with pytest.raises(AssertionError):
-        check_trace(i, j)
-    # the intersection is still exact: the certificate or the elimination decides
+    assert driven_run(i, j)[0] != basis
+    calls = record_buchberger(monkeypatch, i, j)
+    certs = record_certificates(monkeypatch)
+    # the intersection is still exact: the certificate refuses the candidate
+    # and the one elimination decides
     check_intersection(i, j)
+    assert certs == [None] and calls == [elimination_generators(i, j)]
 
 
 def test_candidate_at_h_1_has_the_t_free_slice_of_the_reference():
@@ -847,17 +613,17 @@ def test_candidate_at_h_1_has_the_t_free_slice_of_the_reference():
         assert groebner._certified(cand, i, j, nums) is not None
 
 
-# (zero reductions, pairs skipped, generators skipped, ops) of the trace of
-# each pair; a lost pruning shows here
-TRACE_COUNTS = {
-    "s6": (lambda: s6_pairs()[0], (8, 20, 0, 16)),
-    "s6-second": (lambda: s6_pairs()[1], (1, 23, 0, 14)),
-    "quintic": (quintic_pair, (79, 188, 0, 118)),
+# (zero reductions, pairs skipped, generators skipped) of the exact driven
+# run of each pair; a weaker coverage rule shows here
+RUN_COUNTS = {
+    "s6": (lambda: s6_pairs()[0], (8, 20, 0)),
+    "s6-second": (lambda: s6_pairs()[1], (1, 23, 0)),
+    "quintic": (quintic_pair, (79, 188, 0)),
 }
 
 
-@pytest.mark.parametrize("case", sorted(TRACE_COUNTS))
-def test_hilbert_driven_trace_counts_are_pinned(case):
-    pair, want = TRACE_COUNTS[case]
-    eng = check_trace(*pair())
-    assert (len(eng.zeros), *eng.pruned, len(eng.ops)) == want
+@pytest.mark.parametrize("case", sorted(RUN_COUNTS))
+def test_hilbert_driven_run_counts_are_pinned(case):
+    pair, want = RUN_COUNTS[case]
+    _, eng = driven_run(*pair())
+    assert (len(eng.zeros), *eng.pruned) == want

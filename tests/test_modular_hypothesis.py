@@ -1,4 +1,4 @@
-"""Generated inputs for the modular `intersect` checks of `test_modular.py`."""
+"""Generated inputs for the certified `intersect` checks of `test_modular.py`."""
 
 import pytest
 
@@ -7,7 +7,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-import chowlab.modular as modular  # noqa: E402
 from chowlab.groebner import Ideal, intersect  # noqa: E402
 from chowlab.poly import RingContext  # noqa: E402
 from test_modular import (  # noqa: E402
@@ -15,6 +14,7 @@ from test_modular import (  # noqa: E402
     check_intersection,
     record_eliminations,
     reference_intersect,
+    replace_candidate,
 )
 
 
@@ -50,21 +50,17 @@ def test_random_pairs_match_fraction_free_elimination(pair):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(pairs(), st.data())
-def test_perturbed_lift_never_changes_the_output(pair, data):
+def test_perturbed_candidate_never_changes_the_output(pair, data):
     i, j = pair
     want = [g.terms for g in reference_intersect(i, j)]
-    real = modular._modular_basis
 
-    def perturbed(ctx, gens, *args):
-        cand = real(ctx, gens, *args)
-        if cand is None:
-            return None
+    def perturbed(cand):
         k = data.draw(st.integers(0, len(cand) - 1))
         terms = dict(cand[k].terms)
         e = data.draw(st.sampled_from(sorted(terms)))
         terms[e] += data.draw(st.sampled_from([1, -1, 2]))
-        return cand[:k] + [ctx.from_dict(terms)] + cand[k + 1 :]
+        return cand[:k] + [cand[k].ctx.from_dict(terms)] + cand[k + 1 :]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modular, "_modular_basis", perturbed)
+        replace_candidate(mp, perturbed)
         assert [g.terms for g in intersect(i, j).generators] == want

@@ -1,11 +1,8 @@
-"""sympy as an independent oracle for both Groebner engines.
+"""sympy as an independent oracle for the Groebner engine.
 
 The reduced Groebner basis of an ideal is unique, so the fraction-free
-`buchberger` must give the basis `sympy.groebner` gives over QQ, and the
-mod-p engine of `chowlab.modular` the one it gives with `modulus=p`: a full
-run at the trace prime and at a 350-bit prime, and the replay at the
-350-bit prime of the trace prime's program wherever the replay does not
-leave that program.  `rings.hilbert_table` of each seeded homogeneous ideal
+`buchberger` must give the basis `sympy.groebner` gives over QQ.
+`rings.hilbert_table` of each seeded homogeneous ideal
 must be the table counted from the leading monomials of sympy's basis.  On
 seeded sequences of forms, regular and not, `buchberger`'s
 complete-intersection path must give sympy's basis and accept exactly the
@@ -17,8 +14,8 @@ with 2-4 terms, coefficients n/d with |n| <= 9 and d <= 4, and
 non-homogeneous ideals only in "dp".  The fraction-free engine can run for
 minutes on inputs barely larger than these, above all non-homogeneous ones
 in "lp": on three such generators in x, y, z of degree at most 6, it did
-not finish in 120 s, its coefficients past 285,000 bits, where sympy and a
-mod-p run each take well under a second.
+not finish in 120 s, its coefficients past 285,000 bits, where sympy took
+well under a second.
 """
 
 import itertools
@@ -29,7 +26,6 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-import chowlab.modular as modular  # noqa: E402
 from chowlab.groebner import Ideal, _padd, buchberger, hilbert_numerator  # noqa: E402
 from chowlab.poly import RingContext  # noqa: E402
 from chowlab.rings import hilbert_table  # noqa: E402
@@ -67,24 +63,18 @@ def sympy_groebner(gens, order, to_sympy, **opts):
     return sympy.groebner(polys, *SYMS, order=ORDERS[order], **opts).polys
 
 
-def sympy_basis(gens, order, p=None):
-    """sympy's reduced basis of the gens, over QQ or, given p, over GF(p):
-    each polynomial monic in the order, as a sorted tuple of (exponents,
-    coefficient) pairs, the coefficients Fractions or residues in [0, p)."""
-    opts = {"domain": "QQ"} if p is None else {"modulus": p}
+def sympy_basis(gens, order):
+    """sympy's reduced basis of the gens over QQ: each polynomial monic in
+    the order, as a sorted tuple of (exponents, Fraction) pairs."""
 
     def to_sympy(c):
-        if p is None:
-            return sympy.Rational(c.numerator, c.denominator)
-        return c.numerator * pow(c.denominator, -1, p) % p
+        return sympy.Rational(c.numerator, c.denominator)
 
     def monic(c, lc):
-        if p is None:
-            return Fraction(int(c.p), int(c.q)) / Fraction(int(lc.p), int(lc.q))
-        return int(c) * pow(int(lc), -1, p) % p  # sympy gives symmetric residues
+        return Fraction(int(c.p), int(c.q)) / Fraction(int(lc.p), int(lc.q))
 
     out = []
-    for poly in sympy_groebner(gens, order, to_sympy, **opts):
+    for poly in sympy_groebner(gens, order, to_sympy, domain="QQ"):
         # not poly.monic(), which divides by the lex leading coefficient
         lc = poly.LC(order=ORDERS[order])
         out.append(tuple(sorted((e, monic(c, lc)) for e, c in poly.terms())))
@@ -97,23 +87,12 @@ def canonical(basis):
 
 
 @pytest.mark.parametrize("kind", range(len(KINDS)))
-def test_both_engines_match_sympy(kind):
+def test_buchberger_matches_sympy(kind):
     order, homogeneous = KINDS[kind]
     ctx = RingContext(VARS, order)
-    trace, big = modular._PRIMES[:2]
-    replays = 0
     for seed in range(24):
         gens = random_ideal(random.Random(seed * len(KINDS) + kind), ctx, homogeneous)
         assert canonical(g.terms for g in buchberger(gens)) == sympy_basis(gens, order)
-        want = {p: sympy_basis(gens, order, p) for p in (trace, big)}
-        full = {p: modular._mod_run(ctx, gens, p) for p in (trace, big)}
-        for p, (basis, _) in full.items():
-            assert canonical(basis) == want[p]
-        replayed, _ = modular._mod_run(ctx, gens, big, full[trace][1])
-        if replayed is not None:  # it did not leave the program
-            replays += 1
-            assert canonical(replayed) == want[big]
-    assert replays > 12
 
 
 def sympy_leads(gens, order):
