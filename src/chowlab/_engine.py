@@ -1,0 +1,645 @@
+"""The packed Buchberger engine under `groebner`, and `RowSpace`, its rank space.
+
+One `_Engine` computes a reduced Groebner basis by Buchberger's algorithm
+with Gebauer-Moeller pair management, a minimal generating set, or normal
+forms.  S-polynomial arithmetic runs fraction-free on integer coefficients,
+with periodic content stripping.
+
+Inside the engine a monomial is two Python ints made of W-bit fields
+(`_Packing`):
+
+- The order key is a signed-digit number whose integer order is the ring
+  order.  A grevlex block of variables x_lo..x_hi-1 gives the digits (deg,
+  -x_hi-1, ..., -x_lo), most significant first; "dp" is one block,
+  ("block", k) puts the block of the first k variables above the rest, and
+  "lp" has the digits (x_1, ..., x_n).
+- The word holds each exponent in its digit's field and the total degree in
+  the field above.  Every field keeps its top (guard) bit clear, so a divides
+  b iff ((b | GUARD) - a) & GUARD == GUARD: a field with a_j > b_j borrows
+  its guard bit away.
+
+Both are linear in the exponents, so shifting a term by x^s adds the key and
+word of x^s.  They are exact while every total degree is at most
+2^(W-1) - 1: no field overflows, key digits stay inside (-2^(W-1), 2^(W-1)),
+and guard bits hold.  The engine checks that bound on each pair lcm and on
+each shift, against the largest degree of the shifted polynomial.  A run
+that would pass it restarts with twice the width and repeats the same
+steps, since nothing else depends on W: a wide exponent costs time, never a
+wrong answer.
+
+`RowSpace` runs exact ranks on the same terms: its pivots are primitive
+rows keyed by the word of their leading monomial, and a new row is only
+top-reduced, by `comb` against the pivot with its leading word, the
+content stripped every 8 steps as in `full_reduce`.  Every graded rank of
+`rings` is computed this way, over Q and over Q[a] alike.
+
+Every engine coefficient is a Python int.  A job (the polynomials handed to
+`_packed`) whose coefficients are all rational runs over Q even in a Q[a]
+ring, its output coerced back into the field: a reduced Groebner basis, a
+normal form and a rank are the same over Q and over any extension of Q
+(Cox, Little, O'Shea, Ideals, Varieties, and Algorithms, ch. 2 sec. 7).  A
+job with an irrational coefficient carries the generator a of K = Q[a]/(m)
+as one more engine variable, and m, cleared of denominators, as one more
+generator that goes in first, since K[x]/I is Q[x,a]/(I + (m)).  a is the
+least significant block of the order (in "lp" the last variable), so the
+order eliminates a and puts it below every x, and the reduced basis of I +
+(m) is m plus the reduced basis of I over K, each coefficient written as a
+polynomial in a of degree below deg m (ch. 3 sec. 1).  A coefficient c_0 +
+... + c_{d-1} a^(d-1) goes in as its nonzero terms c_j a^j, the higher
+powers of a first; the output drops m and folds each run of terms with one
+x-part back into a field element.  a has weight 0 in the degree field,
+which orders the pairs and drives `minimal`: an irrational leading
+coefficient puts a into an engine lead, and the pair with m that takes it
+out must fall in the lead's own degree.  `normal_forms` makes each reducer
+monic over K, so that its engine lead has a^0 and the first divisor in
+basis order is the one over K, and puts m first; it packs the basis once
+for the whole batch into one reducer list, searched by the engine's
+`_first`.  As m reduces first, every power of a stays below 2 deg m - 1,
+far inside its field.  `RowSpace` starts without a and takes it on at its
+first irrational row.
+
+`groebner.minimal_generators` is one engine run in degree order
+(`_Engine.minimal`; Kreuzer and Robbiano, Computational Commutative
+Algebra 2, sec. 4.6): a generator of degree d is reduced after every pair
+of degree at most d and is minimal iff its remainder is nonzero, which is
+then inserted.  Its lead no basis lead divides, so its pairs lie above d
+and the basis stays a Groebner basis through degree d of the ideal of the
+generators so far.  `run` inserts every generator before the first pair,
+unless it is Hilbert-driven: taking them in degree order made the plain s5
+elimination of `groebner.intersect` twice as slow.  Every run reduces a
+term by the first basis entry whose lead divides it, in the order m, then
+by size, then by slot (`_reducer`), memoized per word: a word looked up
+again tests only the entries added since.  It ends in `_finalize`, which
+keeps a minimal basis, interreduces each entry by the others, m first,
+then the smallest, and outputs the basis without m, releasing each entry
+once it is replaced or output.
+
+A run is grown (a `groebner.Ideal` with a base) when its first polys are
+the reduced basis G of an ideal I and the rest are new generators.  Once G
+is in, `run` drops the pairs queued among its entries, over Q[a] with m
+too.  This is exact: G is a Groebner basis, and so is G plus m in Q[x, a]
+(above), so each of those S-polynomials reduces to zero by them, a
+standard representation by entries that every later basis of the run
+contains.  Buchberger's criterion (Cox, Little, O'Shea, ch. 2 secs. 6 and
+9) and the Gebauer-Moeller updates need no more of those pairs, and the
+reduced basis is unique, so the output is that of a run from all the
+generators.
+
+A run is Hilbert-driven (Traverso, JSC 22, 1996) when the Hilbert function
+of LM(I) is known in the degrees it reaches.  Pairs and generators then go
+in degree order, through the loop of `minimal`, and once the run's leads
+cover the degree-d part of LM(I) the remaining pairs of degree d are
+dropped and the remaining degree-d generators are not minimal.  This is
+exact: a remainder in degree d lies in I and has no term divisible by a
+run lead, so its lead would lie in LM(I) but not be covered; it is zero.
+Two tests decide coverage.  `minimal_generators`, given a known Groebner
+basis, asks that every degree-d lead of it be divisible by a run lead (the
+lower degrees are covered already).  It reads no numerator, for two
+reasons: over Q[a] the run's leads carry a, and m's lead a^(deg m) has no
+x-part, so the numerator of their x-parts is 0; and the deficit rule below
+was slower on the quintic's minimal generators.  The elimination run of
+`groebner.intersect` and the complete-intersection runs of
+`groebner.buchberger`, given the Hilbert numerator of LM(I)
+(`hilbert.hilbert_numerator`), compute at the first item of degree d the
+deficit k = HF_run(d) - HF_I(d), HF_run from the numerator of the run's
+leads, and cover d after k more insertions: the run's leads lie in LM(I),
+and each insertion in degree d, its lead divisible by no run lead, lowers
+HF_run(d) by one.  A wrong numerator can make a run drop a pair it needs;
+each run that takes one is certified in `groebner`, so that costs a
+refused output, never a wrong answer.
+"""
+
+from fractions import Fraction
+from heapq import heappop, heappush
+from math import gcd, lcm
+
+from .coeff import ExtField
+from .hilbert import hilbert_dim, hilbert_numerator
+from .poly import Polynomial
+
+
+class _Overflow(Exception):
+    """A degree outgrew the packed fields; the run restarts wider."""
+
+
+class _Packing:
+    """Order keys and divisibility words of exponent vectors, W-bit fields.
+
+    With ext, a vector may carry one more exponent, that of the field
+    generator a: its own least significant block (in "lp" the last
+    variable), with weight 0 in the degree field.  A vector without it has
+    a^0.
+    """
+
+    def __init__(self, order, nvars, width, ext=False):
+        self.n = nvars
+        self.limit = (1 << (width - 1)) - 1
+        self.mask = (1 << width) - 1
+        total = nvars + ext
+        if order == "lp":
+            fields = [total - 1 - i for i in range(total)]
+            self.sign, self.tops, nfields = 1, [], total
+        else:
+            k = order[1] if isinstance(order, tuple) else 0
+            fields = [0] * total
+            self.sign, self.tops, nfields = -1, [], 0
+            blocks = ((k, nvars), (0, k)) if k else ((0, nvars),)
+            for lo, hi in ((nvars, total),) * ext + blocks:  # least significant first
+                for i in range(lo, hi):
+                    fields[i] = nfields + i - lo
+                nfields += hi - lo
+                self.tops.append((lo, hi, nfields * width))
+                nfields += 1
+        self.shifts = [f * width for f in fields]
+        self.deg_shift = nfields * width
+        self.guard = sum(1 << (f * width + width - 1) for f in range(nfields + 1))
+
+    def pack(self, exps):
+        """(key, word) of an exponent vector."""
+        deg = sum(exps[: self.n])
+        if deg > self.limit or sum(exps[self.n :]) > self.limit:
+            raise _Overflow
+        body = 0
+        for e, s in zip(exps, self.shifts):
+            body += e << s
+        key = self.sign * body
+        for lo, hi, s in self.tops:
+            key += sum(exps[lo:hi]) << s
+        return key, body + (deg << self.deg_shift)
+
+    def unpack(self, word):
+        mask = self.mask
+        return tuple(word >> s & mask for s in self.shifts)
+
+
+def _irrational(field, polys):
+    """True iff some coefficient of the polys has a nonzero a-part."""
+    return isinstance(field, ExtField) and any(
+        any(c.coeffs[1:]) for p in polys for _, c in p.terms
+    )
+
+
+def _packed(ctx, polys, job):
+    """job(_Engine(ctx, width, ext)), with fields wide enough for every
+    degree the run reaches, and ext true iff some coefficient of the polys
+    is irrational."""
+    width = max(8, (2 * max(p.total_degree() for p in polys)).bit_length() + 1)
+    ext = _irrational(ctx.field, polys)
+    while True:
+        try:
+            return job(_Engine(ctx, width, ext))
+        except _Overflow:
+            width *= 2
+
+
+def _cross(a, b):
+    """(b', a') with b' * a = a' * b, the cofactors of the lcm of a and b."""
+    d = gcd(a, b)
+    return b // d, a // d
+
+
+class _Engine:
+    """One Buchberger run, minimal-generator run or normal form in a ring context.
+
+    A term is (key, word, coefficient); a polynomial is a list of terms,
+    descending by key, with integer coefficients.  A basis entry is (lead
+    word, lead coefficient, terms, largest total degree of its terms, slot),
+    the slot being its index in G.  With ext the field generator a is one
+    more variable (module docstring), and the basis starts with its minimal
+    polynomial m, in slot 0.
+    """
+
+    def __init__(self, ctx, width, ext=False):
+        self.ctx = ctx
+        self.ext = ext
+        self.pk = _Packing(ctx.order, ctx.nvars, width, ext)
+        self.G = []
+        self.memo = {}  # word: (len(G) when last looked up, its reducer)
+        self.live = {}
+        self.heap = []
+        self._seq = 0
+        self.zeros = []
+        self.pruned = [0, 0]  # pairs and polys that the Hilbert-driven rule skipped
+        self.covered = None  # the Hilbert-driven rule, if the run has one
+        if ext:
+            m = ctx.field.minpoly
+            zero = (0,) * ctx.nvars
+            lifted = [(zero + (j,), m[j]) for j in range(len(m) - 1, -1, -1) if m[j]]
+            self._add(self.strip(self._integral(lifted)[0])[0])
+
+    def _terms(self, p):
+        """The (exponents, rational coefficient) pairs of p: with ext, each
+        coefficient c_0 + ... + c_{d-1} a^(d-1) is its nonzero c_j a^j, the
+        higher powers of a first; otherwise the a-part is zero and dropped."""
+        field = self.ctx.field
+        if not isinstance(field, ExtField):
+            return p.terms
+        if not self.ext:
+            return [(e, c.coeffs[0]) for e, c in p.terms]
+        top = range(field.degree - 1, -1, -1)
+        return [(e + (j,), c.coeffs[j]) for e, c in p.terms for j in top if c.coeffs[j]]
+
+    def _integral(self, terms):
+        """(packed terms of den * terms, den) for the least den that makes
+        them integral; terms are (exponents, rational) pairs."""
+        pack = self.pk.pack
+        den = lcm(*(c.denominator for _, c in terms))
+        return [(*pack(e), c.numerator * (den // c.denominator)) for e, c in terms], den
+
+    def strip(self, terms):
+        """(terms / g, g) for the content g, signed to make the lead positive."""
+        if not terms:
+            return terms, 1
+        g = gcd(*[c for _, _, c in terms])
+        if terms[0][2] < 0:
+            g = -g
+        if g != 1:
+            terms = [(k, w, c // g) for k, w, c in terms]
+        return terms, g
+
+    def _poly_in(self, p):
+        """(terms, scale) with p = scale * terms, terms primitive."""
+        terms, den = self._integral(self._terms(p))
+        terms, g = self.strip(terms)
+        return terms, Fraction(g, den)
+
+    def _poly_out(self, terms, scale=None):
+        """The polynomial scale * terms; monic when no scale is given.  With
+        ext, each run of terms with one x-part folds into a field element."""
+        ctx, unpack = self.ctx, self.pk.unpack
+        if self.ext:
+            n, runs = ctx.nvars, []
+            for _, w, c in terms:
+                e = unpack(w)
+                if not runs or runs[-1][0] != e[:n]:
+                    runs.append((e[:n], [0] * ctx.field.degree))
+                runs[-1][1][e[n]] = c  # e[n] < deg m: every term is reduced by m
+            vals = [(x, ctx.field.element(cs)) for x, cs in runs]
+            if scale is None:
+                scale = 1 / vals[0][1]
+        else:
+            vals = [(unpack(w), c) for _, w, c in terms]
+            if scale is None:
+                scale = Fraction(1, vals[0][1])
+        coerce = ctx.field.coerce
+        return Polynomial(ctx, tuple((x, coerce(c * scale)) for x, c in vals))
+
+    def _entry(self, terms, slot=None):
+        """The basis entry of terms, at slot (default: the next slot of G)."""
+        top = max(w for _, w, _ in terms) >> self.pk.deg_shift
+        return (terms[0][1], terms[0][2], terms, top, len(self.G) if slot is None else slot)
+
+    def _shift(self, ent, key, word):
+        """Key and word of the x^s that carries ent's lead to (key, word)."""
+        sw = word - ent[0]
+        if (sw >> self.pk.deg_shift) + ent[3] > self.pk.limit:
+            raise _Overflow
+        return key - ent[2][0][0], sw
+
+    def comb(self, A, i, ca, B, cb, sk, sw):
+        """ca * A - cb * x^s * B as a descending term list.
+
+        x^s has key sk and word sw; the terms of A before index i are known
+        to lie above every term of x^s * B.
+        """
+        mul_a = ca != 1
+        out = [(k, w, c * ca) for k, w, c in A[:i]] if mul_a else A[:i]
+        push = out.append
+        ncb = -cb
+        n = len(A)
+        for kb, wb, c in B:
+            if sk:  # on a zero shift B's own ints are reused: k + 0 is a new int
+                kb += sk
+            while i < n and A[i][0] > kb:
+                t = A[i]
+                push((t[0], t[1], t[2] * ca) if mul_a else t)
+                i += 1
+            if i < n and A[i][0] == kb:
+                t = A[i]
+                i += 1
+                c = (t[2] * ca if mul_a else t[2]) + c * ncb
+                if c:
+                    push((kb, t[1], c))
+            else:
+                push((kb, wb + sw if sk else wb, c * ncb))
+        out.extend([(k, w, c * ca) for k, w, c in A[i:]] if mul_a else A[i:])
+        return out
+
+    def _first(self, R, word):
+        """The first entry of R whose leading monomial divides the word."""
+        guard = self.pk.guard
+        top = word | guard
+        for ent in R:
+            if (top - ent[0]) & guard == guard:
+                return ent
+        return None
+
+    def _reducer(self, G, word):
+        """The reducer of the word in G, the basis: its first divisor by
+        `_rank`.  Memoized per word; only the entries added since its last
+        lookup are tested."""
+        n, best = self.memo.get(word, (0, None))
+        if n < len(G):
+            guard = self.pk.guard
+            top = word | guard
+            for ent in G[n:]:
+                if (top - ent[0]) & guard == guard and (
+                    best is None or self._rank(ent) < self._rank(best)
+                ):
+                    best = ent
+            self.memo[word] = len(G), best
+        return best
+
+    def _rank(self, ent):
+        """m first, which keeps every power of a below 2 deg m - 1, then by
+        size, as the smallest reducer limits fill-in, then by slot."""
+        return ent[4] > 0 or not self.ext, len(ent[2]), ent[4]
+
+
+    def full_reduce(self, f, G, pick, scale=None):
+        """(r, scale'): r is f fully reduced by G, the reducer of each term
+        chosen by pick.  With a scale, scale * f and scale' * r differ by an
+        element of (G); without one, scale' is None."""
+        i = steps = 0
+        while i < len(f):
+            red = pick(G, f[i][1])
+            if red is None:
+                i += 1
+                continue
+            k, w, c = f[i]
+            cf, cg = _cross(c, red[1])
+            f = self.comb(f, i, cf, red[2], cg, *self._shift(red, k, w))
+            if scale is not None:
+                scale = scale / cf
+            steps += 1
+            if steps & 7 == 0:
+                f, g = self.strip(f)
+                if scale is not None:
+                    scale = scale * g
+        f, g = self.strip(f)
+        return f, None if scale is None else scale * g
+
+    def spoly(self, ei, ej, key, word):
+        """S-polynomial of two entries whose lead lcm has this key and word."""
+        ski, swi = self._shift(ei, key, word)
+        skj, swj = self._shift(ej, key, word)
+        A = [(k + ski, w + swi, c) for k, w, c in ei[2]] if swi else ei[2]
+        cf, cg = _cross(ei[1], ej[1])
+        return self.strip(self.comb(A, 0, cf, ej[2], cg, skj, swj))[0]
+
+    def _add(self, terms):
+        """Gebauer-Moeller update: install a new basis element and its pairs."""
+        G, live, pk = self.G, self.live, self.pk
+        guard = pk.guard
+        idx = len(G)
+        wh = terms[0][1]
+        lmh = pk.unpack(wh)
+        cand = []
+        for g_idx in range(idx):
+            wg = G[g_idx][0]
+            key, big = pk.pack(tuple(map(max, pk.unpack(wg), lmh)))
+            cand.append((g_idx, big, key, big == wg + wh))
+        kept = []
+        for t, (_, big, _, coprime) in enumerate(cand):
+            top = big | guard
+            if not coprime and any(
+                (top - c[1]) & guard == guard for c in cand[t + 1 :] + kept
+            ):
+                continue
+            kept.append(cand[t])
+        for (i, j), big in list(live.items()):
+            if ((big | guard) - wh) & guard == guard:
+                if cand[i][1] != big and cand[j][1] != big:
+                    del live[(i, j)]
+        ent = self._entry(terms)
+        G.append(ent)
+        for g_idx, big, key, coprime in kept:
+            if coprime:
+                continue
+            live[(g_idx, idx)] = big
+            self._seq += 1
+            # degree-first selection, order key as tie-break
+            heappush(self.heap, (big >> pk.deg_shift, key, self._seq, g_idx, idx))
+
+    def _insert(self, terms):
+        """Install the remainder of terms by the basis if it is nonzero; return
+        it."""
+        h = self.full_reduce(terms, self.G, self._reducer)[0]
+        if h:
+            self._add(h)
+        return h
+
+    def _hilbert_driven(self, target):
+        """Set self.covered to the Hilbert-driven rule (module docstring) for
+        rational homogeneous polys whose ideal's leading monomials have the
+        Hilbert numerator target: at the first item of degree d, the deficit
+        k of the run's leads against the target in degree d, and covered(d)
+        once k more entries are in."""
+        n, goal = self.ctx.nvars, {}
+
+        def covered(d):
+            if d not in goal:
+                num = hilbert_numerator([self.pk.unpack(g[0]) for g in self.G], n)
+                goal[d] = len(self.G) + hilbert_dim(num, n, d) - hilbert_dim(target, n, d)
+            return len(self.G) >= goal[d]
+
+        self.covered = covered
+
+    def _pairs_through(self, cap):
+        """Reduce the live pairs of degree at most cap (None: all), lowest first;
+        pairs of a degree the rule covers are dropped, and pairs that reduce
+        to zero go to self.zeros."""
+        heap, covered = self.heap, self.covered
+        while heap and (cap is None or heap[0][0] <= cap):
+            deg, key, _, i, j = heappop(heap)
+            big = self.live.pop((i, j), None)
+            if big is None:
+                continue
+            if covered and covered(deg):
+                self.pruned[0] += 1
+            elif not self._insert(self.spoly(self.G[i], self.G[j], key, big)):
+                self.zeros.append((i, j))
+
+    def run(self, polys, target=None, known=None):
+        """Reduced basis of the polys.  With no target every generator goes in
+        before the first pair, and if the first known polys are a reduced
+        basis, the pairs among them are dropped once they are in (a grown
+        run, module docstring); with target, the Hilbert numerator of the
+        leading monomials of the ideal of the homogeneous polys, the run is
+        Hilbert-driven in degree order (`minimal`)."""
+        if target is None:
+            for k, p in enumerate(polys):
+                self._insert(self._poly_in(p)[0])
+                if k + 1 == known:
+                    self.live.clear()
+                    self.heap.clear()
+        else:
+            self._hilbert_driven(target)
+            self.minimal(polys)
+        self._pairs_through(None)
+        return self._finalize()
+
+    def minimal(self, polys, leads=None):
+        """The polys outside the ideal of those before them in degree order.
+
+        leads, if given, are the leading monomials of a Groebner basis of the
+        ideal of the polys in every degree they reach.  The pairs and polys
+        of a degree all of whose leads the run's basis covers are skipped
+        (module docstring), and self.pruned counts them.
+        """
+        if leads is not None:
+            # per degree: the words of the leads no run lead divides yet, and
+            # len(G) when they were last checked
+            pending, seen = {}, {}
+            for m in leads:
+                w = self.pk.pack(m)[1]
+                pending.setdefault(w >> self.pk.deg_shift, []).append(w)
+
+            def covered(d):
+                left = pending.get(d)
+                if left and seen.get(d) != len(self.G):
+                    seen[d] = len(self.G)
+                    left = pending[d] = [w for w in left if not self._reducer(self.G, w)]
+                return not left
+
+            self.covered = covered
+        out = []
+        for k in sorted(range(len(polys)), key=lambda k: polys[k].total_degree()):
+            d = polys[k].total_degree()
+            self._pairs_through(d)
+            if self.covered and self.covered(d):
+                self.pruned[1] += 1
+            elif self._insert(self._poly_in(polys[k])[0]):
+                out.append(polys[k])
+        return out
+
+    def _finalize(self):
+        """Interreduce a minimal basis, each entry by the others, m first,
+        then the smallest; output it without m, descending by lead."""
+        G, guard = self.G, self.pk.guard
+        minimal = []  # ascending by lead
+        for idx in sorted(range(len(G)), key=lambda k: G[k][2][0][0]):
+            top = G[idx][0] | guard
+            if not any((top - G[k][0]) & guard == guard for k in minimal):
+                minimal.append(idx)
+        mw = G[0][0] if self.ext else None  # m's lead, a^d
+        kept = [None] * len(G)
+        for k in minimal:
+            kept[k] = G[k]
+        # from here each entry is dropped once replaced, to lower the peak
+        self.G = self.memo = G = None
+        for k in minimal:
+            others = [kept[j] for j in minimal if j != k]
+            others.sort(key=lambda e: (e[0] != mw, len(e[2])))
+            kept[k] = self._entry(self.full_reduce(kept[k][2], others, self._first)[0], k)
+        if self.ext:  # m is slot 0, in the basis unless the ideal is (1)
+            kept[0] = None
+        # interreduction keeps each lead, so minimal orders the entries
+        kept = [kept[k] for k in minimal if kept[k]]
+        return [self._poly_out(kept.pop()[2]) for _ in range(len(kept))]
+
+    def normal_forms(self, fs, basis):
+        """Each f reduced by the first divisor in basis order, each basis
+        element packed once for all of them.  With ext, m comes first, which
+        keeps every power of a below 2 deg m - 1, and each reducer is made
+        monic over the field, so that its lead has a^0 and divides what it
+        divides over the field."""
+        if self.ext:
+            basis = [g * (1 / g.leading_coeff()) for g in basis]
+        R = self.G + [self._entry(self._poly_in(g)[0]) for g in basis]
+        out = []
+        for f in fs:
+            terms, scale = self._poly_in(f)
+            out.append(self._poly_out(*self.full_reduce(terms, R, self._first, scale)))
+        return out
+
+
+class RowSpace:
+    """The span of a growing set of polynomials of total degree at most d.
+
+    Each pivot is a primitive row keyed by the word of its leading monomial.
+    A new row is top-reduced only: its leading term is cancelled,
+    fraction-free, against the pivot with the same word until no pivot has
+    it, and a nonzero remainder becomes a new pivot.  Pivot leads are
+    distinct, so the rank is the number of pivots.  A pivot is kept as three
+    tuples (keys, words, coefficients), a third of the memory of a term
+    list, since all of them live until the space is dropped.
+
+    The space starts without the generator a and takes it on at the first
+    row with an irrational coefficient.  From then on a row p over Q[a]/(m)
+    goes in as the rows a^j * p, j < deg m, each folded by field arithmetic
+    and then lifted, whose span over Q is the span of p over Q[a]; the rank
+    over Q[a] is the rank over Q divided by deg m.  The rational pivots
+    before the switch are packed again with a and joined by their a^j
+    shifts, which are pivots already, since their leads are distinct.
+    """
+
+    def __init__(self, ctx, d):
+        self.width = max(8, d.bit_length() + 1)
+        self.eng = _Engine(ctx, self.width)
+        self.pivots = {}
+
+    @property
+    def rank(self):
+        eng = self.eng
+        return len(self.pivots) // (eng.ctx.field.degree if eng.ext else 1)
+
+    def _admit(self, polys):
+        old = self.eng
+        if old.ext or not _irrational(old.ctx.field, polys):
+            return
+        self.eng = eng = _Engine(old.ctx, self.width, True)
+        pivots = {}
+        for _, ws, cs in self.pivots.values():
+            exps = [old.pk.unpack(w) for w in ws]
+            for j in range(old.ctx.field.degree):
+                keys, words = zip(*[eng.pk.pack(e + (j,)) for e in exps])
+                pivots[words[0]] = keys, words, cs
+        self.pivots = pivots
+
+    def _rows(self, p):
+        """The primitive rows whose span over Q is the span of p."""
+        eng = self.eng
+        if not eng.ext:
+            return [eng._poly_in(p)[0]]
+        a = eng.ctx.field.gen
+        return [eng._poly_in(p * a**j)[0] for j in range(eng.ctx.field.degree)]
+
+    def add(self, p):
+        """Insert a polynomial; True if the rank grew."""
+        self._admit([p])
+        # the rows of p all grow the rank or none does
+        return any([self._insert(f) for f in self._rows(p)])
+
+    def add_multiples(self, multiples):
+        """Insert m*g for each (g, ms) and each exponent vector m in ms.
+
+        Rows go in by descending leading monomial, so most of them install a
+        fresh pivot without elimination; each is shifted as it goes in.
+        """
+        self._admit([g for g, _ in multiples])
+        eng = self.eng
+        rows = []
+        for g, ms in multiples:
+            for terms in self._rows(g):
+                for m in ms:
+                    sk, sw = eng.pk.pack(m)
+                    rows.append((terms[0][0] + sk, sk, sw, terms))
+        rows.sort(key=lambda r: r[0], reverse=True)
+        for _, sk, sw, terms in rows:
+            self._insert([(k + sk, w + sw, c) for k, w, c in terms])
+
+    def _insert(self, f):
+        eng, pivots = self.eng, self.pivots
+        steps = 0
+        while f:
+            piv = pivots.get(f[0][1])
+            if piv is None:
+                pivots[f[0][1]] = tuple(zip(*eng.strip(f)[0]))
+                return True
+            cf, cg = _cross(f[0][2], piv[2][0])
+            f = eng.comb(f, 0, cf, zip(*piv), cg, 0, 0)
+            steps += 1
+            if steps & 7 == 0:
+                f = eng.strip(f)[0]
+        return False

@@ -130,7 +130,7 @@ def series_inv(f, n):
     """First n coefficients of 1/f for f with f[0] != 0."""
     if not f or f[0] == 0:
         raise ZeroDivisionError("series inverse needs a unit constant term")
-    inv0 = Fraction(1) / f[0] if isinstance(f[0], (int, Fraction)) else 1 / f[0]
+    inv0 = _inv(f[0])
     out = [inv0]
     for k in range(1, n):
         acc = 0

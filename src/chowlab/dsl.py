@@ -375,25 +375,22 @@ class _Parser:
             return BinOp(tok.text, left, right, pos=(tok.line, tok.col))
         return left
 
-    # a chain is a left-deep tree, so its operators stay counted to its end
-
     def additive(self):
-        depth = self.depth
-        node = self.multiplicative()
-        while self.peek().kind == "op" and self.peek().text in ("+", "-"):
-            tok = self.advance()
-            self.deeper(tok)
-            node = BinOp(tok.text, node, self.multiplicative(), pos=(tok.line, tok.col))
-        self.depth = depth
-        return node
+        return self.chain(("+", "-"), self.multiplicative)
 
     def multiplicative(self):
+        return self.chain(("*", "/"), self.unary)
+
+    # a chain is a left-deep tree, so its operators stay counted to its end
+
+    def chain(self, ops, operand):
+        """operand, then any number of (op in ops, operand), left-associative."""
         depth = self.depth
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in ("*", "/"):
+        node = operand()
+        while self.peek().kind == "op" and self.peek().text in ops:
             tok = self.advance()
             self.deeper(tok)
-            node = BinOp(tok.text, node, self.unary(), pos=(tok.line, tok.col))
+            node = BinOp(tok.text, node, operand(), pos=(tok.line, tok.col))
         self.depth = depth
         return node
 

@@ -7,13 +7,15 @@ enumerating reference), minimal-generator tables by degree from one
 degree-driven Groebner run (`groebner.minimal_generators`), basis checks
 for graded quotient spaces, and a dense rank oracle that never touches
 Groebner bases (used to cross-validate the ones that do).  Every rank is
-that of a `groebner.RowSpace`; this module supplies the degrees, the
+that of an `_engine.RowSpace`; this module supplies the degrees, the
 shifts and the rank formulas.  The oracle's rows are every product of a
 generator and a monomial not predicted by a Koszul syzygy g_i*g_j = g_j*g_i,
 which the generators' leading monomials alone detect (see `_ideal_space`).
 """
 
-from .groebner import Ideal, RowSpace, hilbert_dim, minimal_generators
+from ._engine import RowSpace
+from .groebner import Ideal, minimal_generators
+from .hilbert import hilbert_dim
 from .poly import diff, graded_piece_basis, is_homogeneous
 
 

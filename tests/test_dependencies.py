@@ -43,3 +43,28 @@ def test_importing_every_module_loads_only_the_standard_library():
     assert foreign == ""
     # every module of the package was imported, so the check saw them all
     assert set(imported.split()) == modules
+
+
+# the engine and the numerators sit below the API: importing them loads no
+# module above them
+ENGINE_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import chowlab._engine, chowlab.hilbert
+print(" ".join(sorted(name for name in sys.modules if name.startswith("chowlab."))))
+"""
+
+
+def test_the_engine_and_the_numerators_import_nothing_above_them():
+    src = Path(chowlab.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-B", "-c", ENGINE_PROBE, str(src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"chowlab._engine", "chowlab.hilbert"} <= loaded
+    # a submodule of cli loads the package first
+    assert loaded.isdisjoint({"chowlab.groebner", "chowlab.rings", "chowlab.dsl", "chowlab.cli"})
