@@ -14,11 +14,11 @@ it, the driven runs and the certificates below compare numerators, and
 certified homogeneous intersection is handed both, and a certified complete
 intersection gets its numerator with its basis.
 
-An `Ideal` with a base whose basis is cached by then computes its own basis
-by one grown run over that basis and its other generators (`_engine`); it
-grows only from such a base.  `_numerators` builds I+J from the
-generators: on the quintic that took 0.04 s, and grown from I's 60-element
-basis 0.09 s.
+An `Ideal` whose base has its basis cached by then computes its own basis
+by one grown run over that basis and its other generators (`_engine`);
+otherwise it runs from its generators.  `_numerators` builds I+J from the
+generators, not grown from I: on the quintic that took 0.04 s, and grown
+from I's 60-element basis 0.09 s.
 
 `buchberger` first runs rational homogeneous generators f_1..f_r of degrees
 d_i >= 1, r at most n, Hilbert-driven with the target T = prod (1 - t^d_i),
@@ -118,8 +118,8 @@ answer.
 import threading
 from math import comb
 
-# the engine's and the numerators' names, bound here too for the callers
-# and tests that reach them through this module
+# _Overflow, RowSpace and hilbert_dim are bound here only for the callers
+# that reach them as groebner.X
 from ._engine import RowSpace, _Engine, _irrational, _Overflow, _packed, _Packing  # noqa: F401
 from .hilbert import _padd, hilbert_dim, hilbert_numerator  # noqa: F401
 from .poly import Polynomial, RingContext, dehomogenized, homogenized, is_homogeneous
