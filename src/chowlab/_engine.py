@@ -27,11 +27,17 @@ that would pass it restarts with twice the width and repeats the same
 steps, since nothing else depends on W: a wide exponent costs time, never a
 wrong answer.
 
-`RowSpace` runs exact ranks on the same terms: its pivots are primitive
-rows keyed by the word of their leading monomial, and a new row is only
-top-reduced, by `comb` against the pivot with its leading word, the
-content stripped every 8 steps as in `full_reduce`.  Every graded rank of
-`rings` is computed this way, over Q and over Q[a] alike.
+`RowSpace` runs exact ranks on the same terms, by fraction-free Gaussian
+elimination one leading monomial at a time, from the top.  At each, the
+pivot is the one installed there, or else the shortest row whose lead it
+is, the earliest on a tie; every other row with that lead is reduced once
+by `comb` against it, stripped of its content, and waits at its new lead.
+A short pivot limits fill-in (Markowitz, Management Science 3, 1957; the
+matrices of F4, Faugere, JPAA 139, 1999): each reduction adds the pivot's
+terms and multiplies by its lead, and the products m*g go in before any
+remainder and are far shorter, with small coefficients.  The rank is the
+number of pivots whichever row is chosen.  Every graded rank of `rings`
+is computed this way, over Q and over Q[a] alike.
 
 Every engine coefficient is a Python int.  A job (the polynomials handed to
 `_packed`) whose coefficients are all rational runs over Q even in a Q[a]
@@ -557,13 +563,27 @@ class _Engine:
 class RowSpace:
     """The span of a growing set of polynomials of total degree at most d.
 
-    Each pivot is a primitive row keyed by the word of its leading monomial.
-    A new row is top-reduced only: its leading term is cancelled,
-    fraction-free, against the pivot with the same word until no pivot has
-    it, and a nonzero remainder becomes a new pivot.  Pivot leads are
-    distinct, so the rank is the number of pivots.  A pivot is kept as three
-    tuples (keys, words, coefficients), a third of the memory of a term
-    list, since all of them live until the space is dropped.
+    Each pivot is a primitive row keyed by the order key of its leading
+    monomial, and pivot leads are distinct, so the rank is the number of
+    pivots.  A pivot is kept as three tuples (keys, words, coefficients), a
+    third of the memory of a term list, since all of them live until the
+    space is dropped.
+
+    `add` and `add_multiples` hand their rows to `_eliminate`.  It files
+    each row at its leading monomial (a product m*g with its shift, applied
+    only when that monomial comes up) and takes the leading monomials from
+    the top, through a heap.  At each, the pivot is the one already
+    installed there, or else the shortest row waiting there, the earliest
+    on a tie, so a product m*g wins over a remainder.  Every other row
+    waiting there is reduced once, fraction-free, against the pivot,
+    stripped of its content, and, unless it vanished, waits at its new lead,
+    which lies lower.  A reduction adds the pivot's terms to the row and
+    multiplies the row by the pivot's lead coefficient, so a short pivot
+    with small coefficients keeps the rows and pivots below it short and
+    small.  The choice cannot change the rank: a step replaces each other
+    row r at the lead by cf * r - cg * pivot with cf nonzero, which keeps
+    the span of the pivots and the waiting rows, and once no row waits the
+    pivots, with their distinct leads, are a basis of it.
 
     The space starts without the generator a and takes it on at the first
     row with an irrational coefficient.  From then on a row p over Q[a]/(m)
@@ -594,7 +614,7 @@ class RowSpace:
             exps = [old.pk.unpack(w) for w in ws]
             for j in range(old.ctx.field.degree):
                 keys, words = zip(*[eng.pk.pack(e + (j,)) for e in exps])
-                pivots[words[0]] = keys, words, cs
+                pivots[keys[0]] = keys, words, cs
         self.pivots = pivots
 
     def _rows(self, p):
@@ -609,37 +629,42 @@ class RowSpace:
         """Insert a polynomial; True if the rank grew."""
         self._admit([p])
         # the rows of p all grow the rank or none does
-        return any([self._insert(f) for f in self._rows(p)])
+        return self._eliminate([(f, 0, 0) for f in self._rows(p)]) > 0
 
     def add_multiples(self, multiples):
-        """Insert m*g for each (g, ms) and each exponent vector m in ms.
-
-        Rows go in by descending leading monomial, so most of them install a
-        fresh pivot without elimination; each is shifted as it goes in.
-        """
+        """Insert m*g for each (g, ms) and each exponent vector m in ms."""
         self._admit([g for g, _ in multiples])
-        eng = self.eng
-        rows = []
-        for g, ms in multiples:
-            for terms in self._rows(g):
-                for m in ms:
-                    sk, sw = eng.pk.pack(m)
-                    rows.append((terms[0][0] + sk, sk, sw, terms))
-        rows.sort(key=lambda r: r[0], reverse=True)
-        for _, sk, sw, terms in rows:
-            self._insert([(k + sk, w + sw, c) for k, w, c in terms])
+        pack = self.eng.pk.pack
+        self._eliminate([(f, *pack(m)) for g, ms in multiples for f in self._rows(g) for m in ms])
 
-    def _insert(self, f):
+    def _eliminate(self, rows):
+        """Eliminate the rows (terms, key shift, word shift), one leading
+        monomial at a time from the top; the number of new pivots."""
         eng, pivots = self.eng, self.pivots
-        steps = 0
-        while f:
-            piv = pivots.get(f[0][1])
-            if piv is None:
-                pivots[f[0][1]] = tuple(zip(*eng.strip(f)[0]))
-                return True
-            cf, cg = _cross(f[0][2], piv[2][0])
-            f = eng.comb(f, 0, cf, zip(*piv), cg, 0, 0)
-            steps += 1
-            if steps & 7 == 0:
-                f = eng.strip(f)[0]
-        return False
+        waiting, heap, new = {}, [], 0
+
+        def wait(row, key):
+            if key not in waiting:
+                waiting[key] = []
+                heappush(heap, -key)
+            waiting[key].append(row)
+
+        for row in rows:
+            if row[0]:
+                wait(row, row[0][0][0] + row[1])
+        while heap:
+            key = -heappop(heap)
+            here = [
+                [(k + sk, w + sw, c) for k, w, c in f] if sw else f for f, sk, sw in waiting.pop(key)
+            ]
+            piv = pivots.get(key)
+            if piv is None:  # the shortest row, the earliest on a tie
+                piv = here.pop(min(range(len(here)), key=lambda i: len(here[i])))
+                piv = pivots[key] = tuple(zip(*piv))
+                new += 1
+            for f in here:
+                cf, cg = _cross(f[0][2], piv[2][0])
+                f = eng.strip(eng.comb(f, 0, cf, zip(*piv), cg, 0, 0))[0]
+                if f:
+                    wait((f, 0, 0), f[0][0])
+        return new

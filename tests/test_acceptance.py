@@ -146,11 +146,9 @@ def test_criterion_09_smooth_quintic():
 def _experiment_ideals():
     """(name, ideal, max degree) for the oracle sweep.
 
-    Both intersections are included; the u=v=1 intersection is swept only
-    through degree 10 because exact dense ranks on its 73 wide-coefficient
-    generators at degrees 11 and 12 alone cost more than this criterion's
-    whole budget, and its degree-11+ behavior is already pinned by the
-    minimal-generator and basis-degree checks of its experiment.
+    Every ideal, both intersections included, is swept through degree 12.
+    The u=v=1 intersection has 73 generators with wide coefficients, and
+    its exact ranks at degrees 11 and 12 are the costliest of the sweep.
     """
     from chowlab.coeff import ExtField
     from chowlab.poly import diff
@@ -171,7 +169,7 @@ def _experiment_ideals():
     ])
     out.append(("s5-i", i5, 12))
     out.append(("s5-j", j5, 12))
-    out.append(("s5-intersection", intersect(i5, j5), 10))
+    out.append(("s5-intersection", intersect(i5, j5), 12))
 
     i6 = Ideal(ctx4, [
         w * x**4 + 4 * w**4 * y, 4 * x**3 * w + y**4,

@@ -342,10 +342,12 @@ def test_intersection_with_a_lead_of_huge_degree():
 
 
 def count_numerators(monkeypatch):
-    """Patch `groebner.hilbert_numerator` to record its outermost calls
-    outside the engine's runs; the pivot recursion goes through the patched
-    name as well, and so does the deficit rule of a Hilbert-driven run,
-    whose numerators are those of the run's leads, not of an ideal."""
+    """Patch `groebner.hilbert_numerator` to record the outermost calls
+    that `groebner` makes to it outside the engine's runs.  The pivot
+    recursion in `hilbert` and the deficit rule of a Hilbert-driven run in
+    `_engine` call `hilbert.hilbert_numerator`, which the patch does not
+    reach; their numerators are those of sub-ideals and of a run's leads,
+    not of an ideal."""
     real, calls, depth = groebner.hilbert_numerator, [], [0]
     run = groebner._Engine.run
 
