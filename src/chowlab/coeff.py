@@ -44,9 +44,6 @@ class RationalField:
             raise TypeError("extension element is not a rational")
         return _frac(x)
 
-    def render(self, x):
-        return str(_frac(x))
-
     def __repr__(self):
         return "QQ"
 
@@ -169,9 +166,6 @@ class ExtField:
                 raise TypeError("element of a different extension field")
             return x
         return self.element([x])
-
-    def render(self, x):
-        return str(self.coerce(x))
 
     def __repr__(self):
         return f"QQ[{self.gen_name}]/({render_unipoly(self.minpoly, self.gen_name)})"

@@ -41,30 +41,33 @@ to 2, and the quintic's I, from 108 to 3, and refuses the two s6 ideals.
 No input tried made (a) fail once (b) held; it stays, as the argument needs
 (G) = I.
 
-`intersect` on rational homogeneous generators, in any field, computes its
-elimination basis by one exact run, Hilbert-driven by the numerator N_L
-below; rational generators that are not homogeneous are first replaced by
-their closures, below.  A pair whose generators become rational once each
-is divided by its leading coefficient, a unit, is replaced by that monic
-pair, which generates the same ideals.
+`intersect`, in any field K (Q or Q[a]/(m)), computes the reduced basis of
+I cap J from one exact run of the ideal L below and certifies it;
+generators that are not homogeneous are first replaced by their closures,
+below.  Over Q the run is Hilbert-driven by the numerator N_L of L.  Over
+Q[a] it is the plain run: the engine's leads carry a (`_engine`), so no
+numerator of x-monomials counts them.  A pair whose generators become
+rational once each is divided by its leading coefficient, a unit, is
+replaced by that monic pair, which generates the same ideals and gets the
+driven run.
 
 For I and J in n variables, the run takes the generators homogenized by
-one more variable h: t*f and (h - t)*g in Q[t, h, x], with the block order
+one more variable h: t*f and (h - t)*g in K[t, h, x], with the block order
 (t | h, x).  Their ideal L = tI + sJ, with s = h - t, is
-homogeneous.  With R = Q[x], the quotient Q[t, h, x]/L is, as a graded
+homogeneous.  With R = K[x], the quotient K[t, h, x]/L is, as a graded
 space, R + t R/I[t] + s R/J[s] + ts R/(I+J)[t, s], so its Hilbert numerator
 is N_L = (1-z)^2 + z(1-z)(N_I + N_J) + z^2 N_(I+J), over (1-z)^(n+2).  It
 is read from the bases of I, J and I+J, which the certificate below
-reuses, and the run is Hilbert-driven by it.  Given N_L the run is exact
-over Q: the deficit rule (`_engine`) drops only pairs whose remainder is
-zero.  The candidate C is its output, the reduced basis of L, evaluated at
-h = 1.
+reuses, and the run over Q is Hilbert-driven by it.  Given N_L the run is
+exact: the deficit rule (`_engine`) drops only pairs whose remainder is
+zero.  The candidate C is the run's output, the reduced basis of L,
+evaluated at h = 1.
 That map sends the generators to t*f and (1 - t)*g and keeps the terms of
-a homogeneous element apart.  Since L cap Q[h, x] = h (I cap J)[h], the
+a homogeneous element apart.  Since L cap K[h, x] = h (I cap J)[h], the
 t-free slice of the reduced basis of L is h times the reduced basis of I
 cap J, with the same leads (grevlex on (h, x) compares
-h*u and h*v as it compares u and v).  So at h = 1 it is the slice the
-elimination gives.
+h*u and h*v as it compares u and v).  So at h = 1 the t-free slice of C,
+made monic, is the reduced basis of I cap J.
 
 The t-free slice H of C, made monic, is certified with no second
 elimination, by its Hilbert series (in the spirit of Traverso's
@@ -79,11 +82,20 @@ taken in C's block order, which is grevlex on the x block whatever the
 ring's order.  By (a), (H) lies in I cap J, so (LM(H)) lies in LM((H)),
 which lies in LM(I cap J).  By (b) the two monomial ideals at the ends have
 the same Hilbert function, so they are equal.  So H is a Groebner basis of
-I cap J, and with (c) its reduced basis: the one the elimination below
-would output, byte for byte.
+I cap J, and with (c) its reduced basis, byte for byte.
 
-For rational I and J with a non-homogeneous generator, `intersect` takes
-that path on their closures (`_dehomogenized`).  Let I^h be
+That is why the undriven run of L always passes: its candidate's t-free
+slice is the exact reduced basis of I cap J (above), which lies in I and
+in J, is interreduced, and has leads whose numerator is the one (b) asks
+for.  Only the driven run can give another candidate: were N_L wrong, the
+run could drop a pair it needs.  So over Q a refused candidate is followed
+by the undriven run, certified in the same way, and over Q[a] that run is
+the only one.  A refused undriven candidate is a defect, and `intersect`
+raises AssertionError rather than return it.  A wrong target costs time,
+never a wrong answer, and every basis `intersect` returns is certified.
+
+For I and J with a non-homogeneous generator, `intersect` takes that path
+on their closures (`_dehomogenized`).  Let I^h be
 generated by the homogenizations g^h = p^(deg g) g(x/p) of the reduced dp
 basis of I, by one more variable p, last in a dp ring; in an lp or block
 ring that basis comes from a dp copy of I, so no basis in the ring's order
@@ -101,27 +113,20 @@ and so has lower degree, or compares as before; and each f in I cap J has
 f^h in (I cap J)^h, with LM(f^h) = LM(f) divisible by a lead of H.  So H at
 p = 1 is a minimal dp Groebner basis of I cap J.  It is also reduced, with
 no further step: no lead divides a tail term x^e p^k of H, and since the
-leads are free of p, none divides x^e.  So it is the reduced basis, the one
-the elimination below outputs, byte for byte.
+leads are free of p, none divides x^e.  So it is the reduced dp basis of
+I cap J.
 
-Otherwise, when a certificate fails or a coefficient is irrational, one
-exact elimination runs: the fraction-free reduced basis of the generators
-t*f for f in I and (1 - t)*g for g in J in the block order, whose ideal
-meets Q[x] in I cap J (Cox, Little, O'Shea, ch. 3 sec. 1), so its t-free
-slice is the reduced basis of I cap J.  That slice is checked by
-containment in I and in J.  The certificate decides: were N_L wrong, the
-run could drop a pair it needs, and the candidate it gives would be
-refused.  So a wrong target or a failed check costs time, never a wrong
-answer.
+Only `eliminate` runs a block-order elimination: the reduced basis of the
+generators in a block order on the eliminated variables, whose elements
+free of them are the reduced basis of the elimination ideal (Cox, Little,
+O'Shea, ch. 3 sec. 1).
 """
 
 import threading
 from math import comb
 
-# _Overflow, RowSpace and hilbert_dim are bound here only for the callers
-# that reach them as groebner.X
-from ._engine import RowSpace, _Engine, _irrational, _Overflow, _packed, _Packing  # noqa: F401
-from .hilbert import _padd, hilbert_dim, hilbert_numerator  # noqa: F401
+from ._engine import _Engine, _irrational, _packed, _Packing
+from .hilbert import _padd, hilbert_numerator
 from .poly import Polynomial, RingContext, dehomogenized, homogenized, is_homogeneous
 
 
@@ -335,8 +340,8 @@ _AUX, _HOM, _PROJ = "@t", "@h", "@p"
 
 
 def _tagged(i_ideal, j_ideal):
-    """The generators t*f of I and (1 - t)*g of J, whose ideal meets Q[x] in
-    I cap J, in Q[t, x] with the block order (t | x)."""
+    """The generators t*f of I and (1 - t)*g of J, whose ideal meets K[x] in
+    I cap J, in K[t, x] with the block order (t | x)."""
     ctx = i_ideal.context
     ctxa = RingContext((_AUX,) + ctx.variables, ("block", 1), ctx.field)
     t = ctxa.var(_AUX)
@@ -358,9 +363,9 @@ def _numerators(i_ideal, j_ideal):
 
 def _certified(cand, i_ideal, j_ideal, nums):
     """The t-free slice H of the candidate, monic, ported to the ring of I
-    and J and sorted as `_eliminated` sorts, if it passes the certificate
-    of the module docstring as the reduced basis of I cap J; else None.
-    nums are those of `_numerators`."""
+    and J and sorted by descending lead, if it passes the certificate of
+    the module docstring as the reduced basis of I cap J; else None.  nums
+    are those of `_numerators`."""
     n = i_ideal.context.nvars
     key = cand[0].ctx.key
     hs = sorted(
@@ -391,29 +396,33 @@ def _certified(cand, i_ideal, j_ideal, nums):
 
 
 def _traced(i_ideal, j_ideal):
-    """(basis, numerator) of I cap J for homogeneous rational I and J: the
-    certified t-free slice of the candidate, the reduced basis of L from one
-    exact run Hilbert-driven by N_L and set at h = 1, None where the
-    certificate fails; and N(I) + N(J) - N(I+J)."""
+    """(basis, numerator) of I cap J for homogeneous I and J: the certified
+    t-free slice of the candidate, the reduced basis of L from one exact
+    run set at h = 1; and N(I) + N(J) - N(I+J).  Over Q the run is
+    Hilbert-driven by N_L, and a refused candidate is followed by the
+    undriven run; over Q[a] only the undriven run is made.  The undriven
+    candidate always passes, so its refusal raises AssertionError."""
     gens = _tagged(i_ideal, j_ideal)
     nums = _numerators(i_ideal, j_ideal)
     ctx = gens[0].ctx
     # h goes in first in the second block: t*f and (h - t)*g
     ctxh = RingContext(ctx.variables[:1] + (_HOM,) + ctx.variables[1:], ctx.order, ctx.field)
     hgens = [homogenized(g, ctxh, 1) for g in gens]
-    cand = _packed(ctxh, hgens, lambda eng: eng.run(hgens, nums[3]))
-    cand = [dehomogenized(g, ctx, 1) for g in cand]
-    res = _certified(cand, i_ideal, j_ideal, nums)
-    # HS(R/(I cap J)) = HS(R/I) + HS(R/J) - HS(R/(I+J)), and a homogeneous
-    # ideal's Hilbert series does not depend on the monomial order
-    return res, _padd(_padd(nums[0], nums[1]), nums[2], sign=-1)
+    for target in [None] if _irrational(ctx.field, gens) else [nums[3], None]:
+        cand = _packed(ctxh, hgens, lambda eng: eng.run(hgens, target))
+        cand = [dehomogenized(g, ctx, 1) for g in cand]
+        res = _certified(cand, i_ideal, j_ideal, nums)
+        if res is not None:
+            # HS(R/(I cap J)) = HS(R/I) + HS(R/J) - HS(R/(I+J)), and a
+            # homogeneous ideal's Hilbert series does not depend on the order
+            return res, _padd(_padd(nums[0], nums[1]), nums[2], sign=-1)
+    raise AssertionError("the undriven run of L failed its certificate")
 
 
 def _dehomogenized(i_ideal, j_ideal):
-    """The reduced dp basis of I cap J for rational I and J, in their ring,
-    from the intersection of the homogenizations of their dp bases by one
-    more variable p, the last (module docstring); None where its
-    certificate fails."""
+    """The reduced dp basis of I cap J, in the ring of I and J, from the
+    intersection of the homogenizations of their dp bases by one more
+    variable p, the last (module docstring)."""
     ctx = i_ideal.context
     dp = RingContext(ctx.variables, "dp", ctx.field)
     ctxp = RingContext(ctx.variables + (_PROJ,), "dp", ctx.field)
@@ -427,19 +436,17 @@ def _dehomogenized(i_ideal, j_ideal):
 
     res = _traced(closure(i_ideal), closure(j_ideal))[0]
     # at p = 1 it is the reduced dp basis of I cap J
-    return None if res is None else [dehomogenized(g, ctx, ctx.nvars) for g in res]
+    return [dehomogenized(g, ctx, ctx.nvars) for g in res]
 
 
 def intersect(i_ideal, j_ideal):
-    """I cap J via a fresh auxiliary variable.  For rational homogeneous I
-    and J its elimination basis is found by one exact run on the
-    homogenized generators, Hilbert-driven by N_L, and its t-free slice
-    certified by its Hilbert series and containment, with no second
-    elimination; rational I and J with a non-homogeneous generator take
-    that path on the homogenizations of their dp bases, and a pair that is
-    rational once monic takes it as that monic pair.  Otherwise, or when
-    the certificate fails, one exact elimination runs, checked by
-    containment in I and in J (module docstring)."""
+    """I cap J via a fresh auxiliary variable, in any field.  For
+    homogeneous I and J the reduced basis of the homogenized elimination
+    ideal L comes from one exact run, Hilbert-driven by N_L over Q, and its
+    t-free slice is certified by its Hilbert series, its interreduction
+    and containment; I and J with a non-homogeneous generator take that
+    path on the homogenizations of their dp bases, and a pair that is
+    rational once monic takes it as that monic pair (module docstring)."""
     ctx = i_ideal.context
     if j_ideal.context != ctx:
         raise ValueError("mixed ring contexts")
@@ -451,16 +458,11 @@ def intersect(i_ideal, j_ideal):
         if not _irrational(ctx.field, monic):
             n = len(i_ideal.generators)
             i_ideal, j_ideal, pair = Ideal(ctx, monic[:n]), Ideal(ctx, monic[n:]), monic
-    res = num = None
-    if pair and not _irrational(ctx.field, pair):
-        if all(is_homogeneous(g) is not None for g in pair):
-            res, num = _traced(i_ideal, j_ideal)
-        else:
-            res = _dehomogenized(i_ideal, j_ideal)
-    if res is None:
-        res = _eliminated(_tagged(i_ideal, j_ideal), 1, ctx)
-        if not contained(res, i_ideal, j_ideal):
-            raise AssertionError("intersection generator failed containment check")
+    res, num = [], None
+    if pair and all(is_homogeneous(g) is not None for g in pair):
+        res, num = _traced(i_ideal, j_ideal)
+    elif pair:
+        res = _dehomogenized(i_ideal, j_ideal)
     out = Ideal(ctx, res, basis=res if ctx.order == "dp" else None)
     out._num = num
     return out

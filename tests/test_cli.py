@@ -209,6 +209,17 @@ HOSTILE = {
         + "0\n",
         1,
     ),
+    # an intersection with an irrational coefficient, irrational once monic
+    # too, once took the block elimination with a, past 90 s
+    "irrational-intersection": (
+        "ring r=(0,a),(x,y,z),dp; minpoly=a2-a+1;\n"
+        "ideal i=-1/2*x2z2+8/5*xy2+7*a*yz2,1/2*x2yz2-5*z2;\n"
+        "ideal j=-7/5*x2y2+2/3*x2z2+3/5*xyz,1/2*x2y2z2+3/2*xy2z-1/5*xz;\n"
+        "ideal I=intersect(i,j); ncols(I); dim(I);\n",
+        0,
+        "15\n2\n",
+        10,
+    ),
     "huge-minpoly-denominator": (
         "ring r=(0,a),(x,y),dp;\nminpoly=a^2-1/1" + "0" * 29 + "1;\n",
         4,

@@ -12,14 +12,15 @@ generated inputs when hypothesis is installed.
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 import chowlab.groebner as groebner
+from chowlab._engine import RowSpace
 from chowlab.coeff import QQ, ExtField
 from chowlab.groebner import (
     Ideal,
-    RowSpace,
     _irrational,
     _packed,
     buchberger,
@@ -28,8 +29,15 @@ from chowlab.groebner import (
     normal_form,
     s_polynomial,
 )
+from chowlab.hilbert import hilbert_numerator
 from chowlab.poly import RingContext, graded_piece_basis
-from test_modular import random_pair, record_certificates, record_eliminations
+from chowlab.rings import graded_dim, graded_intersection_dim
+from test_modular import (
+    random_pair,
+    record_certificates,
+    record_eliminations,
+    s6_pairs,
+)
 from test_packed import reference_normal_form
 from test_rowspace import FIELDS, ORDERS, check_rank, dependent_rows, random_form
 
@@ -220,11 +228,49 @@ def test_rational_intersection_in_an_extension_ring(monkeypatch, field):
             assert list(got.generators) == want, seed
             assert certs and None not in certs and not eliminated, seed
         if seed < 8:
-            # irrational in a non-leading coefficient: the block elimination
-            # with a, and (f I) cap (f J) = f (I cap J) in a domain
+            # irrational in a non-leading coefficient: the undriven run with
+            # a, certified, and (f I) cap (f J) = f (I cap J) in a domain
             x, y = ctx.gens()[:2]
             f = x + a * y
+            certs.clear()
             got = intersect(*(Ideal(ctx, [f * g for g in k.generators]) for k in (ie, je)))
-            assert len(eliminated) == 1, seed
+            assert eliminated == [] and len(certs) == 1 and certs[0] is not None, seed
             assert buchberger(list(got.generators)) == buchberger([f * g for g in want]), seed
-            eliminated.clear()
+
+
+def irrational_homogeneous_pairs():
+    """The s6 pair with 4*w^4*y made 4*a*w^4*y, then f I and f J with
+    f = x + a*y for the homogeneous pairs of even seeds below 24, in each
+    extension field."""
+    field = EXT_FIELDS[0]
+    i, j = s6_pairs()[0]
+    ctx = RingContext(i.context.variables, i.context.order, field)
+    w, y = ctx.var("w"), ctx.var("y")
+    f1 = embed(i.generators[0], ctx) + 4 * (field.gen - 1) * w**4 * y
+    cases = [(
+        Ideal(ctx, [f1] + [embed(g, ctx) for g in i.generators[1:]]),
+        Ideal(ctx, [embed(g, ctx) for g in j.generators]),
+    )]
+    for field in EXT_FIELDS:
+        for seed in range(0, 24, 2):
+            i, j = random_pair(seed)
+            ctx = RingContext(i.context.variables, i.context.order, field)
+            x, y = ctx.gens()[:2]
+            f = x + field.gen * y
+            cases.append(tuple(Ideal(ctx, [f * embed(g, ctx) for g in k.generators]) for k in (i, j)))
+    return cases
+
+
+def test_irrational_intersection_has_the_dimensions_of_the_ranks():
+    # a second route: dim (I cap J)_d from the ranks of I_d, J_d and
+    # (I+J)_d, with no basis of I cap J, against the standard monomials of
+    # the output; and the numerator it carries against that of its leads
+    for k, (i, j) in enumerate(irrational_homogeneous_pairs()):
+        out = intersect(i, j)
+        n = i.context.nvars
+        dims = [comb(d + n - 1, n - 1) - graded_dim(out, d).dim_quotient for d in range(5, 11)]
+        assert dims == [graded_intersection_dim(i, j, d) for d in range(5, 11)], k
+        leads = [g.leading_monomial() for g in out.groebner_basis()]
+        assert out.numerator() == hilbert_numerator(leads, n), k
+        if k == 0:  # the s6 pair
+            assert dims == [0, 1, 4, 10, 22, 41]

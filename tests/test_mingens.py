@@ -15,10 +15,10 @@ from fractions import Fraction
 import pytest
 
 import chowlab.groebner as groebner
+from chowlab._engine import RowSpace
 from chowlab.coeff import QQ, ExtField
 from chowlab.groebner import (
     Ideal,
-    RowSpace,
     _irrational,
     buchberger,
     intersect,

@@ -1,16 +1,18 @@
-"""The certified path of `intersect` over Q.
+"""The certified path of `intersect`.
 
-A rational homogeneous pair gets one exact run on its homogenized
-elimination, Hilbert-driven by N_L, and the t-free slice of that candidate
-is certified by its Hilbert series, its interreduction and containment.
+A homogeneous pair gets one exact run on its homogenized elimination,
+Hilbert-driven by N_L over Q, and the t-free slice of that candidate is
+certified by its Hilbert series, its interreduction and containment; a
+refused driven candidate is followed by the undriven run, whose candidate
+the certificate always takes.  Over Q[a] only the undriven run is made.
 `reference_intersect` is the elimination `intersect` ran before it had a
 certified path: one fraction-free `buchberger` on t*f and (1-t)*g, the
 t-free slice, and the containment check.  A non-homogeneous pair takes the
 certified path through the closures of I and J, the homogenizations of
 their dp bases (`closure`).  The tests that hand the certificate another
-candidate replace the one `_traced` passes to `_certified`.  The seeded
-cases here always run; `test_modular_hypothesis.py` drives the same checks
-from generated inputs when hypothesis is installed.
+candidate replace the first one `_traced` passes to `_certified`, the
+driven one.  The seeded cases here always run; `test_modular_hypothesis.py`
+drives the same checks from generated inputs when hypothesis is installed.
 """
 
 import hashlib
@@ -26,6 +28,7 @@ import pytest
 import chowlab.groebner as groebner
 from chowlab.coeff import ExtField
 from chowlab.groebner import Ideal, buchberger, contained, ideal_member, intersect
+from chowlab.hilbert import hilbert_dim
 from chowlab.poly import RingContext, diff, graded_piece_basis, is_homogeneous
 from chowlab.rings import graded_dim
 
@@ -139,9 +142,16 @@ def record_candidates(monkeypatch):
 
 
 def replace_candidate(monkeypatch, make):
-    """Hand the certificate make(cand) in place of each exact candidate."""
+    """Hand the certificate make(cand) in place of the first exact candidate,
+    the driven one; the candidate of an undriven rerun goes to it as it is."""
     real = groebner._certified
-    monkeypatch.setattr(groebner, "_certified", lambda cand, *args: real(make(cand), *args))
+    seen = []
+
+    def replaced(cand, *args):
+        seen.append(cand)
+        return real(make(cand) if len(seen) == 1 else cand, *args)
+
+    monkeypatch.setattr(groebner, "_certified", replaced)
 
 
 def homogeneous(i, j):
@@ -185,8 +195,8 @@ def small_pair():
 
 
 def record_eliminations(monkeypatch):
-    """The arguments of every `_eliminated` call: the fallback of
-    `intersect`."""
+    """The arguments of every `_eliminated` call, the block elimination of
+    `eliminate`, which `intersect` never runs."""
     calls = []
     real = groebner._eliminated
     monkeypatch.setattr(groebner, "_eliminated", lambda *args: calls.append(args) or real(*args))
@@ -261,6 +271,28 @@ def test_unit_scaled_dp_regression_pair_is_certified_as_the_rational_one(monkeyp
     assert list(got.generators) == want
 
 
+def test_irrational_dp_regression_pair_is_certified_in_one_candidate(monkeypatch):
+    # 7*y*z^2 made 7*a*y*z^2: irrational once monic too, so the undriven run
+    # over Q[a] on the closures, where the block elimination with a ran past
+    # 120 s on a 2-core x86-64 host under CPython 3.11
+    field = ExtField("a", [1, -1, 1])
+    i, j = regression_pair("dp")
+    ctx = RingContext(i.context.variables, "dp", field)
+    x, y, z = ctx.gens()
+    f1, f2 = (ctx.from_dict(dict(g.terms)) for g in i.generators)
+    ia = Ideal(ctx, [f1 + 7 * (field.gen - 1) * y * z**2, f2])
+    ja = Ideal(ctx, [ctx.from_dict(dict(g.terms)) for g in j.generators])
+    eliminated = record_eliminations(monkeypatch)
+    certs = record_certificates(monkeypatch)
+    start = time.perf_counter()
+    got = intersect(ia, ja)
+    assert time.perf_counter() - start < 10 and eliminated == []
+    assert len(certs) == 1 and certs[0] is not None
+    assert len(got.generators) == 15 and contained(list(got.generators), ia, ja)
+    # I J lies in I cap J
+    assert contained([f * g for f in ia.generators for g in ja.generators], got)
+
+
 def test_lp_regression_pair_computes_no_lp_or_block_basis(monkeypatch):
     # its seeded elimination took about three minutes, too slow for a
     # reference here; the output is checked by containment
@@ -315,8 +347,27 @@ def test_perturbed_candidate_never_changes_the_output(monkeypatch, t_part):
     assert [g.terms for g in intersect(i, j).generators] == want
     if t_part:  # outside the slice: it is certified all the same
         assert certs[0] is not None and calls == []
-    else:  # rejected: one unseeded elimination
-        assert certs == [None] and calls == [elimination_generators(i, j)]
+    else:  # rejected: the undriven run's candidate is certified
+        assert calls == [] and [c is not None for c in certs] == [False, True]
+
+
+@pytest.mark.parametrize("case", ["rational", "irrational", "closures"])
+def test_a_refused_undriven_candidate_raises(monkeypatch, case):
+    # the undriven run's candidate always passes, so its refusal is a defect:
+    # intersect raises rather than return an uncertified basis
+    i, j = small_pair() if case == "closures" else homogeneous_pair()
+    if case == "irrational":
+        field = ExtField("a", [1, -1, 1])
+        ctx = RingContext(i.context.variables, "dp", field)
+        x, y, z = ctx.gens()
+        i = Ideal(ctx, [x**2 + field.gen * y**2 - z**2])
+        j = Ideal(ctx, [ctx.from_dict(dict(g.terms)) for g in j.generators])
+    cands = []
+    monkeypatch.setattr(groebner, "_certified", lambda cand, *args: cands.append(cand))
+    with pytest.raises(AssertionError, match="undriven run"):
+        intersect(i, j)
+    # over Q the driven candidate, then the undriven one; over Q[a] only that
+    assert len(cands) == (1 if case == "irrational" else 2)
 
 
 def candidate(i, j):
@@ -330,9 +381,10 @@ def candidate(i, j):
 
 # each seed for the pairs (small_pair, random_pair(0), ..., random_pair(7)),
 # made from the candidate of the pair's closures when it is not homogeneous
-# (the pairs of odd seeds), and the eliminations it runs: 0 when its t-free
-# slice passes the certificate, 1 when it is rejected and the unseeded
-# elimination runs, None when perturb finds no element to change
+# (the pairs of odd seeds), and the undriven reruns it takes: 0 when its
+# t-free slice passes the certificate, 1 when it is rejected and the
+# undriven run's candidate is certified, None when perturb finds no element
+# to change
 SEEDS = {
     "unit": (lambda cand, other: [cand[0].ctx.one], [1] * 9),
     # the second element dropped: it has t in seven cases, and the slice is
@@ -367,8 +419,8 @@ def test_every_seed_gives_the_exact_intersection(monkeypatch, kind):
         calls = record_buchberger(monkeypatch, i, j)
         certs = record_certificates(monkeypatch)
         assert [g.terms for g in intersect(i, j).generators] == want
-        assert calls == [elimination_generators(i, j)][:count]
-        assert [c is not None for c in certs] == [count == 0]
+        assert calls == []
+        assert [c is not None for c in certs] == [count == 0] + [True] * count
         monkeypatch.undo()
 
 
@@ -455,8 +507,8 @@ def test_certificate_rejects_a_dropped_t_free_element(monkeypatch, case):
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
-    # rejected; the one unseeded elimination gives the intersection
-    assert certs == [None] and calls == [elimination_generators(i, j)]
+    # rejected; the undriven run's candidate gives the intersection
+    assert calls == [] and [c is not None for c in certs] == [False, True]
 
 
 @pytest.mark.parametrize("case", range(len(REJECTED)))
@@ -475,7 +527,7 @@ def test_certificate_rejects_a_perturbed_coefficient(monkeypatch, case):
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
-    assert certs == [None] and calls == [elimination_generators(i, j)]
+    assert calls == [] and [c is not None for c in certs] == [False, True]
 
 
 @pytest.mark.parametrize("case", range(len(REJECTED)))
@@ -500,7 +552,7 @@ def test_certificate_rejects_a_slice_that_is_not_interreduced(monkeypatch, case)
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     assert [g.terms for g in intersect(i, j).generators] == want
-    assert certs == [None] and calls == [elimination_generators(i, j)]
+    assert calls == [] and [c is not None for c in certs] == [False, True]
 
 
 
@@ -552,7 +604,7 @@ def test_hilbert_numerator_of_the_homogenized_elimination():
         ideal = Ideal(gens[0].ctx, gens)
         n = ideal.context.nvars
         for d in range(max(g.total_degree() for g in gens) + 4):
-            assert groebner.hilbert_dim(target, n, d) == graded_dim(ideal, d).dim_quotient
+            assert hilbert_dim(target, n, d) == graded_dim(ideal, d).dim_quotient
 
 
 def driven_run(i, j, target=None):
@@ -595,9 +647,9 @@ def test_a_deficit_one_too_small_is_refused_by_the_certificate(monkeypatch, case
     calls = record_buchberger(monkeypatch, i, j)
     certs = record_certificates(monkeypatch)
     # the intersection is still exact: the certificate refuses the candidate
-    # and the one elimination decides
+    # and takes that of the undriven run
     check_intersection(i, j)
-    assert certs == [None] and calls == [elimination_generators(i, j)]
+    assert calls == [] and [c is not None for c in certs] == [False, True]
 
 
 def test_candidate_at_h_1_has_the_t_free_slice_of_the_reference():

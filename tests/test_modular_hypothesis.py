@@ -21,7 +21,7 @@ from test_modular import (  # noqa: E402
 def ideals(ctx):
     coeff = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
     # in three variables higher exponents can make the fraction-free
-    # reference (or the fallback elimination after a perturbed candidate)
+    # reference (or the undriven run after a perturbed candidate)
     # run for minutes
     top = 2 if ctx.nvars == 2 else 1
     mono = st.lists(st.integers(0, top), min_size=ctx.nvars, max_size=ctx.nvars)

@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+from chowlab._engine import _Overflow
 from chowlab.coeff import QQ, ExtField
 from chowlab.groebner import (
     _Engine,
-    _Overflow,
     _Packing,
     buchberger,
     normal_form,

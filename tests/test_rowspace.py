@@ -12,8 +12,9 @@ compare its rank with the reference rank of every product.
 import random
 from fractions import Fraction
 
+from chowlab._engine import RowSpace
 from chowlab.coeff import QQ, ExtField
-from chowlab.groebner import Ideal, RowSpace
+from chowlab.groebner import Ideal
 from chowlab.poly import RingContext, graded_piece_basis
 from chowlab.rings import _ideal_space, jacob, linalg_oracle
 
