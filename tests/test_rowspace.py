@@ -9,8 +9,10 @@ oracle skips the products that a Koszul syzygy predicts; the checks below
 compare its rank with the reference rank of every product.
 """
 
+import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
 from chowlab._engine import RowSpace
 from chowlab.coeff import QQ, ExtField
@@ -254,18 +256,133 @@ def test_one_space_through_every_path():
         add(y * z**3, False)
 
 
+def s5_jacobian(field, c):
+    """The Jacobian ideal of w^5 + z^5 + xy^4 + x^4y + c*zwK over the field."""
+    ctx = RingContext(("w", "x", "y", "z"), "dp", field)
+    w, x, y, z = ctx.gens()
+    k = w**2 * x + w * x * y + w * y**2 + y**3 + w * x * z
+    return jacob(w**5 + z**5 + x * y**4 + x**4 * y + c * z * w * k, "full")
+
+
 def test_shortest_pivots_on_the_s5_jacobian():
     # the products go in together, one leading monomial at a time, with the
     # shortest row as pivot: 4003 pivot terms here, against 4071 with the
     # first row at each lead and 11324 when each product in turn is
     # top-reduced by the pivots so far
-    ctx = RingContext(("w", "x", "y", "z"))
-    w, x, y, z = ctx.gens()
-    k = w**2 * x + w * x * y + w * y**2 + y**3 + w * x * z
-    s5 = jacob(w**5 + z**5 + x * y**4 + x**4 * y + z * w * k, "full")
-    space = _ideal_space(s5, 13)
+    space = _ideal_space(s5_jacobian(QQ, 1), 13)
     assert space.rank == 560
     assert sum(len(keys) for keys, _, _ in space.pivots.values()) == 4003
+
+
+def pivot_digest(space):
+    """sha256 of every pivot as its (exponent vector, coefficient) pairs in
+    stored order, the pivots sorted by lead: the digest reads no key, so it
+    does not depend on how the keys are stored."""
+    unpack = space.eng.pk.unpack
+    pivots = sorted(
+        tuple((unpack(w), c) for w, c in zip(ws, cs)) for _, ws, cs in space.pivots.values()
+    )
+    return hashlib.sha256(repr(pivots).encode()).hexdigest()
+
+
+def test_pivots_are_pinned_byte_for_byte():
+    # the elimination's arithmetic is cf * row - cg * pivot and a content
+    # strip, with the shortest waiting row as each new pivot; any change to
+    # it, or to the rows' order, shows here
+    field = ExtField("a", [1, -1, 1])
+    cases = [
+        (
+            s5_jacobian(QQ, 1),
+            13,
+            560,
+            "fbe9bcbed77e6a4c9e59df1a608831b7f30d6fbf00bb6aba53d78a4d66b0d63b",
+        ),
+        (
+            s5_jacobian(field, field.gen),
+            9,
+            200,
+            "26a03bc589ba21c4649e062be560373549bf9729b9991510e0a28a61a8b75833",
+        ),
+    ]
+    for ideal, d, rank, want in cases:
+        space = _ideal_space(ideal, d)
+        assert space.rank == rank
+        assert pivot_digest(space) == want, d
+
+
+def check_pivots(space, rows=()):
+    """Each pivot is keyed by its first stored key, its negated keys strictly
+    ascend, each word packs to its key, and its coefficients are primitive,
+    nonzero and led by a positive one; each lies in the span of the rows,
+    if given."""
+    eng = space.eng
+    pk = eng.pk
+    for lead, (ks, ws, cs) in space.pivots.items():
+        assert lead == ks[0] and len(ks) == len(ws) == len(cs)
+        assert all(a < b for a, b in zip(ks, ks[1:]))
+        assert [-pk.pack(pk.unpack(w))[0] for w in ws] == ks
+        assert cs[0] > 0 and gcd(*cs) == 1 and 0 not in cs
+        if rows:
+            p = eng._poly_out(list(zip(ks, ws, cs)), 1)
+            assert reference_rank(rows + [p]) == reference_rank(rows)
+
+
+def test_in_place_reduction_edge_cases():
+    # each case adds its rows one at a time; its name says what a reduction
+    # of a row by a pivot does there, in (x, y, z) "dp", where
+    # x^2 > xy > xz > y^2 > yz > z^2
+    for field in FIELDS:
+        ctx = RingContext(("x", "y", "z"), "dp", field)
+        x, y, z = ctx.gens()
+        c = field.gen if field != QQ else Fraction(7, 2)
+        cases = {
+            "a pivot term past the row's last term is appended": [
+                (x**2 + z**2, True),
+                (x**2 + x * y, True),
+            ],
+            "an interior term cancels": [
+                (x**2 + y**2, True),
+                (x**2 + x * y + y**2 + z**2, True),
+            ],
+            "the row vanishes": [
+                (2 * x**2 + 3 * y * z, True),
+                (4 * x**2 + 6 * y * z, False),
+                (x * y + z**2, True),
+                (x**2 + x * y + Fraction(3, 2) * y * z + z**2, False),
+            ],
+            "the new lead is negative before the strip": [
+                (x**2 + x * y, True),
+                (x**2 + y * z, True),
+            ],
+            "cf is not 1": [
+                (2 * x**2 + y**2, True),
+                (x**2 + x * z + y * z, True),
+            ],
+            "an irrational row after rational ones": [
+                (x**2 + x * y, True),
+                (y**2 - 3 * z**2, True),
+                (c * x**2 + c * x * y, False),
+                (c * x * z + z**2, True),
+                (x**2 + x * z + y**2 - 3 * z**2, True),
+                (c * y**2 - 3 * c * z**2 + c * c * x * z + c * z**2, False),
+            ],
+        }
+        for name, steps in cases.items():
+            space, rows = RowSpace(ctx, 2), []
+            for p, grows in steps:
+                rows.append(p)
+                assert space.add(p) is grows, (field, name, p)
+                assert space.rank == reference_rank(rows), (field, name, p)
+                check_pivots(space, rows)
+        assert space.eng.ext is (field != QQ)
+        # a product given twice is two rows, reduced in place one against
+        # the other, so neither may share its lists with the other
+        space, g = RowSpace(ctx, 2), x**2 + c * y * z
+        space.add_multiples([(g, [(0, 0, 0), (0, 0, 0)]), (x + y, [(1, 0, 0), (0, 0, 1)])])
+        rows = [g, g, x**2 + x * y, x * z + y * z]
+        assert space.rank == reference_rank(rows) == 3
+        check_pivots(space, rows)
+        check_pivots(_ideal_space(s5_jacobian(field, c), 8))
 
 
 # -- Koszul pruning of the rank oracle's products ------------------------------
@@ -319,10 +436,7 @@ def product_counts(monkeypatch, ideal, d):
 
 
 def test_koszul_pruning_counts(monkeypatch):
-    ctx = RingContext(("w", "x", "y", "z"))
-    w, x, y, z = ctx.gens()
-    k = w**2 * x + w * x * y + w * y**2 + y**3 + w * x * z
-    s5 = jacob(w**5 + z**5 + x * y**4 + x**4 * y + z * w * k, "full")
+    s5 = s5_jacobian(QQ, 1)
     # 4 generators of degree 4 times 220 monomials of degree 9 make 880
     assert product_counts(monkeypatch, s5, 13) == (590, 560)
     # xy, xz, yz: the syzygies z*xy - y*xz and z*xy - x*yz are not Koszul
