@@ -72,40 +72,40 @@ for the whole batch into one reducer list, searched by the engine's
 far inside its field.  `RowSpace` starts without a and takes it on at its
 first irrational row.
 
-`groebner.minimal_generators` is one engine run in degree order
-(`_Engine.minimal`; Kreuzer and Robbiano, Computational Commutative
-Algebra 2, sec. 4.6): a generator of degree d is reduced after every pair
-of degree at most d and is minimal iff its remainder is nonzero, which is
-then inserted.  Its lead no basis lead divides, so its pairs lie above d
-and the basis stays a Groebner basis through degree d of the ideal of the
-generators so far.  `run` inserts every generator before the first pair,
-unless it is Hilbert-driven: taking them in degree order made the plain s5
-elimination of `groebner.intersect` twice as slow.  Every run reduces a
-term by the first basis entry whose lead divides it, in the order m, then
-by size, then by slot (`_reducer`), memoized per word: a word looked up
-again tests only the entries added since.  It ends in `_finalize`, which
-keeps a minimal basis, interreduces each entry by the others, m first,
-then the smallest, and outputs the basis without m, releasing each entry
-once it is replaced or output.
+Every run takes its generators through one loop, in degree order among
+the pairs (`_Engine.minimal`; Kreuzer and Robbiano, Computational
+Commutative Algebra 2, sec. 4.6): a generator of degree d is reduced after
+every pair of degree at most d, and its remainder, if nonzero, is
+inserted.  Its lead no basis lead divides, so for homogeneous generators
+its pairs lie above d and the basis stays a Groebner basis through degree
+d of the ideal of the generators so far; `groebner.minimal_generators`
+keeps the generators whose remainder is nonzero, which are minimal.  A
+grown run first inserts its known basis (below).  Every run reduces a term
+by the first basis entry whose lead divides it, in the order m, then by
+size, then by slot (`_reducer`), memoized per word: a word looked up again
+tests only the entries added since.  It ends in `_finalize`, which keeps a
+minimal basis, interreduces each entry by the others, m first, then the
+smallest, and outputs the basis without m, releasing each entry once it is
+replaced or output.
 
 A run is grown (a `groebner.Ideal` with a base) when its first polys are
-the reduced basis G of an ideal I and the rest are new generators.  Once G
-is in, `run` drops the pairs queued among its entries, over Q[a] with m
-too.  This is exact: G is a Groebner basis, and so is G plus m in Q[x, a]
-(above), so each of those S-polynomials reduces to zero by them, a
-standard representation by entries that every later basis of the run
-contains.  Buchberger's criterion (Cox, Little, O'Shea, ch. 2 secs. 6 and
-9) and the Gebauer-Moeller updates need no more of those pairs, and the
-reduced basis is unique, so the output is that of a run from all the
-generators.
+the reduced basis G of an ideal I and the rest are new generators.  G goes
+in first, and `run` drops the pairs queued among its entries, over Q[a]
+with m too, before the new generators go through the degree loop.  This
+is exact: G is a Groebner basis, and so is G plus m in Q[x, a] (above), so
+each of those S-polynomials reduces to zero by them, a standard
+representation by entries that every later basis of the run contains.
+Buchberger's criterion (Cox, Little, O'Shea, ch. 2 secs. 6 and 9) and the
+Gebauer-Moeller updates need no more of those pairs, and the reduced basis
+is unique, so the output is that of a run from all the generators.
 
 A run is Hilbert-driven (Traverso, JSC 22, 1996) when the Hilbert function
-of LM(I) is known in the degrees it reaches.  Pairs and generators then go
-in degree order, through the loop of `minimal`, and once the run's leads
-cover the degree-d part of LM(I) the remaining pairs of degree d are
-dropped and the remaining degree-d generators are not minimal.  This is
-exact: a remainder in degree d lies in I and has no term divisible by a
-run lead, so its lead would lie in LM(I) but not be covered; it is zero.
+of LM(I) is known in the degrees it reaches.  Once the run's leads cover
+the degree-d part of LM(I), the degree loop drops the remaining pairs of
+degree d and skips the remaining degree-d generators, which are not
+minimal.  This is exact: a remainder in degree d lies in I and has no term
+divisible by a run lead, so its lead would lie in LM(I) but not be
+covered; it is zero.
 Two tests decide coverage.  `minimal_generators`, given a known Groebner
 basis, asks that every degree-d lead of it be divisible by a run lead (the
 lower degrees are covered already).  It reads no numerator, for two
@@ -475,22 +475,19 @@ class _Engine:
             elif not self._insert(self.spoly(self.G[i], self.G[j], key, big)):
                 self.zeros.append((i, j))
 
-    def run(self, polys, target=None, known=None):
-        """Reduced basis of the polys.  With no target every generator goes in
-        before the first pair, and if the first known polys are a reduced
-        basis, the pairs among them are dropped once they are in (a grown
-        run, module docstring); with target, the Hilbert numerator of the
-        leading monomials of the ideal of the homogeneous polys, the run is
-        Hilbert-driven in degree order (`minimal`)."""
-        if target is None:
-            for k, p in enumerate(polys):
-                self._insert(self._poly_in(p)[0])
-                if k + 1 == known:
-                    self.live.clear()
-                    self.heap.clear()
-        else:
+    def run(self, polys, target=None, known=0):
+        """Reduced basis of the polys.  The first known polys, a reduced basis,
+        go in first and the pairs among them are dropped (a grown run, module
+        docstring); the rest go in degree order among the pairs (`minimal`),
+        Hilbert-driven if target, the Hilbert numerator of the leading
+        monomials of the ideal of the homogeneous polys, is given."""
+        for p in polys[:known]:
+            self._insert(self._poly_in(p)[0])
+        self.live.clear()
+        self.heap.clear()
+        if target is not None:
             self._hilbert_driven(target)
-            self.minimal(polys)
+        self.minimal(polys[known:])
         self._pairs_through(None)
         return self._finalize()
 

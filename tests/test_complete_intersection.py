@@ -47,7 +47,7 @@ def driven_runs(monkeypatch):
     """(zero reductions, skipped pairs) of each Hilbert-driven exact run."""
     runs, run = [], _Engine.run
 
-    def recording(eng, polys, target=None, known=None):
+    def recording(eng, polys, target=None, known=0):
         out = run(eng, polys, target, known)
         if target is not None:
             runs.append((len(eng.zeros), eng.pruned[0]))

@@ -444,8 +444,8 @@ def test_ideal_declaration_keeps_the_cached_basis(monkeypatch):
         calls.append(len(gens))
         return real(gens)
 
-    def recording(eng, polys, target=None, known=None):
-        if known is not None:
+    def recording(eng, polys, target=None, known=0):
+        if known:
             grown.append((len(polys), known))
         return real_run(eng, polys, target, known)
 

@@ -77,8 +77,12 @@ def test_grown_run_skips_the_pairs_of_the_base(monkeypatch):
     seeded = buchberger(list(gb) + [npk])
     grown = Ideal(ctx, list(i.generators) + [npk], base=i).groebner_basis()
     assert list(grown) == seeded and len(grown) == 55
-    # the S-pairs among the 55 elements, and with m, all reduce to zero
-    assert zeros == [155, 9]
+    # the plain run takes its 56 generators in degree order among the
+    # pairs, so the pairs of the low-degree base elements rebuild most of
+    # the higher ones: 104 pairs reduce to zero, and 51 base elements then
+    # reduce to zero as generators, which eng.zeros does not count; the
+    # grown run drops every pair among the 55 and m
+    assert zeros == [104, 9]
 
 
 def test_uncached_base_runs_from_the_generators(monkeypatch):
@@ -102,3 +106,34 @@ def test_base_generators_must_lead():
     base = Ideal(ctx, [x**2, y])
     with pytest.raises(ValueError):
         Ideal(ctx, [y, x**2], base=base)
+
+
+def test_every_run_inserts_in_degree_order(monkeypatch):
+    # generators and S-polynomials alike go in through one degree loop, so
+    # the degrees a run inserts never fall; a grown run's known basis goes
+    # in first, and after it the same holds.  Seven generators in three
+    # variables, so no complete-intersection run is tried.
+    degrees = []
+    real = groebner._Engine._insert
+
+    def recording(eng, terms):
+        if terms:  # an S-polynomial may cancel outright
+            degrees.append(terms[0][1] >> eng.pk.deg_shift)
+        return real(eng, terms)
+
+    field = ExtField("a", [1, -1, 1])
+    for coeff in (1, field.gen):
+        ctx = RingContext(("x", "y", "z"), "dp", field)
+        x, y, z = ctx.gens()
+        gens = [
+            x**3 - y * z**2, x * y - z**2, ctx.const(coeff) * y**4 + x * z**3,
+            x**2 - y * z, y**2 * z - x**3, z**5 + x * y**4, x * z**2 + y**3,
+        ]
+        expected, base = buchberger(gens), Ideal(ctx, gens[:4])
+        known = len(base.groebner_basis())
+        monkeypatch.setattr(groebner._Engine, "_insert", recording)
+        for ideal, skip in ((Ideal(ctx, gens), 0), (Ideal(ctx, gens, base=base), known)):
+            degrees.clear()
+            assert list(ideal.groebner_basis()) == expected
+            assert degrees[skip:] == sorted(degrees[skip:]) and len(degrees) > len(gens)
+        monkeypatch.undo()
