@@ -1,7 +1,8 @@
 """Command line front end: script replay and experiment reports.
 
 Exit codes: 0 success, 1 check or golden failure, 2 usage or missing
-input, 3 parse error, 4 evaluation error, 141 standard output closed early.
+input, 3 parse error, 4 evaluation error, 130 interrupted (SIGINT), 141
+standard output closed early.
 """
 
 import argparse
@@ -16,6 +17,8 @@ from .experiments import EXPERIMENT_IDS, run_experiment
 
 # 128 + SIGPIPE: what a shell reports for a program that SIGPIPE ended
 EXIT_BROKEN_PIPE = 141
+# 128 + SIGINT, likewise
+EXIT_INTERRUPTED = 130
 # the largest delay signal.alarm takes (a C int)
 MAX_TIMEOUT = 2**31 - 1
 
@@ -59,6 +62,10 @@ def main(argv=None):
         # exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        # `run` names its script; `exp` names the experiment it stops itself
+        print(f"{getattr(args, 'path', 'chowlab')}: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     return code
 
 
@@ -111,6 +118,9 @@ def _cmd_exp(args):
             print(f"chowlab: experiment {exp_id} exceeded {args.timeout}s", file=sys.stderr)
             exit_code = 1
             continue
+        except KeyboardInterrupt:
+            print(f"chowlab: experiment {exp_id} interrupted", file=sys.stderr)
+            return EXIT_INTERRUPTED
         reports.append(report)
         if not all(c["pass"] for c in report["checks"]):
             exit_code = 1

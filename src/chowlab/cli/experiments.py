@@ -296,11 +296,8 @@ def _exp_s5_ideal():
     ctx = RingContext(("w", "x", "y", "z"))
     w, x, y, z = ctx.gens()
     K = _session_k(ctx)
-    f1 = 5 * w**5 + w * z * K + w**2 * z * diff(K, "w")
-    f2 = y**4 + 4 * x**3 * y + 2 * x * y**3 + w * z * diff(K, "x")
-    f3 = x**4 + 4 * x * y**3 + 3 * x**2 * y**2 + z * w * diff(K, "y")
-    f4 = 5 * z**5 + z * w * K + w * z**2 * diff(K, "z")
-    i = Ideal(ctx, [f1, f2, f3, f4])
+    # the u=v=1 family member and its modified Jacobian ideal
+    i = jacob(w**5 + x * y**4 + y * x**4 + z**5 + x**2 * y**3 + w * z * K, "modified")
     jgens = [
         y**3 * z * w * K,
         x * y**2 * z * w * K,
@@ -324,7 +321,7 @@ def _exp_s5_ideal():
         "u": 1,
         "v": 1,
         "K": K,
-        "i-generators": [f1, f2, f3, f4],
+        "i-generators": list(i.generators),
         "j-generators": jgens,
     }
     rep.results = {

@@ -10,10 +10,9 @@ The surface syntax follows the classical computer-algebra convention:
 `//` line comments, `;` terminators, and shorthand monomials where a
 digit run glues to a variable run (`5w5` is 5*w^5, `x2y3z` is x^2*y^3*z).
 Caret exponents are also accepted.  A ring variable is named by its full
-identifier before the shorthand applies.  `parse` returns an AST whose
-nodes compare equal modulo source positions, `render` prints an AST back
-to canonical one-statement-per-line source, and parse(render(parse(s)))
-== parse(s) on every supported script.
+identifier before the shorthand applies.  `parse` returns an AST with a
+source position on every node; the tests own its canonical renderer and
+check that rendering round-trips every script that parses.
 
 The lexer is one regular expression, matched at each position.  Each
 builtin's argument count sits in the `_BUILTINS` table beside its
@@ -59,8 +58,8 @@ _MAX_LITERAL_DIGITS = 4000
 # deepest expression nesting the parser accepts: parentheses, unary
 # operators, ^, calls, indexing and each operator of a + - * / chain count
 # one level.  A level costs at most 7 parser frames (a parenthesis), so
-# parse, evaluate and render need under 470 frames of Python's default
-# recursion limit of 1000.
+# parse and evaluate need under 470 frames of Python's default recursion
+# limit of 1000.
 _MAX_NESTING = 64
 
 
@@ -107,16 +106,9 @@ def tokenize(source):
 # AST
 
 
-def _sig(value):
-    if isinstance(value, Node):
-        return value.signature()
-    if isinstance(value, (list, tuple)):
-        return tuple(_sig(v) for v in value)
-    return value
-
-
 class Node:
-    """AST node; equality and hashing ignore source positions."""
+    """AST node: its `_fields`, and pos, the (line, col) of its source.
+    Nodes compare by identity; the tests compare ASTs by their fields."""
 
     _fields = ()
 
@@ -126,17 +118,6 @@ class Node:
         for name, value in zip(self._fields, args):
             setattr(self, name, value)
         self.pos = pos
-
-    def signature(self):
-        return (type(self).__name__,) + tuple(
-            _sig(getattr(self, f)) for f in self._fields
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, Node) and self.signature() == other.signature()
-
-    def __hash__(self):
-        return hash(self.signature())
 
     def __repr__(self):
         inner = ", ".join(repr(getattr(self, f)) for f in self._fields)
@@ -461,87 +442,6 @@ def parse(source):
     while parser.peek().kind != "eof":
         statements.append(parser.statement())
     return SessionScript(statements)
-
-
-# ---------------------------------------------------------------------------
-# renderer
-
-_PREC = {
-    "==": 1, "!=": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
-    "+": 2, "-": 2, "*": 3, "/": 3, "^": 5,
-}
-_UNARY_PREC = 4
-_INDEX_PREC = 6
-_ATOM_PREC = 7
-
-
-def _render_expr(node):
-    """(text, precedence) with minimal parentheses."""
-    if isinstance(node, Num):
-        return str(node.value), _ATOM_PREC
-    if isinstance(node, Str):
-        return '"' + node.value + '"', _ATOM_PREC
-    if isinstance(node, Name):
-        return node.ident, _ATOM_PREC
-    if isinstance(node, Call):
-        args = ",".join(_render_expr(a)[0] for a in node.args)
-        return f"{node.func}({args})", _ATOM_PREC
-    if isinstance(node, Index):
-        base, prec = _render_expr(node.base)
-        if prec < _INDEX_PREC:
-            base = f"({base})"
-        return f"{base}[{_render_expr(node.index)[0]}]", _INDEX_PREC
-    if isinstance(node, Neg):
-        inner, prec = _render_expr(node.operand)
-        if prec < _UNARY_PREC:
-            inner = f"({inner})"
-        return "-" + inner, _UNARY_PREC
-    if isinstance(node, BinOp):
-        prec = _PREC[node.op]
-        left, lp = _render_expr(node.left)
-        right, rp = _render_expr(node.right)
-        # ^ associates right, comparisons do not associate, the rest left
-        wrap_left = lp <= prec if node.op in _CMP_OPS or node.op == "^" else lp < prec
-        wrap_right = rp < prec if node.op == "^" else rp <= prec
-        if wrap_left:
-            left = f"({left})"
-        if wrap_right:
-            right = f"({right})"
-        return left + node.op + right, prec
-    raise TypeError(f"not an expression node: {type(node).__name__}")
-
-
-def _render_stmt(node):
-    if isinstance(node, RingDecl):
-        ground = "0" if node.param is None else f"(0,{node.param})"
-        return f"ring {node.name}={ground},({','.join(node.variables)}),{node.order};"
-    if isinstance(node, MinpolyDecl):
-        return f"minpoly={_render_expr(node.expr)[0]};"
-    if isinstance(node, Decl):
-        if not node.exprs:
-            return f"{node.kind} {node.name};"
-        body = ",".join(_render_expr(e)[0] for e in node.exprs)
-        return f"{node.kind} {node.name}={body};"
-    if isinstance(node, Assign):
-        return f"{node.name}={_render_expr(node.expr)[0]};"
-    if isinstance(node, ExprStmt):
-        return ",".join(_render_expr(e)[0] for e in node.exprs) + ";"
-    if isinstance(node, ForLoop):
-        init = _render_stmt(node.init)[:-1]
-        step = _render_stmt(node.step)[:-1]
-        cond = _render_expr(node.cond)[0]
-        body = " ".join(_render_stmt(s) for s in node.body)
-        return f"for ({init}; {cond}; {step}) {{ {body} }}"
-    if isinstance(node, Quit):
-        return "quit;"
-    raise TypeError(f"not a statement node: {type(node).__name__}")
-
-
-def render(script):
-    """Canonical source for an AST, one statement per line."""
-    if not script.statements:
-        return ""
-    return "\n".join(_render_stmt(s) for s in script.statements) + "\n"
 
 
 # ---------------------------------------------------------------------------

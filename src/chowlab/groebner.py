@@ -4,15 +4,15 @@ Public results are reduced Groebner bases (monic, interreduced, sorted
 descending by leading monomial), which makes every basis canonical for a
 given ideal and order; the engine computes them by Buchberger's algorithm,
 fraction-free on integer coefficients (`_engine`).  On top of them: normal
-forms, ideal membership, elimination, pairwise intersection and
-`krull_dim`.  The Hilbert-series numerator of a monomial ideal
-(`hilbert.hilbert_numerator`), kept sparse as {degree: coefficient},
-answers every dimension question: `rings` reads every Hilbert table from
-it, the driven runs and the certificates below compare numerators, and
-`krull_dim` is the order of the pole of the Hilbert series at t = 1.  An
-`Ideal` computes its basis and the numerator of its leads once each; a
-certified homogeneous intersection is handed both, and a certified complete
-intersection gets its numerator with its basis.
+forms, pairwise intersection and `krull_dim`.  The Hilbert-series
+numerator of a monomial ideal (`hilbert.hilbert_numerator`), kept sparse
+as {degree: coefficient}, answers every dimension question: `rings` reads
+every Hilbert table from it, the driven runs and the certificates below
+compare numerators, and `krull_dim` is the order of the pole of the
+Hilbert series at t = 1.  An `Ideal` computes its basis and the numerator
+of its leads once each; a certified homogeneous intersection is handed
+both, and a certified complete intersection gets its numerator with its
+basis.
 
 An `Ideal` whose base has its basis cached by then computes its own basis
 by one grown run over that basis and its other generators (`_engine`);
@@ -115,11 +115,6 @@ p = 1 is a minimal dp Groebner basis of I cap J.  It is also reduced, with
 no further step: no lead divides a tail term x^e p^k of H, and since the
 leads are free of p, none divides x^e.  So it is the reduced dp basis of
 I cap J.
-
-Only `eliminate` runs a block-order elimination: the reduced basis of the
-generators in a block order on the eliminated variables, whose elements
-free of them are the reduced basis of the elimination ideal (Cox, Little,
-O'Shea, ch. 3 sec. 1).
 """
 
 import threading
@@ -290,11 +285,6 @@ class Ideal:
         return f"Ideal({len(self.generators)} gens over {self.context!r})"
 
 
-def ideal_member(f, ideal):
-    """True iff f reduces to zero modulo the ideal's Groebner basis."""
-    return contained([f], ideal)
-
-
 def contained(polys, *ideals):
     """True iff every poly lies in every `Ideal`: each reduces to zero
     modulo the ideal's Groebner basis, which is packed once for all of them
@@ -308,32 +298,6 @@ def contained(polys, *ideals):
 def _port(g, ctx2, pad=0, drop=0):
     """g in ctx2, its exponents with pad zeros in front and drop dropped."""
     return ctx2.from_dict({(0,) * pad + e[drop:]: c for e, c in g.terms})
-
-
-def eliminate(ideal, k):
-    """Intersect with the subring omitting the first k variables: the
-    elements of its reduced basis in a block order free of them."""
-    ctx = ideal.context
-    if k == 0:
-        gb = ideal.groebner_basis()
-        return Ideal(ctx, gb, basis=gb)
-    if not 0 < k < ctx.nvars:
-        raise ValueError("elimination count out of range")
-    ctx_blk = RingContext(ctx.variables, ("block", k), ctx.field)
-    ctx_rest = RingContext(ctx.variables[k:], "dp", ctx.field)
-    res = _eliminated([_port(g, ctx_blk) for g in ideal.generators], k, ctx_rest)
-    # t-free slice of a reduced elimination basis is itself a reduced basis
-    return Ideal(ctx_rest, res, basis=res)
-
-
-def _eliminated(gens, k, ctx):
-    """The elements free of the first k variables of the reduced basis of
-    gens, whose ring has a block order on those k, ported to ctx."""
-    return [
-        _port(g, ctx, drop=k)
-        for g in buchberger(gens)
-        if not any(any(e[:k]) for e, _ in g.terms)
-    ]
 
 
 _AUX, _HOM, _PROJ = "@t", "@h", "@p"

@@ -28,14 +28,6 @@ def monomial_key(order, exps):
     raise ValueError(f"unknown monomial order: {order!r}")
 
 
-def compare_monomials(order, m1, m2):
-    """-1, 0, or 1 as m1 <, =, > m2 under the order."""
-    if len(m1) != len(m2):
-        raise ValueError("monomial length mismatch")
-    k1, k2 = monomial_key(order, m1), monomial_key(order, m2)
-    return (k1 > k2) - (k1 < k2)
-
-
 class RingContext:
     """Polynomial ring data: named variables, monomial order, coefficient field."""
 
@@ -255,32 +247,6 @@ def diff(f, var):
         e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
         acc[e2] = acc.get(e2, 0) + c * e[i]
     return f.ctx.from_dict(acc)
-
-
-def substitute(f, bindings):
-    """Simultaneous substitution; values are polynomials or field constants."""
-    ctx = f.ctx
-    images = []
-    for name in ctx.variables:
-        if name in bindings:
-            v = bindings[name]
-            if not isinstance(v, Polynomial):
-                v = ctx.const(v)
-            elif v.ctx != ctx:
-                raise ValueError("binding from a different ring context")
-            images.append(v)
-        else:
-            images.append(ctx.var(name))
-    for name in bindings:
-        ctx.var_index(name)  # unknown variable -> error
-    out = ctx.zero
-    for e, c in f.terms:
-        term = ctx.const(c)
-        for img, k in zip(images, e):
-            if k:
-                term = term * img**k
-        out = out + term
-    return out
 
 
 def graded_piece_basis(ctx, d):

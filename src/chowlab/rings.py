@@ -129,7 +129,7 @@ def mingens_degrees(ideal, up_to):
     order, outside the ideal of the lower generators and the earlier degree-d
     ones (`groebner.minimal_generators`); there are dim I_d - dim (I_{<d})_d.
     When the ideal already holds its Groebner basis (as the results of
-    `intersect` in `dp`, `std` and `eliminate` do), the run prunes with it;
+    `intersect` in `dp` and `std` do), the run prunes with it;
     none is computed for that.
     """
     _require_homogeneous(ideal)

@@ -72,6 +72,48 @@ def test_reader_that_exits_early_is_no_traceback(command, unbuffered):
     assert err == b""
 
 
+# three small lex generators whose `std` runs for minutes
+LEX_SCRIPT = (
+    "ring r=0,(x,y,z),lp;\n"
+    "ideal i = 1/3*x^2-1/2*x*y^2*z^2+5*x*y, -9/4*x^2*y^2*z^2+1/2*x*y^2*z^2+y^2*z^2-9/2*y^2*z,"
+    " -7*x^2*z-4/3*x*y^2*z^2+1/2*x*y;\n"
+    "std(i);\n"
+)
+
+
+@pytest.mark.parametrize("command", ["exp", "run"])
+def test_interrupt_is_one_located_line(command, tmp_path):
+    # exp s5-ideal takes about 1.5 s (2-core x86-64 host, CPython 3.11) and
+    # the lex script minutes, so each is past interpreter start-up and still
+    # busy when SIGINT arrives 1 s after start; it must then end within 5 s
+    if command == "exp":
+        args, where = ["s5-ideal"], "chowlab: experiment s5-ideal"
+    else:
+        path = tmp_path / "lex.sess"
+        path.write_text(LEX_SCRIPT, encoding="utf-8")
+        args, where = [str(path)], f"{path}:"
+    src = str(Path(chowlab.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chowlab", command, *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        time.sleep(1)
+        assert proc.poll() is None, "finished before the interrupt"
+        proc.send_signal(signal.SIGINT)
+        start = time.perf_counter()
+        out, err = proc.communicate(timeout=30)
+        assert time.perf_counter() - start < 5
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == cli.EXIT_INTERRUPTED == 130
+    assert (out, err) == ("", f"{where} interrupted\n")
+
+
 def test_run_missing_file(capsys):
     assert main(["run", "/no/such/file.sess"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -1,4 +1,12 @@
-"""Script language: lexing, parsing, rendering, and evaluation."""
+"""Script language: lexing, parsing, evaluation, and the round trip
+through the canonical renderer that this module owns.
+
+`render` prints an AST back to canonical one-statement-per-line source,
+and `signature` is an AST without its source positions.  Every AST
+comparison goes through `signature`: nodes compare by identity.  On every
+supported script parse(render(parse(s))) has the signature of parse(s).
+`test_dsl_hypothesis.py` imports both for generated scripts.
+"""
 
 import random
 from importlib import resources
@@ -7,16 +15,27 @@ import pytest
 
 from chowlab import dsl, groebner
 from chowlab.dsl import (
+    _CMP_OPS,
+    Assign,
     BinOp,
     Call,
+    Decl,
     DslEvalError,
     DslSyntaxError,
+    ExprStmt,
+    ForLoop,
+    Index,
+    MinpolyDecl,
     Name,
+    Neg,
+    Node,
     Num,
+    Quit,
+    RingDecl,
     SessionScript,
+    Str,
     evaluate,
     parse,
-    render,
     run_source,
     tokenize,
 )
@@ -26,6 +45,93 @@ from chowlab.rings import hilbert_table, jacob, mingens_degrees
 
 RING = "ring r=0,(w,x,y,z),dp;\n"
 DATA = resources.files("chowlab") / "data"
+
+
+def signature(node):
+    """The node's type and fields, recursively, without source positions."""
+    if isinstance(node, Node):
+        return (type(node).__name__,) + tuple(signature(getattr(node, f)) for f in node._fields)
+    if isinstance(node, (list, tuple)):
+        return tuple(signature(v) for v in node)
+    return node
+
+
+_PREC = {
+    "==": 1, "!=": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
+    "+": 2, "-": 2, "*": 3, "/": 3, "^": 5,
+}
+_UNARY_PREC = 4
+_INDEX_PREC = 6
+_ATOM_PREC = 7
+
+
+def _render_expr(node):
+    """(text, precedence) with minimal parentheses."""
+    if isinstance(node, Num):
+        return str(node.value), _ATOM_PREC
+    if isinstance(node, Str):
+        return '"' + node.value + '"', _ATOM_PREC
+    if isinstance(node, Name):
+        return node.ident, _ATOM_PREC
+    if isinstance(node, Call):
+        args = ",".join(_render_expr(a)[0] for a in node.args)
+        return f"{node.func}({args})", _ATOM_PREC
+    if isinstance(node, Index):
+        base, prec = _render_expr(node.base)
+        if prec < _INDEX_PREC:
+            base = f"({base})"
+        return f"{base}[{_render_expr(node.index)[0]}]", _INDEX_PREC
+    if isinstance(node, Neg):
+        inner, prec = _render_expr(node.operand)
+        if prec < _UNARY_PREC:
+            inner = f"({inner})"
+        return "-" + inner, _UNARY_PREC
+    if isinstance(node, BinOp):
+        prec = _PREC[node.op]
+        left, lp = _render_expr(node.left)
+        right, rp = _render_expr(node.right)
+        # ^ associates right, comparisons do not associate, the rest left
+        wrap_left = lp <= prec if node.op in _CMP_OPS or node.op == "^" else lp < prec
+        wrap_right = rp < prec if node.op == "^" else rp <= prec
+        if wrap_left:
+            left = f"({left})"
+        if wrap_right:
+            right = f"({right})"
+        return left + node.op + right, prec
+    raise TypeError(f"not an expression node: {type(node).__name__}")
+
+
+def _render_stmt(node):
+    if isinstance(node, RingDecl):
+        ground = "0" if node.param is None else f"(0,{node.param})"
+        return f"ring {node.name}={ground},({','.join(node.variables)}),{node.order};"
+    if isinstance(node, MinpolyDecl):
+        return f"minpoly={_render_expr(node.expr)[0]};"
+    if isinstance(node, Decl):
+        if not node.exprs:
+            return f"{node.kind} {node.name};"
+        body = ",".join(_render_expr(e)[0] for e in node.exprs)
+        return f"{node.kind} {node.name}={body};"
+    if isinstance(node, Assign):
+        return f"{node.name}={_render_expr(node.expr)[0]};"
+    if isinstance(node, ExprStmt):
+        return ",".join(_render_expr(e)[0] for e in node.exprs) + ";"
+    if isinstance(node, ForLoop):
+        init = _render_stmt(node.init)[:-1]
+        step = _render_stmt(node.step)[:-1]
+        cond = _render_expr(node.cond)[0]
+        body = " ".join(_render_stmt(s) for s in node.body)
+        return f"for ({init}; {cond}; {step}) {{ {body} }}"
+    if isinstance(node, Quit):
+        return "quit;"
+    raise TypeError(f"not a statement node: {type(node).__name__}")
+
+
+def render(script):
+    """Canonical source for an AST, one statement per line."""
+    if not script.statements:
+        return ""
+    return "\n".join(_render_stmt(s) for s in script.statements) + "\n"
 
 
 def test_tokenize_shorthand_and_comments():
@@ -53,28 +159,28 @@ def test_parse_ring_forms_and_ast_equality():
     assert param.statements[0].param == "a"
     assert plain.statements[0].variables == ("w", "x", "y", "z")
     # equality ignores positions
-    assert parse("poly f = x + y;") == parse("poly f=x+y;")
-    assert parse("poly f=x+y;") != parse("poly f=x*y;")
+    assert signature(parse("poly f = x + y;")) == signature(parse("poly f=x+y;"))
+    assert signature(parse("poly f=x+y;")) != signature(parse("poly f=x*y;"))
 
 
 def test_parse_empty_source():
-    assert parse("") == SessionScript([])
+    assert signature(parse("")) == signature(SessionScript([]))
     assert evaluate(parse("")) == ""
 
 
 def test_parse_precedence():
     script = parse("f=a+b*c^2[1];")
     expr = script.statements[0].expr
-    assert expr == BinOp(
+    assert signature(expr) == signature(BinOp(
         "+",
         Name("a"),
-        BinOp("*", Name("b"), BinOp("^", Name("c"), dsl.Index(Num(2), Num(1)))),
-    )
+        BinOp("*", Name("b"), BinOp("^", Name("c"), Index(Num(2), Num(1)))),
+    ))
     # unary minus binds looser than ^
-    assert parse("f=-x^2;") == parse("f=-(x^2);")
-    assert parse("f=-x^2;") != parse("f=(-x)^2;")
+    assert signature(parse("f=-x^2;")) == signature(parse("f=-(x^2);"))
+    assert signature(parse("f=-x^2;")) != signature(parse("f=(-x)^2;"))
     # ^ is right-associative
-    assert parse("f=a^b^c;") == parse("f=a^(b^c);")
+    assert signature(parse("f=a^b^c;")) == signature(parse("f=a^(b^c);"))
 
 
 def test_parse_errors_carry_locations():
@@ -106,7 +212,7 @@ def test_render_round_trip_fixed_point():
     for src in sources:
         ast = parse(src)
         canon = render(ast)
-        assert parse(canon) == ast, src
+        assert signature(parse(canon)) == signature(ast), src
         assert render(parse(canon)) == canon, src
 
 
@@ -118,11 +224,11 @@ def _random_expr(rng, depth):
         return Name(rng.choice(["x", "y", "n", "K", "w2x", "5w5"]))
     shape = rng.random()
     if shape < 0.15:
-        return dsl.Neg(_random_expr(rng, depth - 1))
+        return Neg(_random_expr(rng, depth - 1))
     if shape < 0.3:
         return Call(rng.choice(["deg", "homog", "f"]), [_random_expr(rng, depth - 1)])
     if shape < 0.4:
-        return dsl.Index(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+        return Index(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
     op = rng.choice(["+", "-", "*", "/", "^", "==", "<="])
     return BinOp(op, _random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
 
@@ -130,9 +236,9 @@ def _random_expr(rng, depth):
 def test_render_round_trip_random_expressions():
     rng = random.Random(20260815)
     for _ in range(100):
-        script = SessionScript([dsl.ExprStmt([_random_expr(rng, 4)])])
+        script = SessionScript([ExprStmt([_random_expr(rng, 4)])])
         canon = render(script)
-        assert parse(canon) == script, canon
+        assert signature(parse(canon)) == signature(script), canon
         assert render(parse(canon)) == canon, canon
 
 
@@ -271,7 +377,7 @@ def test_nesting_at_the_bound_parses_renders_and_evaluates():
     ]
     for script in at_bound:
         ast = parse(ring + script)
-        assert parse(render(ast)) == ast
+        assert signature(parse(render(ast))) == signature(ast)
         if "[" in script:  # i[1] is a polynomial, so the second index fails
             with pytest.raises(DslEvalError, match="only ideals support indexing"):
                 run_source(ring + script)
