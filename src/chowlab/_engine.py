@@ -99,28 +99,33 @@ Buchberger's criterion (Cox, Little, O'Shea, ch. 2 secs. 6 and 9) and the
 Gebauer-Moeller updates need no more of those pairs, and the reduced basis
 is unique, so the output is that of a run from all the generators.
 
-A run is Hilbert-driven (Traverso, JSC 22, 1996) when the Hilbert function
-of LM(I) is known in the degrees it reaches.  Once the run's leads cover
-the degree-d part of LM(I), the degree loop drops the remaining pairs of
-degree d and skips the remaining degree-d generators, which are not
-minimal.  This is exact: a remainder in degree d lies in I and has no term
-divisible by a run lead, so its lead would lie in LM(I) but not be
-covered; it is zero.
-Two tests decide coverage.  `minimal_generators`, given a known Groebner
-basis, asks that every degree-d lead of it be divisible by a run lead (the
-lower degrees are covered already).  It reads no numerator, for two
-reasons: over Q[a] the run's leads carry a, and m's lead a^(deg m) has no
-x-part, so the numerator of their x-parts is 0; and the deficit rule below
-was slower on the quintic's minimal generators.  The elimination run of
-`groebner.intersect` and the complete-intersection runs of
-`groebner.buchberger`, given the Hilbert numerator of LM(I)
-(`hilbert.hilbert_numerator`), compute at the first item of degree d the
-deficit k = HF_run(d) - HF_I(d), HF_run from the numerator of the run's
-leads, and cover d after k more insertions: the run's leads lie in LM(I),
-and each insertion in degree d, its lead divisible by no run lead, lowers
-HF_run(d) by one.  A wrong numerator can make a run drop a pair it needs;
-each run that takes one is certified in `groebner`, so that costs a
-refused output, never a wrong answer.
+A run is Hilbert-driven (Traverso, JSC 22, 1996) when the Hilbert
+function HF_K of LM(I) over the field K is known in the degrees it
+reaches, as the Hilbert numerator of those leads
+(`hilbert.hilbert_numerator`).  `groebner` drives the elimination run of
+`intersect`, the complete-intersection runs of `buchberger` and, given a
+numerator, the runs of `minimal_generators` this way, over Q and over
+Q[a] alike.  At the first item of degree d the run computes the deficit
+k = HF_run(d) - HF_K(d), HF_run from the numerator of the x-parts of its
+leads free of a (over Q, every lead), and it covers d once k more leads
+free of a are in.  From then on the degree loop drops the remaining pairs
+of degree d and skips the remaining degree-d generators, which are not
+minimal.
+
+This is exact.  Over K = Q[a]/(m), LM(I + (m)) in Q[x, a] is generated by
+a^(deg m) and by the leads x^b a^0 of the reduced basis of I over K, each
+made monic (above).  A run lead x^c a^0 lies in LM(I + (m)) and is not
+divisible by a^(deg m), so x^c lies in LM_K(I): the run's a^0 lead ideal M
+lies in LM_K(I), and HF_run(d) >= HF_K(d).  An inserted lead is divisible
+by no run lead, so an a^0 insertion in degree d adds exactly one monomial
+to M there, and an insertion whose lead carries a adds none; so k more a^0
+insertions make M_d = LM_K(I)_d.  Then a remainder in degree d is zero:
+it lies in I + (m), so its lead x^c a^j, j < deg m, is divisible by some
+x^b a^0, and x^c lies in LM_K(I)_d = M_d, so a run lead x^c' a^0 divides
+it, against its being reduced.  Over Q there is no a and no m, and every
+lead counts.  A wrong numerator can make a run drop a pair it needs; each
+run that takes one is certified in `groebner`, so that costs a refused
+output, never a wrong answer.
 """
 
 from bisect import bisect_left
@@ -236,6 +241,7 @@ class _Engine:
         self.zeros = []
         self.pruned = [0, 0]  # pairs and polys that the Hilbert-driven rule skipped
         self.covered = None  # the Hilbert-driven rule, if the run has one
+        self.free = []  # the x-parts of the leads free of a, in insertion order
         if ext:
             m = ctx.field.minpoly
             zero = (0,) * ctx.nvars
@@ -409,6 +415,8 @@ class _Engine:
         idx = len(G)
         wh = terms[0][1]
         lmh = pk.unpack(wh)
+        if not any(lmh[pk.n :]):
+            self.free.append(lmh[: pk.n])
         cand = []
         for g_idx in range(idx):
             wg = G[g_idx][0]
@@ -446,17 +454,17 @@ class _Engine:
 
     def _hilbert_driven(self, target):
         """Set self.covered to the Hilbert-driven rule (module docstring) for
-        rational homogeneous polys whose ideal's leading monomials have the
-        Hilbert numerator target: at the first item of degree d, the deficit
-        k of the run's leads against the target in degree d, and covered(d)
-        once k more entries are in."""
-        n, goal = self.ctx.nvars, {}
+        homogeneous polys whose ideal's leading monomials over the field have
+        the Hilbert numerator target: at the first item of degree d, the
+        deficit k of the run's leads free of a against the target in degree
+        d, and covered(d) once k more such leads are in."""
+        n, free, goal = self.ctx.nvars, self.free, {}
 
         def covered(d):
             if d not in goal:
-                num = hilbert_numerator([self.pk.unpack(g[0]) for g in self.G], n)
-                goal[d] = len(self.G) + hilbert_dim(num, n, d) - hilbert_dim(target, n, d)
-            return len(self.G) >= goal[d]
+                num = hilbert_numerator(free, n)
+                goal[d] = len(free) + hilbert_dim(num, n, d) - hilbert_dim(target, n, d)
+            return len(free) >= goal[d]
 
         self.covered = covered
 
@@ -485,36 +493,20 @@ class _Engine:
             self._insert(self._poly_in(p)[0])
         self.live.clear()
         self.heap.clear()
-        if target is not None:
-            self._hilbert_driven(target)
-        self.minimal(polys[known:])
+        self.minimal(polys[known:], target)
         self._pairs_through(None)
         return self._finalize()
 
-    def minimal(self, polys, leads=None):
+    def minimal(self, polys, target=None):
         """The polys outside the ideal of those before them in degree order.
 
-        leads, if given, are the leading monomials of a Groebner basis of the
-        ideal of the polys in every degree they reach.  The pairs and polys
-        of a degree all of whose leads the run's basis covers are skipped
-        (module docstring), and self.pruned counts them.
+        target, if given, is the Hilbert numerator of the leading monomials
+        of the ideal of the polys over the field, in every degree they reach:
+        the pairs and polys of a degree the run's leads cover are then
+        skipped (module docstring), and self.pruned counts them.
         """
-        if leads is not None:
-            # per degree: the words of the leads no run lead divides yet, and
-            # len(G) when they were last checked
-            pending, seen = {}, {}
-            for m in leads:
-                w = self.pk.pack(m)[1]
-                pending.setdefault(w >> self.pk.deg_shift, []).append(w)
-
-            def covered(d):
-                left = pending.get(d)
-                if left and seen.get(d) != len(self.G):
-                    seen[d] = len(self.G)
-                    left = pending[d] = [w for w in left if not self._reducer(self.G, w)]
-                return not left
-
-            self.covered = covered
+        if target is not None:
+            self._hilbert_driven(target)
         out = []
         for k in sorted(range(len(polys)), key=lambda k: polys[k].total_degree()):
             d = polys[k].total_degree()

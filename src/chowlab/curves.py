@@ -366,22 +366,17 @@ def discriminant(u):
     return -4 * uu**3 - 27
 
 
-def root_derivative(u, roots=None):
+def root_derivative(u):
     """Logarithmic u-derivative of each root r of z^3 + u*z + 1.
 
     Implicit differentiation of r^3 + u*r + 1 = 0 gives
     (1/r)(dr/du) = -1/f'(r) = -1/((r-s)(r-t)); the three values are returned
-    as (root, dlog) pairs.  Roots must be supplied unless u = 0, where the
-    cubic splits over Q[a]/(a^2 - a + 1).
+    as (root, dlog) pairs.  Only u = 0 is supported, where the cubic splits
+    over Q[a]/(a^2 - a + 1).
     """
-    if roots is None:
-        if u == 0:
-            cr = CubicRoots.split_u_zero()
-        else:
-            raise ValueError("no built-in splitting field for this u; pass roots")
-    else:
-        cr = CubicRoots(u, roots=roots)
-    a, b, c = cr.roots
+    if u != 0:
+        raise ValueError("no built-in splitting field for this u")
+    a, b, c = CubicRoots.split_u_zero().roots
     out = []
     for r, s, t in ((a, b, c), (b, a, c), (c, a, b)):
         out.append((r, Fraction(-1) / ((r - s) * (r - t))))

@@ -20,36 +20,36 @@ otherwise it runs from its generators.  `_numerators` builds I+J from the
 generators, not grown from I: on the quintic that took 0.02 s, and grown
 from I's 60-element basis 0.05 s.
 
-`buchberger` first runs rational homogeneous generators f_1..f_r of degrees
-d_i >= 1, r at most n, Hilbert-driven with the target T = prod (1 - t^d_i),
-the numerator of a complete intersection.  Its output G is accepted iff (b)
-the numerator of LM(G) is T and (a) every f_i reduces to zero by G
-(`normal_forms`); otherwise the plain run starts from the generators.  The
-certificate is exact, with no prime.  By (a), (G) = I.  G lies in I, so
-LM(G) lies in LM(I), and HF(R/I) = HF(R/LM(I)) is at most HF(R/LM(G)),
-which by (b) is read from T/(1-t)^n, a pole of order n - r at t = 1; so
-dim R/I <= n - r.  By Krull's height theorem I has height r, so its r
-homogeneous generators form a regular sequence, R being Cohen-Macaulay
-(Eisenbud, Commutative Algebra, ch. 17-18), and the Koszul complex gives
-HS(R/I) = T/(1-t)^n.  So LM(G), inside LM(I), has the same Hilbert
-function; the two are equal, G is a Groebner basis, and the engine's
-`_finalize` has made it the reduced one, byte for byte.  The argument holds
-for any G the run outputs, so a sequence that is not regular, whose T
-misleads the deficit rule, costs a refused run, never a wrong answer.  On the shipped
-inputs the path takes the s5 Jacobian, whose zero reductions fall from 99
-to 2, and the quintic's I, from 108 to 3, and refuses the two s6 ideals.
-No input tried made (a) fail once (b) held; it stays, as the argument needs
-(G) = I.
+`buchberger` first runs homogeneous generators f_1..f_r of degrees d_i >=
+1, r at most n, over Q or over Q[a], Hilbert-driven with the target T =
+prod (1 - t^d_i), the numerator of a complete intersection.  Its output G
+is accepted iff (b) the numerator of LM(G) is T and (a) every f_i reduces
+to zero by G (`normal_forms`); otherwise the plain run starts from the
+generators.  The certificate is exact, with no prime.  By (a), (G) = I.  G
+lies in I, so LM(G) lies in LM(I), and HF(R/I) = HF(R/LM(I)) is at most
+HF(R/LM(G)), which by (b) is read from T/(1-t)^n, a pole of order n - r at
+t = 1; so dim R/I <= n - r.  By Krull's height theorem I has height r, so
+its r homogeneous generators form a regular sequence, R being
+Cohen-Macaulay (Eisenbud, Commutative Algebra, ch. 17-18), and the Koszul
+complex gives HS(R/I) = T/(1-t)^n.  So LM(G), inside LM(I), has the same
+Hilbert function; the two are equal, G is a Groebner basis, and the
+engine's `_finalize` has made it the reduced one, byte for byte.  The
+argument holds for any G the run outputs, so a sequence that is not
+regular, whose T misleads the deficit rule, costs a refused run, never a
+wrong answer.  On the shipped inputs the path takes the s5 Jacobian, whose
+zero reductions fall from 99 to 2, and the quintic's I, from 108 to 3, and
+refuses the two s6 ideals; the Jacobian with a in place of the coefficient
+1 of zwK, over Q[a]/(a^2 - a + 1), falls from 144 to 39.  No input tried
+made (a) fail once (b) held; it stays, as the argument needs (G) = I.
 
 `intersect`, in any field K (Q or Q[a]/(m)), computes the reduced basis of
 I cap J from one exact run of the ideal L below and certifies it;
 generators that are not homogeneous are first replaced by their closures,
-below.  Over Q the run is Hilbert-driven by the numerator N_L of L.  Over
-Q[a] it is the plain run: the engine's leads carry a (`_engine`), so no
-numerator of x-monomials counts them.  A pair whose generators become
-rational once each is divided by its leading coefficient, a unit, is
-replaced by that monic pair, which generates the same ideals and gets the
-driven run.
+below.  The run is Hilbert-driven by the numerator N_L of L, over Q and
+over Q[a] alike (`_engine`).  A pair whose generators become rational once
+each is divided by its leading coefficient, a unit, is replaced by that
+monic pair, which generates the same ideals and runs over Q, faster than
+over Q[a].
 
 For I and J in n variables, the run takes the generators homogenized by
 one more variable h: t*f and (h - t)*g in K[t, h, x], with the block order
@@ -58,7 +58,7 @@ homogeneous.  With R = K[x], the quotient K[t, h, x]/L is, as a graded
 space, R + t R/I[t] + s R/J[s] + ts R/(I+J)[t, s], so its Hilbert numerator
 is N_L = (1-z)^2 + z(1-z)(N_I + N_J) + z^2 N_(I+J), over (1-z)^(n+2).  It
 is read from the bases of I, J and I+J, which the certificate below
-reuses, and the run over Q is Hilbert-driven by it.  Given N_L the run is
+reuses, and the run is Hilbert-driven by it.  Given N_L the run is
 exact: the deficit rule (`_engine`) drops only pairs whose remainder is
 zero.  The candidate C is the run's output, the reduced basis of L,
 evaluated at h = 1.
@@ -88,11 +88,11 @@ That is why the undriven run of L always passes: its candidate's t-free
 slice is the exact reduced basis of I cap J (above), which lies in I and
 in J, is interreduced, and has leads whose numerator is the one (b) asks
 for.  Only the driven run can give another candidate: were N_L wrong, the
-run could drop a pair it needs.  So over Q a refused candidate is followed
-by the undriven run, certified in the same way, and over Q[a] that run is
-the only one.  A refused undriven candidate is a defect, and `intersect`
-raises AssertionError rather than return it.  A wrong target costs time,
-never a wrong answer, and every basis `intersect` returns is certified.
+run could drop a pair it needs.  So a refused candidate is followed by the
+undriven run, certified in the same way.  A refused undriven candidate is
+a defect, and `intersect` raises AssertionError rather than return it.  A
+wrong target costs time, never a wrong answer, and every basis `intersect`
+returns is certified.
 
 For I and J with a non-homogeneous generator, `intersect` takes that path
 on their closures (`_dehomogenized`).  Let I^h be
@@ -150,17 +150,17 @@ class _Basis(list):
 def buchberger(gens):
     """Reduced Groebner basis of the given generators (shared context), a
     list whose attribute num is the Hilbert numerator of its leads if the
-    complete-intersection certificate gave it, else None.  Rational
-    homogeneous generators of positive degrees, no more of them than
-    variables, first get a Hilbert-driven run whose output is accepted only
-    as the certified basis of a complete intersection (module docstring);
-    other generators, and a refused output, get the plain run."""
+    complete-intersection certificate gave it, else None.  Homogeneous
+    generators of positive degrees, no more of them than variables, first
+    get a Hilbert-driven run whose output is accepted only as the certified
+    basis of a complete intersection (module docstring); other generators,
+    and a refused output, get the plain run."""
     gens = [g for g in gens if isinstance(g, Polynomial) and not g.is_zero()]
     degs = [is_homogeneous(g) for g in gens]
     ctx = gens[0].ctx if gens else None
     if (
         gens and None not in degs and min(degs) > 0 and len(gens) <= ctx.nvars
-        and all(g.ctx == ctx for g in gens) and not _irrational(ctx.field, gens)
+        and all(g.ctx == ctx for g in gens)
     ):
         target = {0: 1}
         for d in degs:
@@ -174,25 +174,21 @@ def buchberger(gens):
     return _Basis(_on_engine(_Engine.run, gens))
 
 
-def minimal_generators(gens, basis=None):
+def minimal_generators(gens, num=None):
     """A minimal generating set of the ideal of the homogeneous gens, drawn
     from them: in ascending degree, stably, each generator outside the ideal
     of the ones before it (`_engine`).  Its size in each degree is
     the number of minimal generators of that degree.
 
-    basis, if given, is a Groebner basis of an ideal that agrees with the
-    ideal of the gens up to their largest degree, such as the cached basis
-    of an `Ideal` whose generators of higher degree were left out.  It does
-    not change the result; it lets the run skip every degree whose part of
-    the leading-monomial ideal its basis already covers.
+    num, if given, is the Hilbert numerator of the leading monomials of an
+    ideal that agrees with the ideal of the gens up to their largest
+    degree, such as that of an `Ideal` whose generators of higher degree
+    were left out.  It does not change the result; it drives the run, which
+    skips every degree its leads already cover.
     """
     if any(isinstance(g, Polynomial) and is_homogeneous(g) is None for g in gens):
         raise ValueError("non-homogeneous generator")
-    leads = None
-    if basis is not None:
-        top = max([g.total_degree() for g in gens if isinstance(g, Polynomial)], default=0)
-        leads = [g.leading_monomial() for g in basis if g.total_degree() <= top]
-    return _on_engine(lambda eng, gs: eng.minimal(gs, leads), gens)
+    return _on_engine(lambda eng, gs: eng.minimal(gs, num), gens)
 
 
 def normal_form(f, basis):
@@ -362,17 +358,17 @@ def _certified(cand, i_ideal, j_ideal, nums):
 def _traced(i_ideal, j_ideal):
     """(basis, numerator) of I cap J for homogeneous I and J: the certified
     t-free slice of the candidate, the reduced basis of L from one exact
-    run set at h = 1; and N(I) + N(J) - N(I+J).  Over Q the run is
-    Hilbert-driven by N_L, and a refused candidate is followed by the
-    undriven run; over Q[a] only the undriven run is made.  The undriven
-    candidate always passes, so its refusal raises AssertionError."""
+    run set at h = 1; and N(I) + N(J) - N(I+J).  The run is Hilbert-driven
+    by N_L, and a refused candidate is followed by the undriven run.  The
+    undriven candidate always passes, so its refusal raises
+    AssertionError."""
     gens = _tagged(i_ideal, j_ideal)
     nums = _numerators(i_ideal, j_ideal)
     ctx = gens[0].ctx
     # h goes in first in the second block: t*f and (h - t)*g
     ctxh = RingContext(ctx.variables[:1] + (_HOM,) + ctx.variables[1:], ctx.order, ctx.field)
     hgens = [homogenized(g, ctxh, 1) for g in gens]
-    for target in [None] if _irrational(ctx.field, gens) else [nums[3], None]:
+    for target in [nums[3], None]:
         cand = _packed(ctxh, hgens, lambda eng: eng.run(hgens, target))
         cand = [dehomogenized(g, ctx, 1) for g in cand]
         res = _certified(cand, i_ideal, j_ideal, nums)
@@ -406,7 +402,7 @@ def _dehomogenized(i_ideal, j_ideal):
 def intersect(i_ideal, j_ideal):
     """I cap J via a fresh auxiliary variable, in any field.  For
     homogeneous I and J the reduced basis of the homogenized elimination
-    ideal L comes from one exact run, Hilbert-driven by N_L over Q, and its
+    ideal L comes from one exact run, Hilbert-driven by N_L, and its
     t-free slice is certified by its Hilbert series, its interreduction
     and containment; I and J with a non-homogeneous generator take that
     path on the homogenizations of their dp bases, and a pair that is

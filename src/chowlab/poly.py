@@ -292,16 +292,16 @@ def dehomogenized(g, ctx, k):
 
 
 def _coeff_parts(c):
-    """(sign, abs-body, needs_star) for a term coefficient; None body = skip 1."""
+    """(sign, abs-body) for a term coefficient; None body = skip 1."""
     if isinstance(c, ExtElement):
         if any(x != 0 for x in c.coeffs[1:]):
-            return ("+", f"({c})", True)
+            return ("+", f"({c})")
         c = c.coeffs[0]
     sign = "-" if c < 0 else "+"
     a = abs(c)
     if a == 1:
-        return (sign, None, False)
-    return (sign, str(a), True)
+        return (sign, None)
+    return (sign, str(a))
 
 
 def render_monomial(exps, names, unit_exponents=False):
@@ -324,7 +324,7 @@ def render_poly(f):
     chunks = []
     for e, c in f.terms:
         mono = render_monomial(e, names)
-        sign, body, star = _coeff_parts(c)
+        sign, body = _coeff_parts(c)
         if mono:
             piece = f"{body}*{mono}" if body is not None else mono
         else:

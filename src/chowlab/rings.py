@@ -118,7 +118,7 @@ def _ideal_space(ideal, d):
 def linalg_oracle(ideal, d):
     """dim (B/I)_d by the rank of every product m*g of degree d not predicted
     by a Koszul syzygy; no GB involved."""
-    return len(graded_piece_basis(ideal.context, d)) - _ideal_space(ideal, d).rank
+    return hilbert_dim({0: 1}, ideal.context.nvars, d) - _ideal_space(ideal, d).rank
 
 
 def mingens_degrees(ideal, up_to):
@@ -129,13 +129,15 @@ def mingens_degrees(ideal, up_to):
     order, outside the ideal of the lower generators and the earlier degree-d
     ones (`groebner.minimal_generators`); there are dim I_d - dim (I_{<d})_d.
     When the ideal already holds its Groebner basis (as the results of
-    `intersect` in `dp` and `std` do), the run prunes with it;
-    none is computed for that.
+    `intersect` in `dp` and `std` do), the run is driven by the Hilbert
+    numerator of its leads (`Ideal.numerator`, which an `intersect` result
+    already holds); no basis is computed for that.
     """
     _require_homogeneous(ideal)
     gens = [g for g in ideal.generators if g.total_degree() <= up_to]
     table = {}
-    for g in minimal_generators(gens, ideal._gb):
+    num = None if ideal._gb is None else ideal.numerator()
+    for g in minimal_generators(gens, num):
         table.setdefault(g.total_degree(), []).append(g)
     return table
 

@@ -1,11 +1,11 @@
 """The complete-intersection path of `buchberger` (module docstring of
-`chowlab.groebner`): rational homogeneous generators of positive degrees
-d_1..d_r, r at most the number of variables, get a Hilbert-driven run with
-the target prod(1 - t^d_i).  Its output is accepted only if (b) its leads
-have that numerator and (a) every generator reduces to zero by it; then it
-is the reduced basis and the target the numerator of its leads.  Otherwise
-the plain run's basis is returned.  Either way the basis is the plain
-run's.
+`chowlab.groebner`): homogeneous generators of positive degrees d_1..d_r,
+r at most the number of variables, over Q or over Q[a], get a
+Hilbert-driven run with the target prod(1 - t^d_i).  Its output is
+accepted only if (b) its leads have that numerator and (a) every generator
+reduces to zero by it; then it is the reduced basis and the target the
+numerator of its leads.  Otherwise the plain run's basis is returned.
+Either way the basis is the plain run's.
 """
 
 import itertools
@@ -62,11 +62,12 @@ def session_k(ctx):
     return w**2 * x + w * x * y + w * y**2 + y**3 + w * x * z
 
 
-def s5_jacobian(field=QQ):
-    """The Jacobian ideal of the s5 quintic, numerator (1 - t^4)^4."""
+def s5_jacobian(field=QQ, c=1):
+    """The Jacobian ideal of w^5 + z^5 + xy^4 + x^4y + c*zwK, numerator
+    (1 - t^4)^4."""
     ctx = RingContext(("w", "x", "y", "z"), field=field)
     w, x, y, z = ctx.gens()
-    f = w**5 + z**5 + x * y**4 + x**4 * y + z * w * session_k(ctx)
+    f = w**5 + z**5 + x * y**4 + x**4 * y + c * z * w * session_k(ctx)
     return list(jacob(f).generators)
 
 
@@ -85,13 +86,20 @@ def quintic_i():
 
 @pytest.mark.parametrize(
     "case, pins",
-    [("jacobian-QQ", (2, 97)), ("jacobian-Q[a]", (2, 97)), ("I", (3, 105))],
+    [
+        ("jacobian-QQ", (2, 97)),
+        ("jacobian-Q[a]", (2, 97)),
+        ("I", (3, 105)),
+        ("jacobian-irrational", (39, 105)),
+    ],
 )
 def test_the_heavy_complete_intersections_are_accepted(case, pins, monkeypatch):
     gens = {
         "jacobian-QQ": s5_jacobian,
         "jacobian-Q[a]": lambda: s5_jacobian(EISENSTEIN),
         "I": quintic_i,
+        # its coefficient a makes every engine run carry a (`_engine`)
+        "jacobian-irrational": lambda: s5_jacobian(EISENSTEIN, EISENSTEIN.gen),
     }[case]()
     want = plain(gens)
     runs = driven_runs(monkeypatch)
@@ -99,7 +107,7 @@ def test_the_heavy_complete_intersections_are_accepted(case, pins, monkeypatch):
     assert gb == want
     assert gb.num == target(g.total_degree() for g in gens)
     assert gb.num == hilbert_numerator([g.leading_monomial() for g in gb], 4)
-    # the plain runs reduce 99 and 108 pairs to zero
+    # the plain runs reduce 99, 99, 108 and 144 pairs to zero
     assert runs == [pins]
 
 
@@ -154,20 +162,26 @@ def test_the_driven_run_of_x2_xy_fails_only_the_numerator_check():
     assert gb == plain(gens) and gb.num is None
 
 
+def test_an_irrational_complete_intersection_is_accepted(monkeypatch):
+    ctx = RingContext(("x", "y"), field=EISENSTEIN)
+    x, y = ctx.gens()
+    gens = [EISENSTEIN.gen * x**2 + y**2, x * y]
+    runs = driven_runs(monkeypatch)
+    gb = buchberger(gens)
+    assert gb == plain(gens) and gb.num == target([2, 2])
+    assert len(runs) == 1
+
+
 def refused():
     """(generators, whether they get a driven run) of each refusal."""
     ctx = RingContext(("x", "y", "z"))
     x, y, z = ctx.gens()
-    ctxa = RingContext(("x", "y"), field=EISENSTEIN)
-    xa, ya = ctxa.gens()
-    a = ctxa.const(EISENSTEIN.gen)
     return [
         ([x**2, x * y], True),  # check (b)
         *[(gens, True) for gens in s6_ideals()],
         ([x**2, y**2, z**2, x * y * z], False),  # r > n
         ([x**2 - y * z, ctx.const(Fraction(3, 2))], False),  # a constant
         ([x**2 - y, y**2, z**3], False),  # not homogeneous
-        ([a * xa**2 + ya**2, xa * ya], False),  # irrational over Q[a]
     ]
 
 

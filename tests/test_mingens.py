@@ -20,7 +20,6 @@ from chowlab.coeff import QQ, ExtField
 from chowlab.groebner import (
     Ideal,
     _irrational,
-    buchberger,
     intersect,
     minimal_generators,
 )
@@ -165,7 +164,7 @@ def test_irrational_lead_coefficient_is_resolved_in_its_degree():
         g = a * x**2 + y**2
         h = x**2 + (1 / a) * y**2
         assert minimal_generators([g, h]) == [g]
-        assert minimal_generators([g, h, z**2], buchberger([g, z**2])) == [g, z**2]
+        assert minimal_generators([g, h, z**2], Ideal(ctx, [g, z**2]).numerator()) == [g, z**2]
         check(Ideal(ctx, [g, h, x * z + a * y * z]), 3)
 
 

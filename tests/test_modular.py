@@ -339,19 +339,14 @@ def test_perturbed_candidate_never_changes_the_output(monkeypatch, t_part):
 def test_a_refused_undriven_candidate_raises(monkeypatch, case):
     # the undriven run's candidate always passes, so its refusal is a defect:
     # intersect raises rather than return an uncertified basis
-    i, j = small_pair() if case == "closures" else homogeneous_pair()
-    if case == "irrational":
-        field = ExtField("a", [1, -1, 1])
-        ctx = RingContext(i.context.variables, "dp", field)
-        x, y, z = ctx.gens()
-        i = Ideal(ctx, [x**2 + field.gen * y**2 - z**2])
-        j = Ideal(ctx, [ctx.from_dict(dict(g.terms)) for g in j.generators])
+    pairs = {"rational": homogeneous_pair, "irrational": irrational_pair, "closures": small_pair}
+    i, j = pairs[case]()
     cands = []
     monkeypatch.setattr(groebner, "_certified", lambda cand, *args: cands.append(cand))
     with pytest.raises(AssertionError, match="undriven run"):
         intersect(i, j)
-    # over Q the driven candidate, then the undriven one; over Q[a] only that
-    assert len(cands) == (1 if case == "irrational" else 2)
+    # the driven candidate, then the undriven one, over Q and over Q[a]
+    assert len(cands) == 2
 
 
 def candidate(i, j):
@@ -423,6 +418,17 @@ def homogeneous_pair():
     )
 
 
+def irrational_pair():
+    """homogeneous_pair with y^2 made a*y^2, over Q[a]/(a^2 - a + 1): it
+    stays irrational once monic."""
+    i, j = homogeneous_pair()
+    field = ExtField("a", [1, -1, 1])
+    ctx = RingContext(i.context.variables, "dp", field)
+    x, y, z = ctx.gens()
+    i = Ideal(ctx, [x**2 + field.gen * y**2 - z**2])
+    return i, Ideal(ctx, [ctx.from_dict(dict(g.terms)) for g in j.generators])
+
+
 def s6_pairs():
     """The two intersections of the s6-ideal experiment."""
     ctx = RingContext(("w", "x", "y", "z"))
@@ -456,7 +462,8 @@ def test_homogeneous_path_certifies_the_slice_of_the_candidate(monkeypatch):
 
 
 def test_certificate_accepts_the_shipped_and_seeded_homogeneous_pairs(monkeypatch):
-    pairs = s6_pairs() + [random_pair(seed) for seed in range(0, 32, 2)]
+    # the run of L over Q[a] is driven by N_L too: its candidate passes
+    pairs = s6_pairs() + [irrational_pair()] + [random_pair(seed) for seed in range(0, 32, 2)]
     for i, j in pairs:
         assert homogeneous(i, j)
         calls = record_buchberger(monkeypatch, i, j)
@@ -655,6 +662,7 @@ RUN_COUNTS = {
     "s6": (lambda: s6_pairs()[0], (8, 20, 0)),
     "s6-second": (lambda: s6_pairs()[1], (1, 23, 0)),
     "quintic": (quintic_pair, (79, 188, 0)),
+    "irrational": (irrational_pair, (1, 9, 0)),
 }
 
 
