@@ -46,41 +46,37 @@ made (a) fail once (b) held; it stays, as the argument needs (G) = I.
 I cap J from one exact run of the ideal L below and certifies it;
 generators that are not homogeneous are first replaced by their closures,
 below.  The run is Hilbert-driven by the numerator N_L of L, over Q and
-over Q[a] alike (`_engine`).  A pair whose generators become rational once
-each is divided by its leading coefficient, a unit, is replaced by that
-monic pair, which generates the same ideals and runs over Q, faster than
-over Q[a].
+over Q[a] alike (`_engine`).
 
-For I and J in n variables, the run takes the generators homogenized by
-one more variable h: t*f and (h - t)*g in K[t, h, x], with the block order
-(t | h, x).  Their ideal L = tI + sJ, with s = h - t, is
-homogeneous.  With R = K[x], the quotient K[t, h, x]/L is, as a graded
-space, R + t R/I[t] + s R/J[s] + ts R/(I+J)[t, s], so its Hilbert numerator
-is N_L = (1-z)^2 + z(1-z)(N_I + N_J) + z^2 N_(I+J), over (1-z)^(n+2).  It
-is read from the bases of I, J and I+J, which the certificate below
-reuses, and the run is Hilbert-driven by it.  Given N_L the run is
-exact: the deficit rule (`_engine`) drops only pairs whose remainder is
-zero.  The candidate C is the run's output, the reduced basis of L,
-evaluated at h = 1.
-That map sends the generators to t*f and (1 - t)*g and keeps the terms of
-a homogeneous element apart.  Since L cap K[h, x] = h (I cap J)[h], the
-t-free slice of the reduced basis of L is h times the reduced basis of I
-cap J, with the same leads (grevlex on (h, x) compares
-h*u and h*v as it compares u and v).  So at h = 1 the t-free slice of C,
-made monic, is the reduced basis of I cap J.
+For I and J in n variables, L's generators are built in K[t, h, x], with
+one more variable h: t*f and (h - t)*g, with the block order (t | h, x).
+Their ideal L = tI + sJ, with s = h - t, is homogeneous.  With R = K[x],
+the quotient K[t, h, x]/L is, as a graded space, R + t R/I[t] + s R/J[s]
++ ts R/(I+J)[t, s], so its Hilbert numerator is N_L = (1-z)^2 +
+z(1-z)(N_I + N_J) + z^2 N_(I+J), over (1-z)^(n+2).  It is read from the
+bases of I, J and I+J, which the certificate below reuses, and the run is
+Hilbert-driven by it.  Given N_L the run is exact: the deficit rule
+(`_engine`) drops only pairs whose remainder is zero.  The candidate C is
+the run's output, the reduced basis of L.  Since L cap K[h, x] = h (I cap
+J)[h], its t-free slice is h times the reduced basis of I cap J, with the
+same leads (grevlex on (h, x) compares h*u and h*v as it compares u and
+v).  So that slice read at h = 1, which drops the exponents of t and h,
+and made monic, is the reduced basis of I cap J.
 
-The t-free slice H of C, made monic, is certified with no second
+The t-free slice H of C at h = 1, made monic, is certified with no second
 elimination, by its Hilbert series (in the spirit of Traverso's
 Hilbert-driven bases).  The exact sequence 0 -> R/(I cap J) -> R/I + R/J ->
 R/(I+J) -> 0 gives HS(R/(I cap J)) = HS(R/I) + HS(R/J) - HS(R/(I+J)), and
 for a homogeneous ideal HS(R/I) = N(t)/(1-t)^n, with N the numerator of the
 leading monomials of any Groebner basis of I.  H is accepted iff (a) every
 element lies in I and in J; (b) N(LM(H)) = N(LM(I)) + N(LM(J)) -
-N(LM(I+J)), the basis of I+J being one more run in n variables; and (c) no
-term of one element is divisible by the lead of another.  Leads of H are
-taken in C's block order, which is grevlex on the x block whatever the
-ring's order.  By (a), (H) lies in I cap J, so (LM(H)) lies in LM((H)),
-which lies in LM(I cap J).  By (b) the two monomial ideals at the ends have
+N(LM(I+J)), one numerator (`_numerators`), the basis of I+J being one more
+run in n variables; and (c) no term of one element is divisible by the
+lead of another.  Leads of H are read in a grevlex ring on x, whatever the
+ring's order, from H itself: an element of a wrong candidate need not be
+h times a form in x, and then its lead in C's order is not that of its
+slice.  By (a), (H) lies in I cap J, so (LM(H)) lies in LM((H)), which
+lies in LM(I cap J).  By (b) the two monomial ideals at the ends have
 the same Hilbert function, so they are equal.  So H is a Groebner basis of
 I cap J, and with (c) its reduced basis, byte for byte.
 
@@ -120,21 +116,23 @@ I cap J.
 import threading
 from math import comb
 
-from ._engine import _Engine, _irrational, _packed, _Packing
+from ._engine import _Engine, _packed, _Packing
 from .hilbert import _padd, hilbert_numerator
-from .poly import Polynomial, RingContext, dehomogenized, homogenized, is_homogeneous
+from .poly import Polynomial, RingContext, is_homogeneous
+
+
+def _nonzero(gens):
+    """The nonzero polynomials of gens, which must share one context."""
+    gens = [g for g in gens if isinstance(g, Polynomial) and not g.is_zero()]
+    if any(g.ctx != gens[0].ctx for g in gens):
+        raise ValueError("mixed ring contexts")
+    return gens
 
 
 def _on_engine(method, gens):
     """method(engine, gens) on the nonzero polynomials of gens (one context)."""
-    gens = [g for g in gens if isinstance(g, Polynomial) and not g.is_zero()]
-    if not gens:
-        return []
-    ctx = gens[0].ctx
-    for g in gens:
-        if g.ctx != ctx:
-            raise ValueError("mixed ring contexts")
-    return _packed(ctx, gens, lambda eng: method(eng, gens))
+    gens = _nonzero(gens)
+    return _packed(gens[0].ctx, gens, lambda eng: method(eng, gens)) if gens else []
 
 
 class _Basis(list):
@@ -155,13 +153,10 @@ def buchberger(gens):
     get a Hilbert-driven run whose output is accepted only as the certified
     basis of a complete intersection (module docstring); other generators,
     and a refused output, get the plain run."""
-    gens = [g for g in gens if isinstance(g, Polynomial) and not g.is_zero()]
+    gens = _nonzero(gens)
     degs = [is_homogeneous(g) for g in gens]
     ctx = gens[0].ctx if gens else None
-    if (
-        gens and None not in degs and min(degs) > 0 and len(gens) <= ctx.nvars
-        and all(g.ctx == ctx for g in gens)
-    ):
+    if gens and None not in degs and min(degs) > 0 and len(gens) <= ctx.nvars:
         target = {0: 1}
         for d in degs:
             target = _padd(target, target, d, -1)
@@ -300,82 +295,73 @@ _AUX, _HOM, _PROJ = "@t", "@h", "@p"
 
 
 def _tagged(i_ideal, j_ideal):
-    """The generators t*f of I and (1 - t)*g of J, whose ideal meets K[x] in
-    I cap J, in K[t, x] with the block order (t | x)."""
+    """The generators t*f of I and (h - t)*g of J, of the homogeneous ideal
+    L of the module docstring, in K[t, h, x] with the block order (t | h,
+    x)."""
     ctx = i_ideal.context
-    ctxa = RingContext((_AUX,) + ctx.variables, ("block", 1), ctx.field)
-    t = ctxa.var(_AUX)
-    gens = [t * _port(f, ctxa, pad=1) for f in i_ideal.generators]
-    return gens + [(ctxa.one - t) * _port(g, ctxa, pad=1) for g in j_ideal.generators]
+    ctxh = RingContext((_AUX, _HOM) + ctx.variables, ("block", 1), ctx.field)
+    t, h = ctxh.var(_AUX), ctxh.var(_HOM)
+    gens = [t * _port(f, ctxh, pad=2) for f in i_ideal.generators]
+    return gens + [(h - t) * _port(g, ctxh, pad=2) for g in j_ideal.generators]
 
 
 def _numerators(i_ideal, j_ideal):
-    """The Hilbert numerators of homogeneous I and J, of I+J and of
+    """(N_I + N_J - N_(I+J), N_L): the Hilbert numerators of I cap J and of
     L = tI + (h - t)J, the last in two more variables, from the reduced
-    bases."""
+    bases of homogeneous I, J and I+J."""
     ni, nj = i_ideal.numerator(), j_ideal.numerator()
     nij = Ideal(i_ideal.context, i_ideal.generators + j_ideal.generators).numerator()
     # S/L = R + t R/I[t] + s R/J[s] + ts R/(I+J)[t, s] with s = h - t, so
     # N_L = (1-z)^2 + z(1-z)(N_I + N_J) + z^2 N_I+J
     s = _padd(ni, nj)
-    return ni, nj, nij, _padd({0: 1, 1: -2, 2: 1}, _padd(_padd(s, nij, 1), s, 1, -1), 1)
+    return _padd(s, nij, sign=-1), _padd({0: 1, 1: -2, 2: 1}, _padd(_padd(s, nij, 1), s, 1, -1), 1)
 
 
-def _certified(cand, i_ideal, j_ideal, nums):
-    """The t-free slice H of the candidate, monic, ported to the ring of I
-    and J and sorted by descending lead, if it passes the certificate of
-    the module docstring as the reduced basis of I cap J; else None.  nums
-    are those of `_numerators`."""
-    n = i_ideal.context.nvars
-    key = cand[0].ctx.key
-    hs = sorted(
-        [g for g in cand if g and not any(e[0] for e, _ in g.terms)],
-        key=lambda g: key(g.leading_monomial()),
-        reverse=True,
-    )
-    # in the order of the candidate's ring, which is grevlex on the x block
-    leads = [g.leading_monomial()[1:] for g in hs]
+def _certified(cand, i_ideal, j_ideal, num):
+    """The t-free slice H of the candidate at h = 1, monic, in the ring of
+    I and J and sorted by descending grevlex lead, if it passes the
+    certificate of the module docstring as the reduced basis of I cap J;
+    else None.  num is N_I + N_J - N_(I+J), from `_numerators`."""
+    ctx = i_ideal.context
+    dp = RingContext(ctx.variables, "dp", ctx.field)
+    # t and h dropped, in grevlex on x, where the leads are read
+    hs = [_port(g, dp, drop=2) for g in cand if g and not any(e[0] for e, _ in g.terms)]
+    hs.sort(key=lambda g: dp.key(g.leading_monomial()), reverse=True)
+    del cand  # its only reference (`_traced`): the rest is freed before (a)
+    leads = [g.leading_monomial() for g in hs]
     # (c) interreduced: a term is divisible by one lead if it is its
     # polynomial's lead term (the first), else by none
     pk = _Packing(
-        "dp", n, max(8, (2 * max(map(sum, leads), default=0)).bit_length() + 1)
+        "dp", ctx.nvars, max(8, (2 * max(map(sum, leads), default=0)).bit_length() + 1)
     )
     words = [pk.pack(m)[1] for m in leads]
     for g in hs:
         for k, (e, _) in enumerate(g.terms):
-            top = pk.pack(e[1:])[1] | pk.guard
+            top = pk.pack(e)[1] | pk.guard
             if sum((top - w) & pk.guard == pk.guard for w in words) != (k == 0):
                 return None
     # (b) HS(R/(H)) = HS(R/I) + HS(R/J) - HS(R/(I+J)), read from the leads
-    ni, nj, nij, _ = nums
-    if _padd(hilbert_numerator(leads, n), nij) != _padd(ni, nj):
+    if hilbert_numerator(leads, ctx.nvars) != num:
         return None
-    # (a) containment
-    res = [_port(g * (1 / g.leading_coeff()), i_ideal.context, drop=1) for g in hs]
-    return res if contained(res, i_ideal, j_ideal) else None
+    # (a) containment, with no other copy of H kept
+    hs = [_port(g * (1 / g.leading_coeff()), ctx) for g in hs]
+    return hs if contained(hs, i_ideal, j_ideal) else None
 
 
 def _traced(i_ideal, j_ideal):
     """(basis, numerator) of I cap J for homogeneous I and J: the certified
     t-free slice of the candidate, the reduced basis of L from one exact
-    run set at h = 1; and N(I) + N(J) - N(I+J).  The run is Hilbert-driven
-    by N_L, and a refused candidate is followed by the undriven run.  The
-    undriven candidate always passes, so its refusal raises
-    AssertionError."""
+    run, and N_I + N_J - N_(I+J).  The run is Hilbert-driven by N_L, and a
+    refused candidate is followed by the undriven run.  The undriven
+    candidate always passes, so its refusal raises AssertionError."""
     gens = _tagged(i_ideal, j_ideal)
-    nums = _numerators(i_ideal, j_ideal)
-    ctx = gens[0].ctx
-    # h goes in first in the second block: t*f and (h - t)*g
-    ctxh = RingContext(ctx.variables[:1] + (_HOM,) + ctx.variables[1:], ctx.order, ctx.field)
-    hgens = [homogenized(g, ctxh, 1) for g in gens]
-    for target in [nums[3], None]:
-        cand = _packed(ctxh, hgens, lambda eng: eng.run(hgens, target))
-        cand = [dehomogenized(g, ctx, 1) for g in cand]
-        res = _certified(cand, i_ideal, j_ideal, nums)
+    num, num_l = _numerators(i_ideal, j_ideal)
+    for target in [num_l, None]:
+        run = lambda eng: eng.run(gens, target)  # noqa: E731
+        res = _certified(_packed(gens[0].ctx, gens, run), i_ideal, j_ideal, num)
         if res is not None:
-            # HS(R/(I cap J)) = HS(R/I) + HS(R/J) - HS(R/(I+J)), and a
-            # homogeneous ideal's Hilbert series does not depend on the order
-            return res, _padd(_padd(nums[0], nums[1]), nums[2], sign=-1)
+            # a homogeneous ideal's Hilbert series does not depend on the order
+            return res, num
     raise AssertionError("the undriven run of L failed its certificate")
 
 
@@ -391,33 +377,30 @@ def _dehomogenized(i_ideal, j_ideal):
         if ctx != dp:
             ideal = Ideal(dp, [_port(g, dp) for g in ideal.generators])
         # the reduced basis of the homogenization of the ideal
-        hs = [homogenized(g, ctxp, ctx.nvars) for g in ideal.groebner_basis()]
+        hs = [
+            ctxp.from_dict({e + (g.total_degree() - sum(e),): c for e, c in g.terms})
+            for g in ideal.groebner_basis()
+        ]
         return Ideal(ctxp, hs, basis=hs)
 
     res = _traced(closure(i_ideal), closure(j_ideal))[0]
     # at p = 1 it is the reduced dp basis of I cap J
-    return [dehomogenized(g, ctx, ctx.nvars) for g in res]
+    return [ctx.from_dict({e[:-1]: c for e, c in g.terms}) for g in res]
 
 
 def intersect(i_ideal, j_ideal):
     """I cap J via a fresh auxiliary variable, in any field.  For
-    homogeneous I and J the reduced basis of the homogenized elimination
-    ideal L comes from one exact run, Hilbert-driven by N_L, and its
-    t-free slice is certified by its Hilbert series, its interreduction
-    and containment; I and J with a non-homogeneous generator take that
-    path on the homogenizations of their dp bases, and a pair that is
-    rational once monic takes it as that monic pair (module docstring)."""
+    homogeneous I and J the reduced basis of L, generated in K[t, h, x],
+    comes from one exact run, Hilbert-driven by N_L, and its t-free slice
+    at h = 1 is certified by its Hilbert series, its interreduction and
+    containment; I and J with a non-homogeneous generator take that path
+    on the homogenizations of their dp bases (module docstring)."""
     ctx = i_ideal.context
     if j_ideal.context != ctx:
         raise ValueError("mixed ring contexts")
     if {_AUX, _HOM, _PROJ} & set(ctx.variables):
         raise ValueError("auxiliary variable name collision")
     pair = i_ideal.generators + j_ideal.generators
-    if _irrational(ctx.field, pair):  # perhaps only through units
-        monic = [g * (1 / g.leading_coeff()) for g in pair]
-        if not _irrational(ctx.field, monic):
-            n = len(i_ideal.generators)
-            i_ideal, j_ideal, pair = Ideal(ctx, monic[:n]), Ideal(ctx, monic[n:]), monic
     res, num = [], None
     if pair and all(is_homogeneous(g) is not None for g in pair):
         res, num = _traced(i_ideal, j_ideal)

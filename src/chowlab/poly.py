@@ -279,18 +279,6 @@ def is_homogeneous(f):
     return None
 
 
-def homogenized(g, ctx, k):
-    """g homogenized by the variable k of ctx, the others g's in order."""
-    d = g.total_degree()
-    return ctx.from_dict({e[:k] + (d - sum(e),) + e[k:]: c for e, c in g.terms})
-
-
-def dehomogenized(g, ctx, k):
-    """The homogeneous g with its variable k set to 1, in ctx: each term
-    drops that exponent, and no two terms meet."""
-    return ctx.from_dict({e[:k] + e[k + 1 :]: c for e, c in g.terms})
-
-
 def _coeff_parts(c):
     """(sign, abs-body) for a term coefficient; None body = skip 1."""
     if isinstance(c, ExtElement):

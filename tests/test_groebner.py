@@ -190,6 +190,28 @@ def test_intersect_refuses_an_auxiliary_variable_name(monkeypatch, name):
     assert i._gb is None and j._gb is None
 
 
+def test_buchberger_normal_forms_and_intersect_reject_mixed_contexts(monkeypatch):
+    ctx, other = RingContext(("x", "y"), "dp"), RingContext(("x", "y"), "lp")
+    x, y = ctx.gens()
+    v = other.var("y")
+
+    def no_work(*args):
+        raise AssertionError("an engine ran")
+
+    # each checks before any engine runs; [x, v] would otherwise take the
+    # complete-intersection run
+    monkeypatch.setattr(groebner, "_packed", no_work)
+    with pytest.raises(ValueError, match="mixed ring contexts"):
+        buchberger([x, v])
+    with pytest.raises(ValueError, match="mixed ring contexts"):
+        normal_forms([x * y], [x, v])
+    with pytest.raises(ValueError, match="mixed ring contexts"):
+        intersect(Ideal(ctx, [x]), Ideal(other, [v]))
+    # zero generators are dropped before the check
+    monkeypatch.undo()
+    assert buchberger([other.zero, x, ctx.zero]) == [x]
+
+
 def test_intersect_contains_product_random():
     ctx = RingContext(["x", "y", "z"], "dp")
     rng = random.Random(321)

@@ -17,11 +17,10 @@ from math import comb
 import pytest
 
 import chowlab.groebner as groebner
-from chowlab._engine import RowSpace
+from chowlab._engine import RowSpace, _irrational
 from chowlab.coeff import QQ, ExtField
 from chowlab.groebner import (
     Ideal,
-    _irrational,
     _packed,
     buchberger,
     intersect,

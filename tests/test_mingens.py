@@ -15,11 +15,10 @@ from fractions import Fraction
 import pytest
 
 import chowlab.groebner as groebner
-from chowlab._engine import RowSpace
+from chowlab._engine import RowSpace, _irrational
 from chowlab.coeff import QQ, ExtField
 from chowlab.groebner import (
     Ideal,
-    _irrational,
     intersect,
     minimal_generators,
 )

@@ -1,10 +1,11 @@
 """The certified path of `intersect`.
 
-A homogeneous pair gets one exact run on its homogenized elimination,
-Hilbert-driven by N_L over Q, and the t-free slice of that candidate is
-certified by its Hilbert series, its interreduction and containment; a
-refused driven candidate is followed by the undriven run, whose candidate
-the certificate always takes.  Over Q[a] only the undriven run is made.
+A homogeneous pair gets one exact run on its homogenized elimination L,
+generated in K[t, h, x] and Hilbert-driven by N_L over Q and over Q[a]
+alike, and the t-free slice of that candidate at h = 1 is certified by its
+Hilbert series, its interreduction and containment; a refused driven
+candidate is followed by the undriven run, whose candidate the certificate
+always takes.
 `reference_intersect` is the elimination `intersect` ran before it had a
 certified path: one fraction-free `buchberger` on t*f and (1-t)*g, the
 t-free slice, and the containment check.  A non-homogeneous pair takes the
@@ -26,6 +27,7 @@ from operator import add
 import pytest
 
 import chowlab.groebner as groebner
+from chowlab._engine import _irrational
 from chowlab.coeff import ExtField
 from chowlab.groebner import Ideal, buchberger, contained, intersect
 from chowlab.hilbert import hilbert_dim
@@ -240,9 +242,10 @@ def test_dp_regression_pair_matches_the_exact_elimination():
 
 
 def test_unit_scaled_dp_regression_pair_is_certified_as_the_rational_one(monkeypatch):
-    # every generator times the unit a is irrational, but monic it is the
-    # rational pair again: the certified path, within the rational pair's
-    # bound, where the block elimination with a did not finish in 60 s
+    # every generator times the unit a is irrational, so L runs over Q[a];
+    # the ideals are the rational pair's, and so is the certified basis,
+    # within the rational pair's bound, where the block elimination with a
+    # did not finish in 60 s
     field = ExtField("a", [1, -1, 1])
     i, j = regression_pair("dp")
     ctx = RingContext(i.context.variables, "dp", field)
@@ -258,9 +261,9 @@ def test_unit_scaled_dp_regression_pair_is_certified_as_the_rational_one(monkeyp
 
 
 def test_irrational_dp_regression_pair_is_certified_in_one_candidate(monkeypatch):
-    # 7*y*z^2 made 7*a*y*z^2: irrational once monic too, so the undriven run
-    # over Q[a] on the closures, where the block elimination with a ran past
-    # 120 s on a 2-core x86-64 host under CPython 3.11
+    # 7*y*z^2 made 7*a*y*z^2: the driven run over Q[a] on the closures,
+    # where the block elimination with a ran past 120 s on a 2-core x86-64
+    # host under CPython 3.11
     field = ExtField("a", [1, -1, 1])
     i, j = regression_pair("dp")
     ctx = RingContext(i.context.variables, "dp", field)
@@ -419,8 +422,7 @@ def homogeneous_pair():
 
 
 def irrational_pair():
-    """homogeneous_pair with y^2 made a*y^2, over Q[a]/(a^2 - a + 1): it
-    stays irrational once monic."""
+    """homogeneous_pair with y^2 made a*y^2, over Q[a]/(a^2 - a + 1)."""
     i, j = homogeneous_pair()
     field = ExtField("a", [1, -1, 1])
     ctx = RingContext(i.context.variables, "dp", field)
@@ -457,8 +459,32 @@ def test_homogeneous_path_certifies_the_slice_of_the_candidate(monkeypatch):
     monic = [cand[k] * (1 / cand[k].leading_coeff()) for k in t_free(cand)]
     ctx = i.context
     assert [g.terms for g in got.generators] == [
-        ctx.from_dict({e[1:]: c for e, c in g.terms}).terms for g in monic
+        ctx.from_dict({e[2:]: c for e, c in g.terms}).terms for g in monic
     ]
+
+
+UNIT_SCALED = {
+    "homogeneous": homogeneous_pair,
+    "s6": lambda: s6_pairs()[0],
+    "s6-second": lambda: s6_pairs()[1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNIT_SCALED))
+def test_unit_scaled_homogeneous_pair_is_certified_as_the_rational_one(monkeypatch, case):
+    # every generator times the unit a: L runs over Q[a], where the pair
+    # made monic would run over Q, and its slice is the rational pair's basis
+    field = ExtField("a", [1, -1, 1])
+    i, j = UNIT_SCALED[case]()
+    ctx = RingContext(i.context.variables, "dp", field)
+    a = field.gen
+    ia, ja = (Ideal(ctx, [a * ctx.from_dict(dict(g.terms)) for g in k.generators]) for k in (i, j))
+    assert _irrational(field, groebner._tagged(ia, ja))
+    certs = record_certificates(monkeypatch)
+    got = intersect(ia, ja)
+    assert len(certs) == 1 and certs[0] is not None
+    want = [ctx.from_dict(dict(g.terms)) for g in intersect(i, j).generators]
+    assert list(got.generators) == want
 
 
 def test_certificate_accepts_the_shipped_and_seeded_homogeneous_pairs(monkeypatch):
@@ -487,9 +513,9 @@ def test_certificate_rejects_a_dropped_t_free_element(monkeypatch, case):
     cand = candidate(*certified_pair(i, j))
     k = t_free(cand)[0]
     seed = cand[:k] + cand[k + 1 :]
-    n = cand[0].ctx.nvars - 1
+    n = cand[0].ctx.nvars - 2
     whole, rest = (
-        groebner.hilbert_numerator([c[k].leading_monomial()[1:] for k in t_free(c)], n)
+        groebner.hilbert_numerator([c[k].leading_monomial()[2:] for k in t_free(c)], n)
         for c in (cand, seed)
     )
     assert whole != rest
@@ -591,11 +617,16 @@ def test_hilbert_numerator_of_the_homogenized_elimination():
     # generator
     for i, j in homogeneous_cases()[:-2]:
         gens = homogenized_generators(i, j)
-        target = groebner._numerators(i, j)[3]
+        target = groebner._numerators(i, j)[1]
         ideal = Ideal(gens[0].ctx, gens)
         n = ideal.context.nvars
         for d in range(max(g.total_degree() for g in gens) + 4):
             assert hilbert_dim(target, n, d) == graded_dim(ideal, d).dim_quotient
+
+
+def test_the_library_builds_the_generators_of_l_as_the_tests_do():
+    for i, j in homogeneous_cases() + [irrational_pair()]:
+        assert groebner._tagged(i, j) == homogenized_generators(i, j)
 
 
 def driven_run(i, j, target=None):
@@ -603,7 +634,7 @@ def driven_run(i, j, target=None):
     Hilbert-driven by target, N_L by default, as `_traced` runs it."""
     gens = homogenized_generators(i, j)
     if target is None:
-        target = groebner._numerators(i, j)[3]
+        target = groebner._numerators(i, j)[1]
     return groebner._packed(gens[0].ctx, gens, lambda eng: (eng.run(gens, target), eng))
 
 
@@ -645,15 +676,15 @@ def test_a_deficit_one_too_small_is_refused_by_the_certificate(monkeypatch, case
 
 def test_candidate_at_h_1_has_the_t_free_slice_of_the_reference():
     for i, j in homogeneous_cases():
-        nums = groebner._numerators(i, j)
+        num = groebner._numerators(i, j)[0]
         cand = candidate(i, j)
         monic = [cand[k] * (1 / cand[k].leading_coeff()) for k in t_free(cand)]
         ctx = i.context
-        assert [ctx.from_dict({e[1:]: c for e, c in g.terms}).terms for g in monic] == [
+        assert [ctx.from_dict({e[2:]: c for e, c in g.terms}).terms for g in monic] == [
             g.terms for g in reference_intersect(i, j)
         ]
         # so the certificate takes it, and no elimination runs
-        assert groebner._certified(cand, i, j, nums) is not None
+        assert groebner._certified(cand, i, j, num) is not None
 
 
 # (zero reductions, pairs skipped, generators skipped) of the exact driven
