@@ -185,7 +185,8 @@ class ExtElement:
     """Element of an ExtField; coefficient tuple of length deg(minpoly).
 
     Sums act on the coefficients; a product multiplies the two coefficient
-    lists (`_uni.mul`) and reduces the result with `ext_reduce`.
+    lists (`_uni.mul`) and reduces the result with `ext_reduce`, unless one
+    factor is rational (no a-part), which scales the other's coefficients.
     """
 
     __slots__ = ("field", "coeffs")
@@ -231,7 +232,12 @@ class ExtElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.field.element(_uni.mul(self.coeffs, o.coeffs))
+        a, b = self.coeffs, o.coeffs
+        if any(b[1:]) and not any(a[1:]):
+            a, b = b, a
+        if not any(b[1:]):  # a rational factor scales the other's coefficients
+            return ExtElement(self.field, tuple(c * b[0] for c in a))
+        return self.field.element(_uni.mul(a, b))
 
     __rmul__ = __mul__
 

@@ -34,6 +34,7 @@ from chowlab.rings import (
     hilbert_table,
     jacob,
     linalg_oracle,
+    mingens_degrees,
 )
 from test_groebner import session_ideals
 
@@ -228,8 +229,17 @@ def test_criterion_10_oracle_suite():
         i, j = session_ideals(RingContext(("w", "x", "y", "z")))
         ranks = [graded_intersection_dim(i, j, d) for d in range(11, 16)]
         assert ranks == [136, 211, 296, 393, 504]
+
+        # and a second route for the golden's empty degree 11 of mingens: the
+        # degree-11 multiples of the 23 minimal generators (degrees 9 and 10)
+        # lie in I cap J, so a rank that reaches route 1's 136 means they span
+        # (I cap J)_11 and no minimal generator has degree 11
+        gens = [g for r in mingens_degrees(intersect(i, j), 10).values() for g in r]
+        assert len(gens) == 23
+        assert linalg_oracle(Ideal(i.context, gens), 11) == comb(14, 3) - ranks[0]
     _passed(10, "graded ranks agree with the dense oracle; Fermat series exact; "
-            "quintic intersection ranks in degrees 11-15")
+            "quintic intersection ranks in degrees 11-15; no minimal generator "
+            "of degree 11")
 
 
 def test_criterion_11_property_suite():

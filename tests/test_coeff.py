@@ -272,6 +272,27 @@ def test_field_axioms_random():
         assert acc.is_zero()
 
 
+def test_product_by_a_rational_factor_is_the_general_product():
+    # a factor with no a-part scales the other's coefficient tuple; the
+    # general product multiplies the coefficient lists and reduces them by
+    # the minimal polynomial, and both give the same tuple of Fractions
+    from chowlab import _uni
+
+    rng = random.Random(20261022)
+    for K in (eisenstein(), ExtField("a", [-2, 0, 0, 1])):
+        for _ in range(40):
+            x = K.element([F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(K.degree)])
+            r = F(rng.randint(-9, 9), rng.randint(1, 9))
+            n = rng.randint(-9, 9)
+            for y in (K.element([r]), K.element([n]), K.zero, K.one, x):
+                want = ext_reduce(_uni.mul(list(x.coeffs), list(y.coeffs)), K).coeffs
+                assert (x * y).coeffs == (y * x).coeffs == want, (x, y)
+                if not any(y.coeffs[1:]):
+                    c = y.coeffs[0]
+                    assert (x * c).coeffs == (c * x).coeffs == want
+                assert all(type(c) is F for c in (x * y).coeffs)
+
+
 def test_quartic_field():
     K = ExtField("t", list(cyclotomic(5)))  # t^4+t^3+t^2+t+1
     t = K.gen

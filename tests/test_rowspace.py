@@ -14,7 +14,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from chowlab._engine import RowSpace
+from chowlab import _engine
+from chowlab._engine import RowSpace, _primitive
 from chowlab.coeff import QQ, ExtField
 from chowlab.groebner import Ideal
 from chowlab.poly import RingContext, graded_piece_basis
@@ -145,8 +146,8 @@ def test_rank_matches_field_division():
 
 
 def test_long_reductions_strip_content():
-    # a combination of 12 dense rows takes more than 8 reduction steps, so
-    # the content strip inside a reduction runs before the row cancels
+    # a combination of 12 dense rows takes many reduction steps, and its
+    # remainders keep their content while they wait, until the row cancels
     rng = random.Random(12)
     for field in FIELDS:
         ctx = RingContext(("x", "y", "z"), "dp", field)
@@ -383,6 +384,55 @@ def test_in_place_reduction_edge_cases():
         assert space.rank == reference_rank(rows) == 3
         check_pivots(space, rows)
         check_pivots(_ideal_space(s5_jacobian(field, c), 8))
+
+
+def test_large_leads_are_stripped_and_every_pivot_at_install(monkeypatch):
+    # a remainder keeps its content while it waits, unless its lead passes
+    # _STRIP_BITS; the row that becomes a pivot is always stripped.  G puts
+    # the first remainders' leads far above the threshold, and the third
+    # remainder waits with content 6 and a negative lead until it is a pivot
+    # in (x, y, z) "dp", where x^2 > xy > xz > y^2 > yz > z^2
+    strips = []
+
+    def primitive(cs):
+        out = _primitive(cs)
+        strips.append((cs[0].bit_length() > _engine._STRIP_BITS, out is not cs, out))
+        return out
+
+    monkeypatch.setattr(_engine, "_primitive", primitive)
+    G = 2 ** (4 * _engine._STRIP_BITS)
+    for field in FIELDS:
+        ctx = RingContext(("x", "y", "z"), "dp", field)
+        x, y, z = ctx.gens()
+        c = field.gen if field != QQ else Fraction(7, 2)
+        steps = [
+            (x**2 + x * y, True),
+            # 6G * (xy + yz) waits at xy, stripped, and is the pivot there
+            (x**2 + (1 + 6 * G) * x * y + 6 * G * y * z, True),
+            # G * (xy + yz), stripped, cancels against that pivot
+            ((G + 1) * x**2 + (2 * G + 1) * x * y + G * y * z, False),
+            # -6 * (xz - 2z^2) waits unstripped and is the pivot at xz
+            (x**2 + x * y - 6 * x * z + 12 * z**2, True),
+            (c * G * y**2 + x * z + G * z**2, True),
+            (G * x * z + c * G**2 * y**2 + G**2 * z**2, False),
+            (c * (G * y * z + 3 * z**2) - 2 * y**2, True),
+        ]
+        space, rows = RowSpace(ctx, 2), []
+        strips.clear()
+        for p, grows in steps:
+            rows.append(p)
+            assert space.add(p) is grows, (field, p)
+            assert space.rank == reference_rank(rows), (field, p)
+            check_pivots(space, rows)
+        assert space.eng.ext is (field != QQ)
+        # a large lead was stripped from a row that then went on, not into
+        # a pivot, and a row with a small lead was stripped at install
+        pivot_cs = [cs for _, _, cs in space.pivots.values()]
+        assert any(
+            large and stripped and all(out is not cs for cs in pivot_cs)
+            for large, stripped, out in strips
+        ), field
+        assert any(not large and stripped for large, stripped, _ in strips), field
 
 
 # -- Koszul pruning of the rank oracle's products ------------------------------
